@@ -25,6 +25,7 @@ from .model import (
     market_from_config,
     sfde_from_config,
     validate_market,
+    validation_error,
 )
 from .quadrature import DEFAULT_N
 
@@ -165,10 +166,11 @@ def cmd_hedge(args):
 
 
 def cmd_check(args):
-    market = _load_market(args, validate=not args.skip_validation)
-    rows = []
-
+    market = _load_market(args, validate=False)
     violations = validate_market(market)
+    if violations and not args.skip_validation:
+        raise validation_error(violations)
+    rows = []
     rows.append(("market_validation", float(len(violations)), 0.0, not violations))
 
     strike = args.strike if args.strike is not None else market.s0

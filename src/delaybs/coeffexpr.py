@@ -9,9 +9,11 @@ power, so ``-2^2 == -4``.
 
 Evaluation is pure: the same AST evaluated at the same point always
 returns the same bits.  ``evaluate`` is the strict scalar evaluator and
-raises :class:`EvalError` on any non-finite intermediate; ``evaluate_vec``
-is the numpy evaluator used by the quadrature and Monte Carlo engines,
-which lets non-finite values flow through for the caller to check.
+raises :class:`EvalError` on any non-finite intermediate.  ``compile``
+builds the numpy evaluator used by the quadrature and Monte Carlo
+engines: a closure with constant subtrees folded, which lets non-finite
+values flow through for the caller to check, and flags saying whether
+the expression depends on ``t`` and on ``s``.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +38,8 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_vec",
+    "compile",
+    "Compiled",
     "to_source",
 ]
 
@@ -306,50 +311,93 @@ def evaluate(ast, t, s):
     return max(args)
 
 
-_NP_UNARY = {
+# numpy forms of every operator and function, keyed as in the AST.
+_NP_OPS = {
+    "+": np.add,
+    "-": np.subtract,
+    "*": np.multiply,
+    "/": np.divide,
+    "^": np.float_power,
     "exp": np.exp,
     "log": np.log,
     "sqrt": np.sqrt,
     "tanh": np.tanh,
     "abs": np.abs,
+    "min": np.minimum,
+    "max": np.maximum,
 }
+
+_NP_VARS = {"t": lambda t, s: t, "s": lambda t, s: s}
+
+
+class Compiled(NamedTuple):
+    """A compiled expression: call it as ``compiled(t, s)``.
+
+    ``uses_t`` / ``uses_s`` say whether the variable occurs in the
+    expression; a result that uses neither is a plain float.
+    """
+
+    fn: Callable
+    uses_t: bool
+    uses_s: bool
+
+    def __call__(self, t, s):
+        with np.errstate(all="ignore"):
+            return self.fn(t, s)
+
+
+def compile(ast):
+    """Compile ``ast`` into a numpy closure with constant subtrees folded.
+
+    Folding uses the same numpy operations as the closure, so a folded
+    constant has the bits the unfolded tree would compute.
+    """
+    names = set()
+    built = _build(ast, names)
+    fn = built if callable(built) else _constant(built)
+    return Compiled(fn, "t" in names, "s" in names)
+
+
+def _build(ast, names):
+    """A float for a constant subtree, else a closure of (t, s).
+
+    Adds the names of the variables met to ``names``.
+    """
+    if isinstance(ast, Lit):
+        return ast.value
+    if isinstance(ast, Var):
+        names.add(ast.name)
+        return _NP_VARS[ast.name]
+    if isinstance(ast, Neg):
+        op, children = np.negative, (ast.operand,)
+    elif isinstance(ast, Bin):
+        op, children = _NP_OPS[ast.op], (ast.left, ast.right)
+    else:
+        op, children = _NP_OPS[ast.func], ast.args
+    parts = [_build(c, names) for c in children]
+    if not any(callable(p) for p in parts):
+        with np.errstate(all="ignore"):
+            return float(op(*parts))
+    fns = [p if callable(p) else _constant(p) for p in parts]
+    if len(fns) == 1:
+        (x,) = fns
+        return lambda t, s: op(x(t, s))
+    a, b = fns
+    return lambda t, s: op(a(t, s), b(t, s))
+
+
+def _constant(value):
+    return lambda t, s: value
 
 
 def evaluate_vec(ast, t, s):
     """Vectorized evaluation; ``t`` and ``s`` may be scalars or arrays.
 
     Domain faults produce nan/inf instead of raising; engines check
-    finiteness downstream where it matters.
+    finiteness downstream where it matters.  Callers that evaluate one
+    expression repeatedly should :func:`compile` it once instead.
     """
-    with np.errstate(all="ignore"):
-        return _eval_vec(ast, t, s)
-
-
-def _eval_vec(ast, t, s):
-    if isinstance(ast, Lit):
-        return ast.value
-    if isinstance(ast, Var):
-        return t if ast.name == "t" else s
-    if isinstance(ast, Neg):
-        return -_eval_vec(ast.operand, t, s)
-    if isinstance(ast, Bin):
-        a = _eval_vec(ast.left, t, s)
-        b = _eval_vec(ast.right, t, s)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            return a / b
-        return np.float_power(a, b)
-    args = [_eval_vec(arg, t, s) for arg in ast.args]
-    if ast.func in _NP_UNARY:
-        return _NP_UNARY[ast.func](args[0])
-    if ast.func == "min":
-        return np.minimum(args[0], args[1])
-    return np.maximum(args[0], args[1])
+    return compile(ast)(t, s)
 
 
 def to_source(ast):

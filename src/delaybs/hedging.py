@@ -27,7 +27,7 @@ from .pricing import (
     final_block_start,
     price_closed,
 )
-from .quadrature import block_integrals_vec, integrate_nodes
+from .quadrature import block_integrals_vec
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,7 @@ def hedge_weights(market, option, state, quad_n=DEFAULT_N):
 
 def _weights_vec(market, option, t, s_t, s_block, quad_n=DEFAULT_N):
     """Vectorized stock delta and bond value at a single time."""
-    v = integrate_nodes(
-        lambda u: market.g.vec(u, s_block) ** 2 + 0.0 * s_block, t, market.T, quad_n
-    )
-    lam = market.rate.integral(t, market.T)
+    v, _, lam = block_integrals_vec(market, s_block, t, market.T, quad_n)
     sq = np.sqrt(v)
     bp = (np.log(s_t / option.strike) + lam + 0.5 * v) / sq
     bm = bp - sq
@@ -133,7 +130,7 @@ def replicate(
                     )
             cash = wealth - pi_s * s
             # advance the stock with one exact sub-block step
-            g2, _, lam_int = block_integrals_vec(market, s_star + 0.0 * s, t_i, t_next, quad_n)
+            g2, _, lam_int = block_integrals_vec(market, s_star, t_i, t_next, quad_n)
             z = rng.normals(seed, k, i, lo, hi)
             s = s * np.exp(lam_int - 0.5 * g2 + np.sqrt(g2) * z)
             cash = cash / discount_factor(market.rate, t_i, t_next)

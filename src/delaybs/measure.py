@@ -101,13 +101,10 @@ def joint_block_step(market, s_k, a, b, spec, quad_n=DEFAULT_N, accumulator=None
     g2, f_int, lam_int, theta_sq = block_integrals_vec(
         market, sk, a, b, quad_n, with_theta=True
     )
-    g2, f_int, theta_sq = float(np.asarray(g2).ravel()[0]), float(
-        np.asarray(f_int).ravel()[0]
-    ), float(np.asarray(theta_sq).ravel()[0])
     i1, i2 = _joint_increments(
-        np.array([g2]), np.array([f_int]), lam_int, np.array([theta_sq]),
-        np.array([z1]), np.array([z2]),
+        g2, f_int, lam_int, theta_sq, np.array([z1]), np.array([z2])
     )
+    g2, f_int, theta_sq = float(g2[0]), float(f_int[0]), float(theta_sq[0])
     dlog_s = f_int - 0.5 * g2 + float(i1[0])
     dlog_rho = -float(i2[0]) - 0.5 * theta_sq
     if accumulator is not None:
@@ -130,9 +127,6 @@ def _p_terminal_with_density(market, seed, lo, hi, quad_n=DEFAULT_N):
         g2, f_int, lam_int, theta_sq = block_integrals_vec(
             market, sb, a, b, quad_n, with_theta=True
         )
-        g2 = np.broadcast_to(np.asarray(g2, dtype=float), (n,))
-        f_int = np.broadcast_to(np.asarray(f_int, dtype=float), (n,))
-        theta_sq = np.broadcast_to(np.asarray(theta_sq, dtype=float), (n,))
         z1 = rng.normals(seed, k, 0, lo, hi)
         z2 = rng.normals(seed, k, 1, lo, hi)
         i1, i2 = _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2)

@@ -9,6 +9,7 @@ whose drift is a functional of the path segment.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -146,7 +147,12 @@ def discount_factor(rate, t1, t2):
 
 @dataclass(frozen=True)
 class CoefficientExpr:
-    """A parsed coefficient function of (t, s)."""
+    """A parsed coefficient function of (t, s).
+
+    Calling it is the strict scalar evaluator; ``vec`` calls the compiled
+    numpy evaluator, whose ``uses_t`` / ``uses_s`` flags say which
+    variables the expression depends on.
+    """
 
     source: str
     ast: object = field(compare=False)
@@ -155,11 +161,20 @@ class CoefficientExpr:
     def parse(cls, source):
         return cls(source, coeffexpr.parse(source))
 
+    @functools.cached_property
+    def compiled(self):
+        """The numpy evaluator, compiled on first use and kept.
+
+        Not compiled at parse time: loading a config and the scalar
+        closed-form route never need it.
+        """
+        return coeffexpr.compile(self.ast)
+
     def __call__(self, t, s):
         return coeffexpr.evaluate(self.ast, t, s)
 
     def vec(self, t, s):
-        return coeffexpr.evaluate_vec(self.ast, t, s)
+        return self.compiled(t, s)
 
 
 @dataclass(frozen=True)
@@ -330,6 +345,14 @@ def validate_market(market):
     return violations
 
 
+def validation_error(violations):
+    """The ConfigError for a market whose validation found ``violations``."""
+    detail = "; ".join(str(v) for v in violations[:5])
+    return ConfigError(
+        f"market failed validation with {len(violations)} violation(s): {detail}"
+    )
+
+
 def _rate_from_config(cfg):
     if not isinstance(cfg, dict) or "kind" not in cfg:
         raise ConfigError("rate must be an object with a 'kind' key")
@@ -365,10 +388,7 @@ def market_from_config(cfg, validate=True):
     if validate:
         violations = validate_market(market)
         if violations:
-            detail = "; ".join(str(v) for v in violations[:5])
-            raise ConfigError(
-                f"market failed validation with {len(violations)} violation(s): {detail}"
-            )
+            raise validation_error(violations)
     return market
 
 

@@ -364,7 +364,7 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
         if finest % steps != 0:
             raise ContractError("step counts must divide the finest resolution")
     acc = {
-        s: {"gap_sq": 0.0, "diff": 0.0, "diff_sq": 0.0, "em": 0.0, "sp": 0.0}
+        s: {"gap_sq": 0.0, "diff": 0.0, "em": 0.0, "sp": 0.0}
         for s in steps_list
     }
     dt_f = sfde.T / finest
@@ -381,14 +381,13 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
             a = acc[steps]
             a["gap_sq"] += float((gap * gap).sum())
             a["diff"] += float(gap.sum())
-            a["diff_sq"] += float((gap * gap).sum())
             a["em"] += float(em_vals[:, -1].sum())
             a["sp"] += float(sp_vals[:, -1].sum())
     results = []
     for steps in steps_list:
         a = acc[steps]
         mean_diff = a["diff"] / n_paths
-        var_diff = max(a["diff_sq"] / n_paths - mean_diff**2, 0.0)
+        var_diff = max(a["gap_sq"] / n_paths - mean_diff**2, 0.0)
         results.append(
             {
                 "steps": steps,

@@ -23,7 +23,7 @@ from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, floor_block
 from .parallel import accumulate_moments
 from .paths import exact_values_vec
-from .quadrature import DEFAULT_N, integrate, integrate_nodes
+from .quadrature import DEFAULT_N, block_integrals_vec, integrate
 
 
 @dataclass(frozen=True)
@@ -165,10 +165,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
             market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block,
             [t_star], quad_n,
         )[:, 0]
-        v = integrate_nodes(
-            lambda u: market.g.vec(u, s_star) ** 2 + 0.0 * s_star,
-            t_star, market.T, quad_n,
-        )
+        v = block_integrals_vec(market, s_star, t_star, market.T, quad_n)[0]
         return _h_value_vec(s_star * disc_to_star, -0.5 * v, v, option.strike, R_T)
 
     mean, se, _ = accumulate_moments(chunk, n_paths, workers)

@@ -6,6 +6,15 @@ bit-reproducible regardless of scheduling.  Rate-curve integrals are not
 computed here; they use the exact piecewise antiderivative on the curve
 itself (see :meth:`delaybs.model.RateCurve.integral`), which keeps
 discount factors exactly multiplicative.
+
+Block integrals follow the dependence of their integrand.  Within a
+block the coefficients are frozen at the block-start price ``s_k``, so
+an integrand that does not depend on ``t`` is constant on the block and
+its integral is ``(b - a)`` times one evaluation.  One that depends on
+``t`` but not on ``s`` is integrated once on the scalar nodes and
+broadcast to the paths; only one that depends on both is evaluated over
+the path vector at every node.  theta^2 depends on ``t`` when ``f`` or
+``g`` does or the rate curve is not constant.
 """
 
 from __future__ import annotations
@@ -103,21 +112,36 @@ def block_moments(market, s_k, a, b, measure="Q", n=DEFAULT_N):
     return BlockMoments(m=drift - 0.5 * v, v=v, c=f_int - lam_int)
 
 
+def _block_integral(integrand, uses_t, s_k, a, b, n):
+    """Integral over [a, b] of integrand(u, s_k), shaped like s_k."""
+    if uses_t:
+        value = integrate_nodes(lambda u: integrand(u, s_k), a, b, n)
+    else:
+        value = (b - a) * integrand(a, s_k)
+    if np.shape(value) != np.shape(s_k):
+        value = np.full(np.shape(s_k), value)
+    return value
+
+
 def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False):
     """Per-path block integrals for a vector of block-start prices.
 
-    Returns (g2_int, f_int, lam_int) arrays/scalars, plus theta2_int
-    (integral of ((f - lambda)/g)^2) when with_theta is set.
+    Returns (g2_int, f_int, lam_int): the integrals of g(u, s_k)^2 and
+    f(u, s_k) as arrays shaped like s_k, and the scalar rate integral;
+    plus theta2_int (integral of ((f - lambda)/g)^2, shaped like s_k)
+    when with_theta is set.
     """
     _check_single_block(market, a, b)
-    g2 = integrate_nodes(lambda u: market.g.vec(u, s_k) ** 2, a, b, n)
-    f_int = integrate_nodes(lambda u: market.f.vec(u, s_k) + 0.0 * s_k, a, b, n)
-    lam_int = market.rate.integral(a, b)
+    f, g, rate = market.f, market.g, market.rate
+    g2 = _block_integral(lambda u, s: g.vec(u, s) ** 2, g.compiled.uses_t, s_k, a, b, n)
+    f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b, n)
+    lam_int = rate.integral(a, b)
     if not with_theta:
         return g2, f_int, lam_int
 
-    def theta2(u):
-        th = (market.f.vec(u, s_k) - market.rate.rate(u)) / market.g.vec(u, s_k)
-        return th * th + 0.0 * s_k
+    def theta2(u, s):
+        th = (f.vec(u, s) - rate.rate(u)) / g.vec(u, s)
+        return th * th
 
-    return g2, f_int, lam_int, integrate_nodes(theta2, a, b, n)
+    uses_t = f.compiled.uses_t or g.compiled.uses_t or rate.kind != "constant"
+    return g2, f_int, lam_int, _block_integral(theta2, uses_t, s_k, a, b, n)

@@ -40,6 +40,20 @@ def state_market():
 
 
 @pytest.fixture
+def time_market():
+    """Volatility depending on t and s, drift on t, piecewise rates."""
+    return VariableDelayMarket(
+        h=0.25,
+        T=0.9,
+        s0=100.0,
+        f=CoefficientExpr.parse("0.08 + 0.02*t"),
+        g=CoefficientExpr.parse("(0.1 + 0.1*s/(1+s)) * (1 + 0.5*t)"),
+        rate=RateCurve.piecewise((0.0, 0.5, 1.0), (0.05, 0.03)),
+        g_min=0.05,
+    )
+
+
+@pytest.fixture
 def balanced_market():
     """Drift equal to the riskless rate: the measure change is trivial."""
     return VariableDelayMarket(

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -130,3 +131,53 @@ def test_vector_eval_matches_scalar():
     vec = coeffexpr.evaluate_vec(ast, 0.0, s)
     for i, si in enumerate(s):
         assert vec[i] == evaluate(ast, 0.0, si)
+
+
+@pytest.mark.parametrize(
+    "source, uses_t, uses_s",
+    [
+        ("0.2", False, False),
+        ("s", False, True),
+        ("0.1 + 0.1*s/(1+s)", False, True),
+        ("0.2 + 0.05*t", True, False),
+        ("t*s", True, True),
+    ],
+)
+def test_compile_dependence_flags(source, uses_t, uses_s):
+    compiled = coeffexpr.compile(parse(source))
+    assert (compiled.uses_t, compiled.uses_s) == (uses_t, uses_s)
+
+
+def test_compile_folds_constant_subtrees():
+    import numpy as np
+
+    s = np.array([0.5, 1.0, 2.0])
+    # a constant expression folds to one float, whatever the inputs' shape
+    for source, value in (("0.2", 0.2), ("exp(0)*2 + 2^3", 10.0), ("-(1/0)", -np.inf)):
+        out = coeffexpr.compile(parse(source))(np.array([0.0, 0.5]), s)
+        assert type(out) is float and out == value
+    # folding a subtree keeps the bits of the unfolded arithmetic
+    folded = coeffexpr.compile(parse("(0.05 + 0.05) + (0.1*1)*s/(1+s)"))(0.0, s)
+    assert np.array_equal(folded, 0.1 + 0.1 * s / (1 + s))
+
+
+def test_compiled_matches_strict_evaluator_on_corpus():
+    import numpy as np
+
+    rnd = random.Random(99)
+    points = [(0.0, 1.0), (0.37, 41.5), (0.9, 0.02)]
+    t = np.array([p[0] for p in points])
+    s = np.array([p[1] for p in points])
+    checked = 0
+    for _ in range(500):
+        ast = _random_expr(rnd, rnd.randint(1, 4))
+        vec = np.broadcast_to(coeffexpr.compile(ast)(t, s), t.shape)
+        for i, (ti, si) in enumerate(points):
+            try:
+                ref = evaluate(ast, ti, si)
+            except EvalError:
+                continue
+            if math.isfinite(ref) and abs(ref) < 1e100:
+                assert vec[i] == pytest.approx(ref, rel=1e-9, abs=1e-12), to_source(ast)
+                checked += 1
+    assert checked > 500

@@ -117,6 +117,11 @@ def test_density_mean_constant_coefficients(constant_market):
     assert abs(mean - 1.0) < 3.0 * se
 
 
+def test_density_mean_time_dependent_coefficients(time_market):
+    mean, se = density_mean_check(time_market, 100_000, 8)
+    assert abs(mean - 1.0) < 3.0 * se
+
+
 def test_importance_equals_mc_when_balanced(balanced_market, atm_option):
     state = MarketState(0.0, balanced_market.s0)
     imp = importance_price(balanced_market, atm_option, 50_000, 4)

@@ -299,3 +299,10 @@ def test_mc_put_direct_matches_parity(state_market):
     parity = put_price(call.value, state, OptionSpec(100.0), state_market)
     comb = math.hypot(call.std_error, put.std_error)
     assert abs(put.value - parity) <= 3.0 * comb
+
+
+def test_mc_agrees_with_semi_when_coefficients_depend_on_time(time_market, atm_option):
+    state = MarketState(0.0, time_market.s0)
+    mc = price_mc(time_market, atm_option, state, 100_000, 11)
+    semi = price_semi(time_market, atm_option, state, 100_000, 12)
+    assert abs(mc.value - semi.value) <= 3.0 * math.hypot(mc.std_error, semi.std_error)

@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket
 from delaybs.errors import ContractError
 from delaybs.quadrature import (
+    DEFAULT_N,
     block_integrals_vec,
     block_moments,
     integrate,
@@ -93,3 +96,64 @@ def test_vectorized_matches_scalar(state_market):
         mom = block_moments(state_market, float(s), 0.25, 0.5, "P")
         assert np.asarray(g2)[i] == pytest.approx(mom.v, rel=1e-14)
         assert np.asarray(f_int)[i] - lam == pytest.approx(mom.c, abs=1e-15)
+
+
+# One template per dependence class: (uses_t, uses_s).  Coefficients are
+# drawn so that g stays positive and f stays above every rate, keeping
+# theta^2 free of cancellation.
+TEMPLATES = {
+    (False, False): "{a}",
+    (False, True): "{a} + {b}*s/(1+s)",
+    (True, False): "{a} + {b}*t",
+    (True, True): "{a} + {b}*t*s/(1+s) + {b}*exp(-t)*sqrt(s)/10",
+}
+RATES = {
+    "constant": RateCurve.constant(0.05),
+    "piecewise": RateCurve.piecewise((0.0, 0.3, 0.6, 1.0), (0.05, 0.02, 0.04)),
+}
+
+
+def _expr(dependence, a, b):
+    return CoefficientExpr.parse(TEMPLATES[dependence].format(a=a, b=b))
+
+
+def _simpson_reference(fn, a, b):
+    """Plain 65-node composite Simpson with the strict scalar evaluator."""
+    n = DEFAULT_N
+    total = 0.0
+    for i, u in enumerate(np.linspace(a, b, n + 1)):
+        weight = 1.0 if i in (0, n) else (4.0 if i % 2 else 2.0)
+        total += weight * (b - a) / (3.0 * n) * fn(u)
+    return total
+
+
+@pytest.mark.parametrize("g_class", sorted(TEMPLATES))
+@given(
+    f=st.builds(
+        _expr, st.sampled_from(sorted(TEMPLATES)), st.floats(0.1, 0.3), st.floats(0.0, 0.3)
+    ),
+    g_coeffs=st.tuples(st.floats(0.05, 0.4), st.floats(0.0, 0.4)),
+    rate=st.sampled_from(sorted(RATES)),
+    k=st.integers(0, 2),
+    ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)).filter(lambda e: e[0] != e[1]),
+)
+@settings(max_examples=40, deadline=None)
+def test_block_integrals_match_simpson_reference(g_class, f, g_coeffs, rate, k, ends):
+    g = _expr(g_class, *g_coeffs)
+    assert (g.compiled.uses_t, g.compiled.uses_s) == g_class
+    market = VariableDelayMarket(0.25, 0.9, 100.0, f, g, RATES[rate], g_min=0.01)
+    a, b = (0.25 * (k + x) for x in sorted(ends))
+    sk = np.array([5.0, 100.0, 400.0])
+    g2, f_int, lam = block_integrals_vec(market, sk, a, b)
+    g2_t, f_int_t, lam_t, th2 = block_integrals_vec(market, sk, a, b, with_theta=True)
+    assert lam == lam_t == market.rate.integral(a, b)
+    for i, s in enumerate(map(float, sk)):
+        ref_g2 = _simpson_reference(lambda u: market.g(u, s) ** 2, a, b)
+        ref_f = _simpson_reference(lambda u: market.f(u, s), a, b)
+        ref_th2 = _simpson_reference(
+            lambda u: ((market.f(u, s) - market.rate.rate(u)) / market.g(u, s)) ** 2, a, b
+        )
+        for got, ref in ((g2, ref_g2), (g2_t, ref_g2), (f_int, ref_f), (f_int_t, ref_f),
+                         (th2, ref_th2)):
+            assert got.shape == sk.shape
+            assert got[i] == pytest.approx(ref, rel=1e-13)
