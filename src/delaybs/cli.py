@@ -20,6 +20,7 @@ from . import hedging, measure, paths, pricing, rng
 from .errors import ConfigError, ContractError, DelayBsError, IntegrationFailure, NumericalError
 from .model import (
     OptionSpec,
+    block_schedule,
     discount_factor,
     load_config,
     market_from_config,
@@ -122,28 +123,29 @@ def cmd_price(args):
 
 
 def cmd_simulate(args):
+    # Everything that can reject the command runs before the CSV header.
     cfg = load_config(args.config)
-    print("time,value,stream_id")
     if args.scheme == "exact":
         market = market_from_config(cfg)
-        from .model import block_schedule
-
         times = [t for t in block_schedule(market.T, market.h) if t > 0.0]
-        for sid in range(args.paths):
-            spec = rng.BrownianSpec(args.seed, sid)
-            path = paths.simulate_exact(
+
+        def simulate(spec):
+            return paths.simulate_exact(
                 market, args.measure, spec, 0.0, market.s0, market.s0, times,
                 args.quad_n,
             )
-            for t, v in zip(path.times, path.values):
-                print(f"{_fmt(t)},{_fmt(v)},{sid}")
-        return EXIT_OK
-    sfde = sfde_from_config(cfg)
-    if args.dt is None:
-        raise ConfigError("--dt is required for the em and split schemes")
-    simulate = paths.simulate_em_fixed if args.scheme == "em" else paths.simulate_split_fixed
+    else:
+        sfde = sfde_from_config(cfg)
+        if args.dt is None:
+            raise ConfigError("--dt is required for the em and split schemes")
+        paths.grid_steps(sfde, args.dt)
+        step = paths.simulate_em_fixed if args.scheme == "em" else paths.simulate_split_fixed
+
+        def simulate(spec):
+            return step(sfde, args.dt, spec)
+    print("time,value,stream_id")
     for sid in range(args.paths):
-        path = simulate(sfde, args.dt, rng.BrownianSpec(args.seed, sid))
+        path = simulate(rng.BrownianSpec(args.seed, sid))
         for t, v in zip(path.times, path.values):
             print(f"{_fmt(t)},{_fmt(v)},{sid}")
     return EXIT_OK
@@ -153,11 +155,14 @@ def cmd_hedge(args):
     market = _load_market(args)
     option = OptionSpec(args.strike, "call")
     ladder = [int(x) for x in args.ladder.split(",") if x]
-    print("n_rebalance,mean_error,rmse,n_paths")
-    for n_rebalance in ladder:
-        report = hedging.replicate(
+    reports = [
+        hedging.replicate(
             market, option, n_rebalance, args.paths, args.seed, quad_n=args.quad_n
         )
+        for n_rebalance in ladder
+    ]
+    print("n_rebalance,mean_error,rmse,n_paths")
+    for report in reports:
         print(
             f"{report.n_rebalance},{_fmt(report.mean_error)},"
             f"{_fmt(report.rmse)},{report.n_paths}"

@@ -277,6 +277,8 @@ def evaluate(ast, t, s):
                 raise EvalError("division by zero", ast.span)
             return a / b
         # power
+        if a < 0.0 and not math.isfinite(b):
+            raise EvalError("negative base with non-finite exponent", ast.span)
         if a < 0.0 and b != math.floor(b):
             raise EvalError("negative base with non-integer exponent", ast.span)
         try:

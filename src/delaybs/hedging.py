@@ -96,6 +96,8 @@ def replicate(
     """
     if option.kind != "call":
         raise ContractError("replication is stated for calls")
+    if n_paths < 1:
+        raise ContractError(f"need at least one path, got {n_paths}")
     t_star = final_block_start(market)
     if s_star is None:
         s_star = market.s0

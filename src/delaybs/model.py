@@ -23,6 +23,11 @@ from .errors import ConfigError, DomainError
 BOUNDARY_SNAP = 1e-12
 
 
+def is_positive(x):
+    """True for a finite x > 0; NaN and infinities fail."""
+    return math.isfinite(x) and x > 0.0
+
+
 def floor_block(t, h):
     """Map t to the start kh of its delay block [kh, (k+1)h).
 
@@ -184,7 +189,7 @@ class OptionSpec:
     t_valuation: float = 0.0
 
     def __post_init__(self):
-        if self.strike <= 0.0:
+        if not is_positive(self.strike):
             raise ConfigError(f"strike must be positive, got {self.strike}")
         if self.kind not in ("call", "put"):
             raise ConfigError(f"option kind must be call or put, got {self.kind!r}")
@@ -208,13 +213,13 @@ class VariableDelayMarket:
     g_min: float = 1e-4
 
     def __post_init__(self):
-        if self.h <= 0.0:
+        if not is_positive(self.h):
             raise ConfigError(f"h must be positive, got {self.h}")
-        if self.T <= 0.0:
+        if not is_positive(self.T):
             raise ConfigError(f"T must be positive, got {self.T}")
-        if self.s0 <= 0.0:
+        if not is_positive(self.s0):
             raise ConfigError(f"s0 must be positive, got {self.s0}")
-        if self.g_min <= 0.0:
+        if not is_positive(self.g_min):
             raise ConfigError(f"g_min must be positive, got {self.g_min}")
 
 
@@ -320,29 +325,50 @@ def validate_market(market):
     """Evaluate f and g over the validation grid; return all violations.
 
     An empty list means the market is valid: both coefficients are finite
-    everywhere on the grid and |g| >= g_min.
+    everywhere on the grid and |g| >= g_min.  Each coefficient is
+    evaluated only where it can vary: at every grid point if it uses
+    both ``t`` and ``s``, once per price if it uses only ``s``, once per
+    time if it uses only ``t`` and once if it uses neither (evaluation
+    is pure, so the skipped points would repeat those bits).  Violations
+    are listed per grid point, ``t`` outer, ``s`` inner, ``f`` before
+    ``g``.
     """
     ts, ss = validation_grid(market)
+    found = []
+    for name, expr in (("f", market.f), ("g", market.g)):
+        uses = expr.compiled
+        t_index = range(len(ts)) if uses.uses_t else (0,)
+        s_index = range(len(ss)) if uses.uses_s else (0,)
+        bad = {}
+        for i in t_index:
+            for j in s_index:
+                problem = _point_violation(name, expr, ts[i], ss[j], market.g_min)
+                if problem is not None:
+                    bad[i, j] = problem
+        found.append((uses, bad))
+    if not any(bad for _, bad in found):
+        return []
     violations = []
-    for t in ts:
-        for s in ss:
-            for name, expr in (("f", market.f), ("g", market.g)):
-                try:
-                    value = expr(t, s)
-                except coeffexpr.EvalError as exc:
-                    violations.append(
-                        Violation((t, s), math.nan, f"{name} failed to evaluate: {exc}")
-                    )
-                    continue
-                if not math.isfinite(value):
-                    violations.append(
-                        Violation((t, s), value, f"{name} is non-finite")
-                    )
-                elif name == "g" and abs(value) < market.g_min:
-                    violations.append(
-                        Violation((t, s), value, f"|g| below g_min={market.g_min}")
-                    )
+    for i, t in enumerate(ts):
+        for j, s in enumerate(ss):
+            for uses, bad in found:
+                problem = bad.get((i if uses.uses_t else 0, j if uses.uses_s else 0))
+                if problem is not None:
+                    violations.append(Violation((t, s), *problem))
     return violations
+
+
+def _point_violation(name, expr, t, s, g_min):
+    """(value, message) if coefficient ``name`` fails at (t, s), else None."""
+    try:
+        value = expr(t, s)
+    except coeffexpr.EvalError as exc:
+        return math.nan, f"{name} failed to evaluate: {exc}"
+    if not math.isfinite(value):
+        return value, f"{name} is non-finite"
+    if name == "g" and abs(value) < g_min:
+        return value, f"|g| below g_min={g_min}"
+    return None
 
 
 def validation_error(violations):

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 
+from .errors import ContractError
+
 CHUNK_SIZE = 1 << 16
 
 
@@ -33,6 +35,8 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     fn(lo, hi) must return a 1-d array of per-path statistics for the
     chunk.  Returns (mean, standard_error, n).
     """
+    if n < 1:
+        raise ContractError(f"need at least one path, got {n}")
     partials = map_chunks(lambda lo, hi: _sums(fn(lo, hi)), n, workers, chunk_size)
     total = 0.0
     total_sq = 0.0

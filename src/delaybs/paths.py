@@ -26,7 +26,7 @@ import numpy as np
 
 from . import rng
 from .errors import ContractError, IntegrationFailure
-from .model import block_index
+from .model import block_index, is_positive
 from .quadrature import DEFAULT_N, block_integrals_vec
 
 
@@ -228,11 +228,20 @@ def _lag_steps(name, lag, dt):
     return m
 
 
-def _grid(sfde, dt):
+def grid_steps(sfde, dt):
+    """Steps (to T, of the diffusion lag b, of the drift lag a) on the dt grid.
+
+    Raises :class:`ContractError` unless dt is positive and divides the
+    horizon and the lags.
+    """
+    if not is_positive(dt):
+        raise ContractError(f"dt must be positive, got {dt}")
     n_steps = round(sfde.T / dt)
     if abs(n_steps * dt - sfde.T) > 1e-9:
         raise ContractError(f"dt={dt} must divide the horizon {sfde.T}")
-    return n_steps
+    m_b = _lag_steps("diffusion", sfde.b, dt)
+    m_a = _lag_steps("drift", sfde.a, dt) if sfde.drift.kind != "segment-point" else m_b
+    return n_steps, m_b, m_a
 
 
 def _drift_values(sfde, buf, step, t, m_b, m_a):
@@ -259,10 +268,9 @@ def em_values_vec(sfde, dt, dW):
     integration continues with the values as-is.
     """
     n_paths, n_steps = dW.shape
-    if n_steps != _grid(sfde, dt):
+    grid_n, m_b, m_a = grid_steps(sfde, dt)
+    if n_steps != grid_n:
         raise ContractError("dW step count does not match the grid")
-    m_b = _lag_steps("diffusion", sfde.b, dt)
-    m_a = _lag_steps("drift", sfde.a, dt) if sfde.drift.kind != "segment-point" else m_b
     buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
     first_nonpos = np.full(n_paths, -1, dtype=np.int64)
     for n in range(n_steps):
@@ -291,10 +299,9 @@ def split_values_vec(sfde, dt, dW, record_y=False):
     martingale and y solves the random delay ODE by explicit Euler.
     """
     n_paths, n_steps = dW.shape
-    if n_steps != _grid(sfde, dt):
+    grid_n, m_b, m_a = grid_steps(sfde, dt)
+    if n_steps != grid_n:
         raise ContractError("dW step count does not match the grid")
-    m_b = _lag_steps("diffusion", sfde.b, dt)
-    m_a = _lag_steps("drift", sfde.a, dt) if sfde.drift.kind != "segment-point" else m_b
     buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
     state = SplitState(
         psi=np.ones(n_paths),
@@ -335,7 +342,7 @@ def split_values_vec(sfde, dt, dW, record_y=False):
 
 def simulate_em_fixed(sfde, dt, spec):
     """Euler--Maruyama path of one stream, recorded at every grid node."""
-    n_steps = _grid(sfde, dt)
+    n_steps, _, _ = grid_steps(sfde, dt)
     dW = brownian_increments(spec.seed, spec.stream_id, spec.stream_id + 1, n_steps, dt)
     times, values, first_nonpos = em_values_vec(sfde, dt, dW)
     fnp = int(first_nonpos[0]) if first_nonpos[0] >= 0 else None
@@ -344,7 +351,7 @@ def simulate_em_fixed(sfde, dt, spec):
 
 def simulate_split_fixed(sfde, dt, spec):
     """Splitting-scheme path of one stream, recorded at every grid node."""
-    n_steps = _grid(sfde, dt)
+    n_steps, _, _ = grid_steps(sfde, dt)
     dW = brownian_increments(spec.seed, spec.stream_id, spec.stream_id + 1, n_steps, dt)
     times, values = split_values_vec(sfde, dt, dW)
     return Path(times, values[0], "P", spec)
@@ -358,7 +365,11 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
     Returns one dict per step count with the RMS terminal gap between
     schemes and the paired statistics of the terminal difference.
     """
+    if n_paths < 1:
+        raise ContractError(f"need at least one path, got {n_paths}")
     steps_list = sorted(steps_list)
+    if not steps_list or steps_list[0] < 1:
+        raise ContractError(f"step counts must be positive, got {steps_list}")
     finest = steps_list[-1]
     for steps in steps_list:
         if finest % steps != 0:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
-from .model import block_index, discount_factor, floor_block
+from .model import block_index, discount_factor, floor_block, is_positive
 from .parallel import accumulate_moments
 from .paths import exact_values_vec
 from .quadrature import DEFAULT_N, block_integrals_vec, integrate
@@ -43,11 +43,13 @@ class MarketState:
     s_block: float = None
 
     def __post_init__(self):
-        if self.s_t <= 0.0:
+        if not math.isfinite(self.t):
+            raise ContractError(f"valuation time must be finite, got {self.t}")
+        if not is_positive(self.s_t):
             raise ContractError(f"price must be positive, got {self.s_t}")
         if self.s_block is None:
             object.__setattr__(self, "s_block", self.s_t)
-        if self.s_block <= 0.0:
+        if not is_positive(self.s_block):
             raise ContractError(f"block price must be positive, got {self.s_block}")
 
 

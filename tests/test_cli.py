@@ -203,3 +203,117 @@ def test_output_independent_of_worker_count(capsys):
     _, one = _run(capsys, argv + ["--workers", "1"])
     _, many = _run(capsys, argv + ["--workers", "8"])
     assert one == many
+
+
+def _config(tmp_path, base=CONSTANT, **changes):
+    cfg = json.loads(open(base).read())
+    cfg.update(changes)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+def _fails_with_one_error_line(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CONFIG, captured.err
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+    return lines[0]
+
+
+def test_power_with_non_finite_exponent_fails_validation(tmp_path, capsys):
+    bad = _config(tmp_path, g_expr="0.2 + 0*(-s)^(exp(700)*exp(700))")
+    line = _fails_with_one_error_line(capsys, [
+        "price", "--config", bad, "--method", "closed", "--strike", "100",
+        "--t", "0.8",
+    ])
+    assert "negative base with non-finite exponent" in line
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--config", CONSTANT, "--method", "mc", "--strike", "100",
+     "--paths", "0"],
+    ["price", "--config", CONSTANT, "--method", "mc", "--strike", "100",
+     "--paths", "-3"],
+    ["price", "--config", STATE, "--method", "semi", "--strike", "100",
+     "--paths", "0"],
+    ["hedge", "--config", CONSTANT, "--strike", "100", "--paths", "0"],
+    ["check", "--config", STATE, "--paths", "-1"],
+    ["convergence", "--config", FIXED, "--paths", "0"],
+    ["convergence", "--config", FIXED, "--steps", "0,512", "--paths", "10"],
+])
+def test_non_positive_counts_are_usage_errors(capsys, argv):
+    _fails_with_one_error_line(capsys, argv)
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--strike", "--spot", "--t"])
+def test_non_finite_cli_inputs_are_usage_errors(capsys, flag, bad):
+    values = {"--strike": "100", "--spot": "100", "--t": "0.8", flag: bad}
+    argv = ["price", "--config", CONSTANT, "--method", "closed"]
+    _fails_with_one_error_line(capsys, argv + [f"{k}={v}" for k, v in values.items()])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_initial_price_is_usage_error(tmp_path, capsys, bad):
+    line = _fails_with_one_error_line(capsys, [
+        "price", "--config", _config(tmp_path, s0=bad), "--method", "closed",
+        "--strike", "100", "--t", "0.8",
+    ])
+    assert "s0 must be positive" in line
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "does_not_exist.json"],
+    ["--config", FIXED],  # exact scheme on a fixed-delay config
+    ["--config", CONSTANT, "--scheme", "em", "--dt", "0.25"],
+    ["--config", FIXED, "--scheme", "em"],  # no --dt
+    ["--config", FIXED, "--scheme", "split", "--dt", "0.3"],
+    ["--config", FIXED, "--scheme", "em", "--dt", "0.1"],
+    ["--config", FIXED, "--scheme", "split", "--dt", "nan"],
+    ["--config", FIXED, "--scheme", "em", "--dt", "0"],
+])
+def test_simulate_errors_write_nothing_to_stdout(capsys, args):
+    _fails_with_one_error_line(capsys, ["simulate", "--paths", "2"] + args)
+
+
+# stderr / stdout of `check` on invalid markets, as printed before the
+# validation grid was evaluated only where each coefficient varies.
+_THIN_ERROR = (
+    "error: market failed validation with 8385 violation(s): "
+    + "; ".join(
+        f"|g| below g_min=0.1 at (t=0, s={s}): value 0.001"
+        for s in ("1", "1.15478", "1.33352", "1.53993", "1.77828")
+    )
+    + "\n"
+)
+_MIXED_F = "f failed to evaluate: log of non-positive value (source span 0:10)"
+_MIXED_G = "g failed to evaluate: sqrt of negative value (source span 8:19)"
+_MIXED_ERROR = (
+    "error: market failed validation with 516 violation(s): "
+    f"{_MIXED_F} at (t=0, s=1): value nan; "
+    f"{_MIXED_G} at (t=0, s=1): value nan; "
+    f"{_MIXED_F} at (t=0, s=1.15478): value nan; "
+    f"{_MIXED_G} at (t=0, s=1.15478): value nan; "
+    f"{_MIXED_F} at (t=0.0078125, s=1): value nan\n"
+)
+
+
+@pytest.mark.parametrize("changes, error, count", [
+    ({"g_expr": "0.001"}, _THIN_ERROR, 8385),
+    ({"f_expr": "log(s-1.3)", "g_expr": "0.2*t + sqrt(s-1.2)"}, _MIXED_ERROR, 516),
+])
+def test_check_on_invalid_market_output_is_unchanged(tmp_path, capsys, changes, error, count):
+    bad = _config(tmp_path, **changes)
+    code = cli.main(["check", "--config", bad, "--paths", "100"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (cli.EXIT_CONFIG, "", error)
+    code = cli.main(["check", "--config", bad, "--paths", "100", "--skip-validation"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_CHECK_FAILED
+    assert captured.out == (
+        f"check,estimate,std_error,status\nmarket_validation,{count},0,fail\n"
+    )
+    assert captured.err == ""

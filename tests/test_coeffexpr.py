@@ -81,6 +81,22 @@ def test_negative_base_fractional_power():
         ev("(0-2)^0.5")
 
 
+@pytest.mark.parametrize(
+    "source",
+    [
+        "(-s)^(exp(700)*exp(700))",  # exponent +inf
+        "(-s)^(-exp(700)*exp(700))",  # exponent -inf
+        "(-s)^(exp(700)*exp(700) - exp(700)*exp(700))",  # exponent nan
+    ],
+)
+def test_negative_base_non_finite_exponent(source):
+    ast = parse("0.2 + 0*" + source)
+    with pytest.raises(EvalError) as exc:
+        evaluate(ast, 0.0, 2.0)
+    start, end = exc.value.span
+    assert ("0.2 + 0*" + source)[start:end] == source
+
+
 def test_precedence():
     assert ev("2+3*4") == 14.0
     assert ev("2^3^2") == 512.0

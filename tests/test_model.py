@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket
+from delaybs.coeffexpr import EvalError
 from delaybs.errors import ConfigError, DomainError
 from delaybs.model import (
     block_schedule,
@@ -13,6 +15,7 @@ from delaybs.model import (
     market_from_config,
     sfde_from_config,
     validate_market,
+    validation_grid,
 )
 
 
@@ -120,6 +123,127 @@ def test_validate_nonfinite_drift():
     violations = validate_market(_market("0.2", f_expr="log(s - 20000)"))
     assert violations
     assert any("f" in v.message for v in violations)
+
+
+def _validate_full_grid(market):
+    """Reference: every coefficient at every grid point, as (where, repr, message)."""
+    ts, ss = validation_grid(market)
+    out = []
+    for t in ts:
+        for s in ss:
+            for name, expr in (("f", market.f), ("g", market.g)):
+                try:
+                    value = expr(t, s)
+                except EvalError as exc:
+                    out.append(((t, s), "nan", f"{name} failed to evaluate: {exc}"))
+                    continue
+                if not math.isfinite(value):
+                    out.append(((t, s), repr(value), f"{name} is non-finite"))
+                elif name == "g" and abs(value) < market.g_min:
+                    out.append(((t, s), repr(value), f"|g| below g_min={market.g_min}"))
+    return out
+
+
+def _as_rows(violations):
+    return [(v.where, repr(v.value), v.message) for v in violations]
+
+
+# Grid values on the T = 1, s0 = 100 market of ``_market``, so that drawn
+# constants can land exactly on a grid point (log(0), 1/0, sqrt(0)).
+_TS, _SS = np.linspace(0.0, 1.0, 129), np.geomspace(1.0, 10_000.0, 65)
+_C = st.one_of(st.floats(-0.2, 1.2), st.sampled_from([float(t) for t in _TS]))
+_K = st.one_of(st.floats(-10.0, 12_000.0), st.sampled_from([float(s) for s in _SS]))
+_SCALE = st.floats(1e-4, 0.3)
+
+
+def _num(x):
+    return f"({x!r})"
+
+
+# One strategy per dependence class; each mixes clean and faulting forms.
+_CONSTANT = st.one_of(
+    st.builds(lambda c: _num(c), _SCALE),
+    st.builds(lambda c: f"log({_num(c)})", _C),
+    st.builds(lambda c: f"1/({_num(c)} - 0.5)", _C),
+)
+_S_ONLY = st.one_of(
+    st.builds(lambda k: f"log(s - {_num(k)})", _K),
+    st.builds(lambda k: f"sqrt(s - {_num(k)})", _K),
+    st.builds(lambda k: f"(s - {_num(k)})^0.5", _K),
+    st.builds(lambda k: f"1/(s - {_num(k)})", _K),
+    st.builds(lambda a, k: f"{_num(a)} * s/({_num(k)} + s)", _SCALE, _K),
+    st.just("0.1 + 0.1*s/(1+s)"),
+)
+_T_ONLY = st.one_of(
+    st.builds(lambda c: f"1/(t - {_num(c)})", _C),
+    st.builds(lambda c: f"log({_num(c)} - t)", _C),
+    st.builds(lambda c: f"sqrt(t - {_num(c)})", _C),
+    st.builds(lambda a, c: f"{_num(a)} + {_num(c)}*t", _SCALE, _C),
+)
+_T_AND_S = st.one_of(
+    st.builds(lambda c, k: f"1/(t - {_num(c)}) + log(s - {_num(k)})", _C, _K),
+    st.builds(lambda a, k: f"{_num(a)}*t + sqrt(s - {_num(k)})", _SCALE, _K),
+    st.builds(lambda c, k: f"(s - {_num(k)})^0.5 * (t - {_num(c)})", _C, _K),
+)
+_EXPRS = st.one_of(_CONSTANT, _S_ONLY, _T_ONLY, _T_AND_S)
+
+
+@pytest.mark.parametrize(
+    "strategy, uses_t, uses_s",
+    [(_CONSTANT, False, False), (_S_ONLY, False, True),
+     (_T_ONLY, True, False), (_T_AND_S, True, True)],
+)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_expression_classes_have_their_dependence(strategy, uses_t, uses_s, data):
+    compiled = CoefficientExpr.parse(data.draw(strategy)).compiled
+    assert (compiled.uses_t, compiled.uses_s) == (uses_t, uses_s)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_EXPRS, _EXPRS, st.floats(1e-3, 0.3))
+def test_validate_matches_full_grid_reference(f_expr, g_expr, g_min):
+    market = _market(g_expr, f_expr=f_expr, g_min=g_min)
+    assert _as_rows(validate_market(market)) == _validate_full_grid(market)
+
+
+@pytest.mark.parametrize(
+    "f_expr, g_expr",
+    [
+        ("log(s - 150)", "0.2"),  # s-only f, constant g
+        ("0.08", "1/(t - 0.5)"),  # t-only g, hits t = 0.5 exactly
+        ("sqrt(s - 300) + t", "(s - 20)^0.5"),  # both faulting, interleaved
+        ("1/(t - 0.25)", "0.05 + 0.1*s/(1+s)"),  # g crosses g_min
+        ("0.08", "0.001"),  # constant g below g_min everywhere
+        ("0.08", "0.1 + 0.1*s/(1+s)"),  # valid
+    ],
+)
+def test_validate_matches_full_grid_reference_examples(f_expr, g_expr):
+    market = _market(g_expr, f_expr=f_expr, g_min=0.1)
+    assert _as_rows(validate_market(market)) == _validate_full_grid(market)
+
+
+@pytest.mark.parametrize(
+    "f_expr, g_expr, calls",
+    [
+        ("0.08", "0.1 + 0.1*s/(1+s)", 1 + 65),
+        ("0.08 + 0.02*t", "0.2", 129 + 1),
+        ("0.08", "0.2*(1 + t) + 0*s", 1 + 129 * 65),
+    ],
+)
+def test_validate_evaluates_only_where_coefficients_vary(
+    monkeypatch, f_expr, g_expr, calls
+):
+    seen = []
+    call = CoefficientExpr.__call__
+
+    def counting(expr, t, s):
+        seen.append((t, s))
+        return call(expr, t, s)
+
+    monkeypatch.setattr(CoefficientExpr, "__call__", counting)
+    assert validate_market(_market(g_expr, f_expr=f_expr)) == []
+    assert len(seen) == calls
 
 
 def test_market_from_config_roundtrip(tmp_path):
