@@ -42,7 +42,8 @@ def _fmt(x):
 
 def _add_common(p):
     p.add_argument("--config", required=True, help="market config JSON file")
-    p.add_argument("--seed", type=int, default=rng.DEFAULT_SEED)
+    p.add_argument("--seed", type=int, default=rng.DEFAULT_SEED,
+                   help="random seed, an integer in [0, 2**64)")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--quad-n", type=int, default=DEFAULT_N, dest="quad_n")
@@ -92,6 +93,17 @@ def build_parser():
     return parser
 
 
+def _counts(text, flag):
+    """Comma-separated positive integers from a list flag."""
+    try:
+        counts = [int(item) for item in text.split(",") if item]
+    except ValueError:
+        raise ContractError(f"{flag} needs comma-separated integers, got {text!r}") from None
+    if not counts or min(counts) < 1:
+        raise ContractError(f"{flag} needs counts of at least 1, got {text!r}")
+    return counts
+
+
 def _load_market(args, validate=True):
     return market_from_config(load_config(args.config), validate=validate)
 
@@ -124,6 +136,8 @@ def cmd_price(args):
 
 def cmd_simulate(args):
     # Everything that can reject the command runs before the CSV header.
+    if args.paths < 1:
+        raise ContractError(f"need at least one path, got {args.paths}")
     cfg = load_config(args.config)
     if args.scheme == "exact":
         market = market_from_config(cfg)
@@ -154,7 +168,7 @@ def cmd_simulate(args):
 def cmd_hedge(args):
     market = _load_market(args)
     option = OptionSpec(args.strike, "call")
-    ladder = [int(x) for x in args.ladder.split(",") if x]
+    ladder = _counts(args.ladder, "--ladder")
     reports = [
         hedging.replicate(
             market, option, n_rebalance, args.paths, args.seed, quad_n=args.quad_n
@@ -180,6 +194,10 @@ def cmd_check(args):
 
     strike = args.strike if args.strike is not None else market.s0
     option = OptionSpec(strike, "call")
+
+    def seed(offset):  # the checks' own streams, wrapping at the top of the range
+        return (args.seed + offset) % rng.SEED_LIMIT
+
     state = pricing.MarketState(0.0, market.s0)
 
     if not violations:
@@ -198,7 +216,7 @@ def cmd_check(args):
             market, option, state, args.paths, args.seed, args.workers, args.quad_n
         )
         semi = pricing.price_semi(
-            market, option, state, args.paths, args.seed + 1, args.workers, args.quad_n
+            market, option, state, args.paths, seed(1), args.workers, args.quad_n
         )
         comb = math.hypot(mc.std_error, semi.std_error)
         rows.append(
@@ -207,7 +225,7 @@ def cmd_check(args):
         )
 
         imp = measure.importance_price(
-            market, option, args.paths, args.seed + 2, args.workers, args.quad_n
+            market, option, args.paths, seed(2), args.workers, args.quad_n
         )
         comb = math.hypot(mc.std_error, imp.std_error)
         rows.append(
@@ -217,7 +235,7 @@ def cmd_check(args):
 
         put = OptionSpec(strike, "put")
         put_mc = pricing.price_mc(
-            market, put, state, args.paths, args.seed + 3, args.workers, args.quad_n
+            market, put, state, args.paths, seed(3), args.workers, args.quad_n
         )
         parity = pricing.put_price(mc.value, state, option, market)
         comb = math.hypot(mc.std_error, put_mc.std_error)
@@ -252,7 +270,7 @@ def _discounted_terminal_mean(market, args):
 
 def cmd_convergence(args):
     sfde = sfde_from_config(load_config(args.config))
-    steps = [int(x) for x in args.steps.split(",") if x]
+    steps = _counts(args.steps, "--steps")
     results = paths.fixed_delay_convergence(sfde, steps, args.paths, args.seed)
     print("steps,dt,rms_gap,mean_em,mean_split,se_diff")
     for r in results:
@@ -279,6 +297,7 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
+        rng.check_seed(args.seed)
         return _COMMANDS[args.command](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

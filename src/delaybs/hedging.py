@@ -98,6 +98,8 @@ def replicate(
         raise ContractError("replication is stated for calls")
     if n_paths < 1:
         raise ContractError(f"need at least one path, got {n_paths}")
+    if n_rebalance < 1:
+        raise ContractError(f"need at least one rebalance, got {n_rebalance}")
     t_star = final_block_start(market)
     if s_star is None:
         s_star = market.s0

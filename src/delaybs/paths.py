@@ -48,33 +48,51 @@ class Path:
 class SegmentBuffer:
     """History window of one or more paths on a uniform dt grid.
 
-    Column ``n_hist + n`` holds the value at time ``n * dt``; columns
-    before that hold the initial history, so lagged lookups are plain
-    index shifts.
+    The layout is time-major: row ``n_hist + n`` holds the values of all
+    paths at time ``n * dt`` and the rows before it hold the initial
+    history, so lagged lookups are plain row shifts and each step reads
+    and writes contiguous rows.  The moving-average window is a running
+    sum: the first step sums the history rows once and every later step
+    adds the new row and subtracts the row that left the window.
     """
 
     def __init__(self, phi, dt, n_steps, n_paths, n_hist):
         self.dt = dt
         self.n_hist = n_hist
-        self.data = np.empty((n_paths, n_hist + n_steps + 1))
+        self.data = np.empty((n_hist + n_steps + 1, n_paths))
         hist_times = (np.arange(-n_hist, 1)) * dt
-        self.data[:, : n_hist + 1] = np.array([phi(t) for t in hist_times])
+        self.data[: n_hist + 1] = np.array([phi(t) for t in hist_times])[:, None]
+        self._window_sum = None
+        self._window_step = -1
 
-    def col(self, step):
+    def row(self, step):
         return self.n_hist + step
 
     def value(self, step):
-        return self.data[:, self.col(step)]
+        return self.data[self.row(step)]
 
     def lagged(self, step, lag_steps):
-        return self.data[:, self.col(step) - lag_steps]
+        return self.data[self.row(step) - lag_steps]
 
     def window_mean(self, step, lag_steps):
-        c = self.col(step)
-        return self.data[:, c - lag_steps : c + 1].mean(axis=1)
+        """Mean over rows step - lag_steps .. step; call once per step from 0."""
+        r = self.row(step)
+        if step == 0:
+            self._window_sum = self.data[r - lag_steps : r + 1].sum(axis=0)
+        elif step == self._window_step + 1:
+            self._window_sum += self.data[r]
+            self._window_sum -= self.data[r - lag_steps - 1]
+        else:
+            raise ContractError(f"window step {step} follows {self._window_step}")
+        self._window_step = step
+        return self._window_sum / (lag_steps + 1)
 
     def put(self, step, values):
-        self.data[:, self.col(step)] = values
+        self.data[self.row(step)] = values
+
+    def values(self):
+        """Values at grid times 0..T as a (paths, steps + 1) view."""
+        return self.data[self.n_hist :].T
 
 
 @dataclass
@@ -213,12 +231,16 @@ def simulate_exact(
 
 
 def brownian_increments(seed, lo, hi, n_steps, dt):
-    """Brownian increments, one substream per step, for streams lo..hi-1."""
-    dW = np.empty((hi - lo, n_steps))
+    """Brownian increments, one substream per step, for streams lo..hi-1.
+
+    Returns a (paths, steps) view of a time-major array, so the engines
+    read each step's increments as one contiguous row.
+    """
+    dW = np.empty((n_steps, hi - lo))
     sq = math.sqrt(dt)
     for n in range(n_steps):
-        dW[:, n] = sq * rng.normals(seed, 0, n, lo, hi)
-    return dW
+        np.multiply(sq, rng.normals(seed, 0, n, lo, hi), out=dW[n])
+    return dW.T
 
 
 def _lag_steps(name, lag, dt):
@@ -267,7 +289,8 @@ def em_values_vec(sfde, dt, dW):
     coarse dt.  The first crossing step per path is reported and the
     integration continues with the values as-is.
     """
-    n_paths, n_steps = dW.shape
+    dW = np.ascontiguousarray(dW.T)  # (steps, paths); free for engine-made dW
+    n_steps, n_paths = dW.shape
     grid_n, m_b, m_a = grid_steps(sfde, dt)
     if n_steps != grid_n:
         raise ContractError("dW step count does not match the grid")
@@ -278,7 +301,7 @@ def em_values_vec(sfde, dt, dW):
         s_n = buf.value(n)
         drift = _drift_values(sfde, buf, n, t, m_b, m_a)
         g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-        s_next = s_n + drift * dt + g_lag * s_n * dW[:, n]
+        s_next = s_n + drift * dt + g_lag * s_n * dW[n]
         if not np.all(np.isfinite(s_next)):
             raise IntegrationFailure(
                 f"non-finite state at step {n + 1}", step_index=n + 1
@@ -287,7 +310,7 @@ def em_values_vec(sfde, dt, dW):
         first_nonpos[crossed] = n + 1
         buf.put(n + 1, s_next)
     times = np.arange(n_steps + 1) * dt
-    return times, buf.data[:, buf.n_hist :], first_nonpos
+    return times, buf.values(), first_nonpos
 
 
 def split_values_vec(sfde, dt, dW, record_y=False):
@@ -298,7 +321,8 @@ def split_values_vec(sfde, dt, dW, record_y=False):
     previous block); psi is the stochastic exponential of that
     martingale and y solves the random delay ODE by explicit Euler.
     """
-    n_paths, n_steps = dW.shape
+    dW = np.ascontiguousarray(dW.T)  # (steps, paths); free for engine-made dW
+    n_steps, n_paths = dW.shape
     grid_n, m_b, m_a = grid_steps(sfde, dt)
     if n_steps != grid_n:
         raise ContractError("dW step count does not match the grid")
@@ -309,9 +333,9 @@ def split_values_vec(sfde, dt, dW, record_y=False):
         m_acc=np.zeros(n_paths),
         qv=np.zeros(n_paths),
     )
-    y_hist = np.empty((n_paths, n_steps + 1)) if record_y else None
+    y_hist = np.empty((n_steps + 1, n_paths)) if record_y else None
     if record_y:
-        y_hist[:, 0] = state.y
+        y_hist[0] = state.y
     for n in range(n_steps):
         t = n * dt
         if n % m_b == 0 and n > 0:
@@ -323,7 +347,7 @@ def split_values_vec(sfde, dt, dW, record_y=False):
         fval = _drift_values(sfde, buf, n, t, m_b, m_a)
         state.y = state.y + dt * fval / state.psi
         g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-        state.m_acc = state.m_acc + g_lag * dW[:, n]
+        state.m_acc = state.m_acc + g_lag * dW[n]
         state.qv = state.qv + g_lag * g_lag * dt
         state.psi = np.exp(state.m_acc - 0.5 * state.qv)
         s_next = state.psi * state.y
@@ -333,11 +357,11 @@ def split_values_vec(sfde, dt, dW, record_y=False):
             )
         buf.put(n + 1, s_next)
         if record_y:
-            y_hist[:, n + 1] = state.y
+            y_hist[n + 1] = state.y
     times = np.arange(n_steps + 1) * dt
     if record_y:
-        return times, buf.data[:, buf.n_hist :], y_hist
-    return times, buf.data[:, buf.n_hist :]
+        return times, buf.values(), y_hist.T
+    return times, buf.values()
 
 
 def simulate_em_fixed(sfde, dt, spec):
@@ -355,6 +379,35 @@ def simulate_split_fixed(sfde, dt, spec):
     dW = brownian_increments(spec.seed, spec.stream_id, spec.stream_id + 1, n_steps, dt)
     times, values = split_values_vec(sfde, dt, dW)
     return Path(times, values[0], "P", spec)
+
+
+def _pairwise_sum(x):
+    """Sum of x over axis 1 in numpy's pairwise order for a contiguous row.
+
+    Coarse increments summed over the time axis of time-major blocks
+    then carry the same bits as ``row.sum()`` over each path's
+    contiguous run of fine increments: fewer than 8 terms are added in
+    order, up to 128 in 8 interleaved partial sums, and longer runs are
+    split in halves rounded to a multiple of 8.
+    """
+    k = x.shape[1]
+    if k > 128:
+        half = k // 2 - (k // 2) % 8
+        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
+    if k < 8:
+        out = x[:, 0].copy()
+        for i in range(1, k):
+            out += x[:, i]
+        return out
+    r = x[:, :8].copy()
+    tail = k - k % 8
+    for i in range(8, tail, 8):
+        r += x[:, i : i + 8]
+    out = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
+    out += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
+    for i in range(tail, k):
+        out += x[:, i]
+    return out
 
 
 def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
@@ -384,16 +437,19 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
         dW_f = brownian_increments(seed, lo, hi, finest, dt_f)
         for steps in steps_list:
             factor = finest // steps
-            dW = dW_f.reshape(hi - lo, steps, factor).sum(axis=2)
+            dW = dW_f if factor == 1 else _pairwise_sum(
+                dW_f.T.reshape(steps, factor, hi - lo)
+            ).T
             dt = sfde.T / steps
-            _, em_vals, _ = em_values_vec(sfde, dt, dW)
-            _, sp_vals = split_values_vec(sfde, dt, dW)
-            gap = em_vals[:, -1] - sp_vals[:, -1]
+            # copy the terminal rows so each buffer is freed before the next
+            em_T = em_values_vec(sfde, dt, dW)[1][:, -1].copy()
+            sp_T = split_values_vec(sfde, dt, dW)[1][:, -1].copy()
+            gap = em_T - sp_T
             a = acc[steps]
             a["gap_sq"] += float((gap * gap).sum())
             a["diff"] += float(gap.sum())
-            a["em"] += float(em_vals[:, -1].sum())
-            a["sp"] += float(sp_vals[:, -1].sum())
+            a["em"] += float(em_T.sum())
+            a["sp"] += float(sp_T.sum())
     results = []
     for steps in steps_list:
         a = acc[steps]

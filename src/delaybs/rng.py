@@ -18,13 +18,16 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-__all__ = ["BrownianSpec", "normals", "normal_scalar"]
+from .errors import ContractError
+
+__all__ = ["BrownianSpec", "check_seed", "normals", "normal_scalar"]
 
 # Default seed used by the CLI when none is given; fixed so that runs
 # are reproducible out of the box.
 DEFAULT_SEED = 20240613
 
-_MASK64 = (1 << 64) - 1
+# Seeds are exact 64-bit Philox key words: 0 <= seed < SEED_LIMIT.
+SEED_LIMIT = 1 << 64
 _U_MIN = 2.0**-54  # keep uniforms strictly inside (0, 1) before ndtri
 
 
@@ -36,12 +39,21 @@ class BrownianSpec:
     stream_id: int = 0
 
 
+def check_seed(seed):
+    """Raise :class:`ContractError` unless 0 <= seed < 2**64."""
+    if not 0 <= seed < SEED_LIMIT:
+        raise ContractError(f"seed must be in [0, 2**64), got {seed}")
+
+
 def _key(seed, block, substep):
+    check_seed(seed)
     if block < 0 or substep < 0:
         raise ValueError("block and substep must be non-negative")
     if block >= 1 << 32 or substep >= 1 << 32:
         raise ValueError("block/substep out of the 32-bit substream range")
-    return [seed & _MASK64, ((block << 32) | substep) & _MASK64]
+    # An integer array, not a list: numpy casts a list of large Python
+    # ints through float64, which aliases seeds above 2**53.
+    return np.array([seed, (block << 32) | substep], dtype=np.uint64)
 
 
 def normals(seed, block, substep, lo, hi):

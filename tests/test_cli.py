@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -274,6 +275,8 @@ def test_non_finite_initial_price_is_usage_error(tmp_path, capsys, bad):
     ["--config", FIXED, "--scheme", "em", "--dt", "0.1"],
     ["--config", FIXED, "--scheme", "split", "--dt", "nan"],
     ["--config", FIXED, "--scheme", "em", "--dt", "0"],
+    ["--config", FIXED, "--scheme", "em", "--dt", "0.25", "--paths", "0"],
+    ["--config", CONSTANT, "--paths", "-3"],
 ])
 def test_simulate_errors_write_nothing_to_stdout(capsys, args):
     _fails_with_one_error_line(capsys, ["simulate", "--paths", "2"] + args)
@@ -317,3 +320,60 @@ def test_check_on_invalid_market_output_is_unchanged(tmp_path, capsys, changes, 
         f"check,estimate,std_error,status\nmarket_validation,{count},0,fail\n"
     )
     assert captured.err == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["hedge", "--config", CONSTANT, "--strike", "100", "--ladder", "x"],
+    ["hedge", "--config", CONSTANT, "--strike", "100", "--ladder", "4,-2"],
+    ["hedge", "--config", CONSTANT, "--strike", "100", "--ladder", "0"],
+    ["hedge", "--config", CONSTANT, "--strike", "100", "--ladder", ","],
+    ["convergence", "--config", FIXED, "--steps", "a"],
+    ["convergence", "--config", FIXED, "--steps", "64,1.5"],
+])
+def test_bad_count_lists_are_usage_errors(capsys, argv):
+    _fails_with_one_error_line(capsys, argv + ["--paths", "10"])
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64)])
+def test_seed_outside_the_64_bit_range_is_a_usage_error(capsys, seed):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        line = _fails_with_one_error_line(capsys, [
+            "price", "--config", CONSTANT, "--method", "mc", "--strike", "100",
+            "--paths", "10", "--seed", seed,
+        ])
+    assert "seed" in line
+
+
+def test_check_accepts_the_largest_seed(capsys):
+    code, out = _run(capsys, ["check", "--config", CONSTANT, "--paths", "500",
+                              "--seed", str(2**64 - 1)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED)
+    assert out.startswith("check,estimate,std_error,status\n")
+
+
+# `convergence` stdout as printed while the engines stored paths
+# path-major and recomputed the moving-average window at every step.
+_CONVERGENCE_HEADER = "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
+_SEGMENT_POINT_OUT = _CONVERGENCE_HEADER + (
+    "64,0.015625,0.0039651778217344091,1.1183722635099111,1.1184390950285432,7.2383627766900828e-05\n"
+    "128,0.0078125,0.0027713657198350367,1.1184060278966215,1.1184706562605244,5.0584223916342366e-05\n"
+    "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
+)
+_PROPORTIONAL_OUT = _CONVERGENCE_HEADER + (
+    "64,0.015625,0.0070495150942509006,1.1743868931938259,1.1744971885803697,0.00012869019386596434\n"
+    "128,0.0078125,0.0049277757204838598,1.174566936702014,1.1746707200059288,8.9948508561322205e-05\n"
+    "256,0.00390625,0.0035227322088300542,1.174620341703845,1.1747643919786774,6.4262201781579634e-05\n"
+)
+
+
+@pytest.mark.parametrize("changes, expected", [
+    ({}, _SEGMENT_POINT_OUT),
+    ({"a": 0.125, "drift": {"kind": "proportional-lagged", "c": 0.3},
+      "g_expr": "0.2 + 0.1*s/(1+s)"}, _PROPORTIONAL_OUT),
+])
+def test_convergence_output_is_unchanged(tmp_path, capsys, changes, expected):
+    config = _config(tmp_path, base=FIXED, **changes)
+    code, out = _run(capsys, ["convergence", "--config", config, "--steps", "64,128,256",
+                              "--paths", "3000", "--seed", "7"])
+    assert (code, out) == (cli.EXIT_OK, expected)

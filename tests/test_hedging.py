@@ -122,3 +122,9 @@ def test_weights_record_time(constant_market):
     w = hedge_weights(constant_market, OptionSpec(100.0), MarketState(0.9, 100.0))
     assert isinstance(w, HedgeWeights)
     assert w.t == 0.9
+
+
+@pytest.mark.parametrize("n_rebalance", [0, -2])
+def test_replication_needs_a_rebalance(constant_market, n_rebalance):
+    with pytest.raises(ContractError, match="rebalance"):
+        replicate(constant_market, OptionSpec(100.0), n_rebalance, 10, 1)

@@ -1,7 +1,9 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from delaybs import (
     CoefficientExpr,
@@ -11,8 +13,11 @@ from delaybs import (
     RateCurve,
     VariableDelayMarket,
 )
+from delaybs import paths
+from delaybs.errors import ContractError
 from delaybs.paths import (
     Path,
+    SegmentBuffer,
     brownian_increments,
     em_values_vec,
     exact_values_vec,
@@ -222,3 +227,72 @@ def test_moving_average_drift_runs():
     sfde = _sfde(drift=DriftFunctional("moving-average", c=0.1))
     path = simulate_split_fixed(sfde, 1.0 / 64.0, BrownianSpec(2, 0))
     assert np.all(path.values > 0.0)
+
+
+class _FullWindowBuffer(SegmentBuffer):
+    """Reference buffer: the O(lag) window mean recomputed at every step."""
+
+    def window_mean(self, step, lag_steps):
+        r = self.row(step)
+        return self.data[r - lag_steps : r + 1].mean(axis=0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    lag=st.integers(1, 64),
+    m_b=st.integers(1, 64),
+    n_steps=st.integers(1, 160),
+    phi_values=st.lists(st.floats(0.2, 2.0), min_size=2, max_size=6),
+    c=st.floats(0.0, 0.2),
+    g=st.sampled_from(["0.2", "0.1 + 0.3*s/(1+s)"]),
+)
+def test_running_window_matches_full_window_mean(lag, m_b, n_steps, phi_values, c, g):
+    # the drift is quadratic in S; small c and T <= 1.25 keep paths finite
+    dt = 1.0 / 128.0
+    L = max(lag, m_b) * dt
+    phi = InitialPath(tuple(np.linspace(-L, 0.0, len(phi_values))), tuple(phi_values))
+    sfde = FixedDelaySfde(
+        L=L, b=m_b * dt, a=lag * dt, phi=phi,
+        drift=DriftFunctional("moving-average", c=c),
+        g=CoefficientExpr.parse(g), T=n_steps * dt,
+    )
+    dW = brownian_increments(lag, 0, 50, n_steps, dt)
+    em = em_values_vec(sfde, dt, dW)[1]
+    split, y = split_values_vec(sfde, dt, dW, record_y=True)[1:]
+    with mock.patch.object(paths, "SegmentBuffer", _FullWindowBuffer):
+        em_ref = em_values_vec(sfde, dt, dW)[1]
+        split_ref, y_ref = split_values_vec(sfde, dt, dW, record_y=True)[1:]
+    for got, ref in ((em, em_ref), (split, split_ref), (y, y_ref)):
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+
+
+def test_window_mean_steps_in_order():
+    buf = SegmentBuffer(lambda t: 1.0, 0.25, 4, 3, 2)
+    buf.window_mean(0, 2)
+    with pytest.raises(ContractError, match="window step"):
+        buf.window_mean(2, 2)
+
+
+@pytest.mark.parametrize("kind", ["segment-point", "proportional-lagged"])
+def test_engine_shapes_and_caller_made_increments(kind):
+    sfde = _sfde(drift=DriftFunctional(kind, c=0.1))
+    dt = 1.0 / 32.0
+    dW = brownian_increments(8, 3, 10, 32, dt)
+    assert dW.shape == (7, 32)
+    times, em, first_nonpos = em_values_vec(sfde, dt, dW)
+    assert times.shape == (33,) and em.shape == (7, 33) and first_nonpos.shape == (7,)
+    _, split, y = split_values_vec(sfde, dt, dW, record_y=True)
+    assert split.shape == (7, 33) and y.shape == (7, 33)
+    # a caller's C-ordered (paths, steps) array gives the same bits
+    own = np.array(dW, order="C")
+    assert own.flags.c_contiguous and not dW.flags.c_contiguous
+    assert np.array_equal(em_values_vec(sfde, dt, own)[1], em)
+    assert np.array_equal(split_values_vec(sfde, dt, own, record_y=True)[2], y)
+
+
+@pytest.mark.parametrize("factor", list(range(1, 41)) + [64, 128, 129, 200, 512])
+def test_time_major_coarsening_matches_row_sums(factor):
+    fine = np.random.default_rng(factor).standard_normal((5, 3 * factor))
+    by_row = fine.reshape(5, 3, factor).sum(axis=2)
+    time_major = np.ascontiguousarray(fine.T).reshape(3, factor, 5)
+    assert np.array_equal(paths._pairwise_sum(time_major).T, by_row)

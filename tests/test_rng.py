@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from delaybs.errors import ContractError
 from delaybs.rng import BrownianSpec, normal_scalar, normals
 
 
@@ -42,3 +44,21 @@ def test_moments_roughly_standard():
 
 def test_empty_range():
     assert normals(1, 0, 0, 5, 5).size == 0
+
+
+def test_high_seeds_give_distinct_streams():
+    # a key cast through float64 maps both seeds to 2**63
+    assert not np.array_equal(normals(2**63 + 1, 0, 0, 0, 50), normals(2**63 + 2, 0, 0, 0, 50))
+    assert not np.array_equal(normals(2**64 - 1, 0, 0, 0, 50), normals(2**64 - 2, 0, 0, 0, 50))
+
+
+def test_keys_below_2_53_are_unchanged():
+    # values drawn when the key was a list of Python ints
+    assert normals(2**53 - 1, 0, 0, 0, 2).tolist() == [-0.24056238648413247, -0.1328750240025986]
+    assert normals(2**40 + 3, 5, 2, 10, 12).tolist() == [0.7112926262320933, 2.0935867427576156]
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_the_64_bit_range_is_rejected(seed):
+    with pytest.raises(ContractError, match="seed"):
+        normals(seed, 0, 0, 0, 4)
