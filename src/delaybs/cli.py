@@ -13,6 +13,7 @@ usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 
@@ -28,12 +29,16 @@ from .model import (
     validate_market,
     validation_error,
 )
-from .quadrature import DEFAULT_N
+from .parallel import map_chunks
+from .quadrature import DEFAULT_N, integrate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Streams per engine call in `simulate`; bounds the em/split path buffers.
+SIMULATE_CHUNK = 1024
 
 
 def _fmt(x):
@@ -49,7 +54,14 @@ def _add_common(p):
     p.add_argument("--quad-n", type=int, default=DEFAULT_N, dest="quad_n")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process.
+
+    Nothing changes the parser after it is built and ``parse_args``
+    returns a fresh namespace on each call, so in-process callers of
+    :func:`main` share one.
+    """
     parser = argparse.ArgumentParser(
         prog="delaybs",
         description="Price and hedge European options under delayed volatility.",
@@ -116,8 +128,10 @@ def cmd_price(args):
     if args.method == "closed":
         result = pricing.price_closed(market, option, state, args.quad_n)
     elif args.method == "classical":
+        # The oracle's own Simpson rule over [t, T], independent of the
+        # block integral the closed form uses.
         R = market.rate.integral(args.t, market.T)
-        v = pricing._final_block_variance(market, state.s_block, args.t, args.quad_n)
+        v = integrate(lambda u: market.g(u, state.s_block) ** 2, args.t, market.T, args.quad_n)
         call = pricing.price_classical(spot, args.strike, R, v)
         value = call if args.kind == "call" else pricing.put_price(call, state, option, market)
         result = pricing.PricingResult(value=value, method="classical")
@@ -143,25 +157,30 @@ def cmd_simulate(args):
         market = market_from_config(cfg)
         times = [t for t in block_schedule(market.T, market.h) if t > 0.0]
 
-        def simulate(spec):
-            return paths.simulate_exact(
-                market, args.measure, spec, 0.0, market.s0, market.s0, times,
-                args.quad_n,
+        def chunk(lo, hi):
+            return times, paths.exact_values_vec(
+                market, args.measure, args.seed, lo, hi, 0.0, market.s0, market.s0,
+                times, args.quad_n,
             )
     else:
         sfde = sfde_from_config(cfg)
         if args.dt is None:
             raise ConfigError("--dt is required for the em and split schemes")
-        paths.grid_steps(sfde, args.dt)
-        step = paths.simulate_em_fixed if args.scheme == "em" else paths.simulate_split_fixed
+        n_steps = paths.grid_steps(sfde, args.dt)[0]
+        engine = paths.em_values_vec if args.scheme == "em" else paths.split_values_vec
 
-        def simulate(spec):
-            return step(sfde, args.dt, spec)
+        def chunk(lo, hi):
+            dW = paths.brownian_increments(args.seed, lo, hi, n_steps, args.dt)
+            return engine(sfde, args.dt, dW)[:2]
+
+    blocks = map_chunks(chunk, args.paths, args.workers, SIMULATE_CHUNK)
     print("time,value,stream_id")
-    for sid in range(args.paths):
-        path = simulate(rng.BrownianSpec(args.seed, sid))
-        for t, v in zip(path.times, path.values):
-            print(f"{_fmt(t)},{_fmt(v)},{sid}")
+    sid = 0
+    for times, values in blocks:
+        for row in values:
+            for t, v in zip(times, row):
+                print(f"{_fmt(t)},{_fmt(v)},{sid}")
+            sid += 1
     return EXIT_OK
 
 

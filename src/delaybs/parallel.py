@@ -30,26 +30,30 @@ def map_chunks(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
 
 def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
-    """Sum per-chunk (sum, sum_of_squares) pairs in deterministic order.
+    """Merge per-chunk (count, sum, M2) triples in deterministic order.
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
-    chunk.  Returns (mean, standard_error, n).
+    chunk.  Each chunk's M2, its sum of squared deviations, is taken
+    about the chunk's own mean, and the chunks are merged in index order
+    by the pairwise update of Chan, Golub & LeVeque (1979), so the
+    variance does not cancel when the mean is large next to the spread.
+    Returns (mean, standard_error, n).
     """
     if n < 1:
         raise ContractError(f"need at least one path, got {n}")
-    partials = map_chunks(lambda lo, hi: _sums(fn(lo, hi)), n, workers, chunk_size)
-    total = 0.0
-    total_sq = 0.0
-    for s, s2 in partials:
+    partials = map_chunks(lambda lo, hi: _moments(fn(lo, hi)), n, workers, chunk_size)
+    count, total, m2 = partials[0]
+    for c, s, q in partials[1:]:
+        delta = s / c - total / count
+        m2 += q + delta * delta * (count * c / (count + c))
+        count += c
         total += s
-        total_sq += s2
     mean = total / n
-    if n > 1:
-        var = max(total_sq / n - mean * mean, 0.0) * n / (n - 1)
-    else:
-        var = 0.0
+    var = m2 / (n - 1) if n > 1 else 0.0
     return mean, (var / n) ** 0.5, n
 
 
-def _sums(values):
-    return float(values.sum()), float((values * values).sum())
+def _moments(values):
+    total = float(values.sum())
+    dev = values - total / len(values)
+    return len(values), total, float((dev * dev).sum())

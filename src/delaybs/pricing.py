@@ -23,7 +23,7 @@ from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, floor_block, is_positive
 from .parallel import accumulate_moments
 from .paths import exact_values_vec
-from .quadrature import DEFAULT_N, block_integrals_vec, integrate
+from .quadrature import DEFAULT_N, block_integrals_vec
 
 
 @dataclass(frozen=True)
@@ -71,7 +71,14 @@ def final_block_start(market):
 
 
 def _final_block_variance(market, s_block, t, quad_n=DEFAULT_N):
-    return integrate(lambda u: market.g(u, s_block) ** 2, t, market.T, quad_n)
+    """Integral of g(u, s_block)^2 over [t, T], the n = 1 block integral.
+
+    Raises :class:`DomainError` unless the variance is finite and positive.
+    """
+    v = float(block_integrals_vec(market, s_block, t, market.T, quad_n)[0])
+    if not is_positive(v):
+        raise DomainError(f"final-block variance must be finite and positive, got {v}")
+    return v
 
 
 def beta_pm(market, option, state, quad_n=DEFAULT_N):
@@ -93,7 +100,13 @@ def beta_pm(market, option, state, quad_n=DEFAULT_N):
 
 
 def price_closed(market, option, state, quad_n=DEFAULT_N):
-    """Closed-form call value in the final block; puts via parity."""
+    """Closed-form call value in the final block; puts via parity.
+
+    At maturity the value is the payoff; a valuation time past maturity
+    raises :class:`ContractError`.
+    """
+    if state.t > market.T + 1e-12 * max(market.T, 1.0):
+        raise ContractError(f"valuation time {state.t} is past maturity {market.T}")
     if state.t >= market.T - 1e-15:
         return PricingResult(value=float(option.payoff(state.s_t)), method="closed")
     bp, bm = beta_pm(market, option, state, quad_n)

@@ -57,7 +57,10 @@ def integrate(fn, a, b, n=DEFAULT_N):
         try:
             total += w * fn(x)
         except Exception as exc:
-            raise type(exc)(f"{exc} (while integrating at t={x!r})") from exc
+            # Amend the message in place: rebuilding the exception would
+            # need every constructor argument (EvalError's span, say).
+            exc.args = (f"{exc} (while integrating at t={float(x)!r})",)
+            raise
     return total
 
 
@@ -90,8 +93,11 @@ class BlockMoments:
 def _check_single_block(market, a, b):
     if a > b:
         raise ContractError(f"need a <= b, got [{a}, {b}]")
+    # Either end may overhang a block boundary by eps.
     eps = 1e-9 * market.h
-    if b > a and floor_block(a, market.h) != floor_block(max(a, b - eps), market.h):
+    mid = 0.5 * (a + b)
+    first = floor_block(min(a + eps, mid), market.h)
+    if b > a and first != floor_block(max(b - eps, mid), market.h):
         raise ContractError(f"interval [{a}, {b}] spans a block boundary")
 
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from delaybs import cli
+from delaybs import cli, paths
+from delaybs.model import block_schedule, load_config, market_from_config, sfde_from_config
+from delaybs.rng import BrownianSpec
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONSTANT = str(_CONFIGS / "constant.json")
@@ -377,3 +379,98 @@ def test_convergence_output_is_unchanged(tmp_path, capsys, changes, expected):
     code, out = _run(capsys, ["convergence", "--config", config, "--steps", "64,128,256",
                               "--paths", "3000", "--seed", "7"])
     assert (code, out) == (cli.EXIT_OK, expected)
+
+
+@pytest.mark.parametrize("method", ["closed", "classical"])
+def test_integrand_evaluation_error_is_usage_error(tmp_path, capsys, method):
+    # log(s - 0.5) is defined on the validation grid but not at the spot
+    bad = _config(tmp_path, base=STATE, g_expr="0.2 + 0*log(s - 0.5)")
+    _fails_with_one_error_line(capsys, [
+        "price", "--config", bad, "--method", method, "--strike", "100",
+        "--t", "0.8", "--spot", "0.3",
+    ])
+
+
+def test_closed_form_past_maturity_is_usage_error(capsys):
+    line = _fails_with_one_error_line(capsys, [
+        "price", "--config", STATE, "--method", "closed", "--strike", "100",
+        "--t", "5",
+    ])
+    assert "past maturity" in line
+
+
+def _simulate_reference(scheme, config, n_paths, seed, dt):
+    """`simulate` stdout built one stream at a time, as the CLI once did."""
+    cfg = load_config(config)
+    lines = ["time,value,stream_id"]
+    for sid in range(n_paths):
+        spec = BrownianSpec(seed, sid)
+        if scheme == "exact":
+            market = market_from_config(cfg)
+            times = [t for t in block_schedule(market.T, market.h) if t > 0.0]
+            path = paths.simulate_exact(market, "Q", spec, 0.0, market.s0, market.s0, times)
+        elif scheme == "em":
+            path = paths.simulate_em_fixed(sfde_from_config(cfg), dt, spec)
+        else:
+            path = paths.simulate_split_fixed(sfde_from_config(cfg), dt, spec)
+        lines += [f"{t:.17g},{v:.17g},{sid}" for t, v in zip(path.times, path.values)]
+    return "\n".join(lines) + "\n"
+
+
+_PHI_MOVING_AVERAGE = {
+    "a": 0.125, "drift": {"kind": "moving-average", "c": 0.1},
+    "phi_samples": {"times": [-0.25, -0.1, 0.0], "values": [0.9, 1.3, 1.0]},
+    "g_expr": "0.2 + 0.1*s/(1+s)",
+}
+
+
+@pytest.mark.parametrize("scheme, base, changes, dt", [
+    ("exact", STATE, {}, None),
+    ("em", FIXED, {}, 0.0078125),
+    ("split", FIXED, {}, 0.0078125),
+    ("em", FIXED, _PHI_MOVING_AVERAGE, 0.0078125),
+    ("split", FIXED, _PHI_MOVING_AVERAGE, 0.0078125),
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_simulate_chunks_match_per_stream_paths(tmp_path, capsys, monkeypatch, scheme, base,
+                                                changes, dt, workers):
+    monkeypatch.setattr(cli, "SIMULATE_CHUNK", 3)  # several chunks, one partial
+    config = _config(tmp_path, base=base, **changes)
+    argv = ["simulate", "--config", config, "--scheme", scheme, "--paths", "8",
+            "--seed", "9", "--workers", workers]
+    if dt is not None:
+        argv += ["--dt", repr(dt)]
+    code, out = _run(capsys, argv)
+    assert code == cli.EXIT_OK
+    assert out == _simulate_reference(scheme, config, 8, 9, dt)
+
+
+def test_repeated_in_process_calls_match_a_fresh_parser(capsys):
+    quote = ["price", "--config", STATE, "--method", "closed", "--strike", "100",
+             "--t", "0.8"]
+    sequence = [quote, ["price", "--config", STATE, "--strike", "x"], ["--help"], quote]
+
+    def call(argv):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    fresh = []
+    for argv in sequence:
+        cli.build_parser.cache_clear()
+        fresh.append(call(argv))
+    cli.build_parser.cache_clear()
+    assert [call(argv) for argv in sequence] == fresh
+    assert [code for code, _, _ in fresh] == [cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_OK, cli.EXIT_OK]
+    assert cli.build_parser() is cli.build_parser()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_simulate_integration_failure_writes_nothing_to_stdout(tmp_path, capsys):
+    config = _config(tmp_path, base=FIXED, g_expr="1e200*s")  # overflows at step 2
+    code = cli.main(["simulate", "--config", config, "--scheme", "em", "--dt", "0.0078125",
+                     "--paths", "4"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err.startswith("numerical failure: non-finite state")

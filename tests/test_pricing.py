@@ -149,6 +149,31 @@ def test_expiry_returns_intrinsic():
     assert price_closed(market, OptionSpec(90.0), MarketState(1.0, 100.0)).value == 10.0
 
 
+def test_closed_past_maturity_is_rejected():
+    market = _market()
+    with pytest.raises(ContractError, match="past maturity"):
+        price_closed(market, OptionSpec(90.0), MarketState(5.0, 100.0))
+    # within the boundary tolerance of T it is still the payoff
+    state = MarketState(1.0 + 1e-13, 100.0)
+    assert price_closed(market, OptionSpec(90.0), state).value == 10.0
+
+
+def test_closed_just_before_the_final_block_start():
+    # within beta_pm's tolerance of t* = 0.75, but in the previous block
+    market = _market(h=0.25, T=0.9, g="0.1 + 0.1*s/(1+s)")
+    t = 0.75 - 9e-13
+    closed = price_closed(market, OptionSpec(97.0), MarketState(t, 101.0)).value
+    classical = price_classical(101.0, 97.0, 0.05 * (0.9 - t), (0.9 - t) * market.g(t, 101.0) ** 2)
+    assert closed == pytest.approx(classical, abs=1e-12)
+
+
+@pytest.mark.parametrize("g", ["0.2 + 0*log(s - 0.5)", "0*s"])
+def test_closed_rejects_a_variance_that_is_not_positive(g):
+    market = _market(g=g)
+    with pytest.raises(DomainError, match="variance"):
+        price_closed(market, OptionSpec(90.0), MarketState(0.9, 0.3))
+
+
 @given(
     st.floats(min_value=60.0, max_value=160.0),
     st.floats(min_value=60.0, max_value=160.0),
