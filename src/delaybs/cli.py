@@ -309,10 +309,19 @@ _COMMANDS = {
 }
 
 
+def _parse_args(parser, argv):
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        # argparse reads "--flag=--" as an empty list instead of a value
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
     except SystemExit as exc:
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:

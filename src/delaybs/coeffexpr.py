@@ -8,12 +8,13 @@ only variables are ``t`` and ``s``, the only functions are ``exp``,
 power, so ``-2^2 == -4``.
 
 Evaluation is pure: the same AST evaluated at the same point always
-returns the same bits.  ``evaluate`` is the strict scalar evaluator and
-raises :class:`EvalError` on any non-finite intermediate.  ``compile``
-builds the numpy evaluator used by the quadrature and Monte Carlo
-engines: a closure with constant subtrees folded, which lets non-finite
-values flow through for the caller to check, and flags saying whether
-the expression depends on ``t`` and on ``s``.
+returns the same bits.  ``compile_strict`` builds the strict scalar
+evaluator, a closure tree that raises :class:`EvalError` on any
+non-finite intermediate; ``evaluate`` compiles it and calls it once.
+``compile`` builds the numpy evaluator used by the quadrature and Monte
+Carlo engines: a closure with constant subtrees folded, which lets
+non-finite values flow through for the caller to check, and flags
+saying whether the expression depends on ``t`` and on ``s``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ __all__ = [
     "Call",
     "parse",
     "evaluate",
-    "evaluate_vec",
+    "compile_strict",
     "compile",
     "Compiled",
     "to_source",
@@ -256,61 +257,112 @@ def parse(source):
 
 
 def evaluate(ast, t, s):
-    """Strict scalar evaluation; raises :class:`EvalError` on domain faults."""
+    """Strict scalar evaluation; raises :class:`EvalError` on domain faults.
+
+    Callers that evaluate one expression repeatedly should
+    :func:`compile_strict` it once instead.
+    """
+    return compile_strict(ast)(t, s)
+
+
+def compile_strict(ast):
+    """Compile ``ast`` into the strict scalar evaluator ``fn(t, s)``.
+
+    Each node becomes a closure that evaluates its children left to
+    right, then applies its own domain check and float operation, so the
+    first fault met raises the same :class:`EvalError`, with the same
+    span, that a recursive walk of the tree would.
+    """
     if isinstance(ast, Lit):
-        return ast.value
+        value = ast.value
+        return lambda t, s: value
     if isinstance(ast, Var):
-        return float(t) if ast.name == "t" else float(s)
+        if ast.name == "t":
+            return lambda t, s: float(t)
+        return lambda t, s: float(s)
     if isinstance(ast, Neg):
-        return -evaluate(ast.operand, t, s)
+        x = compile_strict(ast.operand)
+        return lambda t, s: -x(t, s)
     if isinstance(ast, Bin):
-        a = evaluate(ast.left, t, s)
-        b = evaluate(ast.right, t, s)
-        if ast.op == "+":
-            return a + b
-        if ast.op == "-":
-            return a - b
-        if ast.op == "*":
-            return a * b
-        if ast.op == "/":
-            if b == 0.0:
-                raise EvalError("division by zero", ast.span)
-            return a / b
-        # power
-        if a < 0.0 and not math.isfinite(b):
-            raise EvalError("negative base with non-finite exponent", ast.span)
-        if a < 0.0 and b != math.floor(b):
-            raise EvalError("negative base with non-integer exponent", ast.span)
+        children, build = (ast.left, ast.right), _STRICT[ast.op]
+    else:
+        children, build = ast.args, _STRICT[ast.func]
+    return build(*[compile_strict(c) for c in children], ast.span)
+
+
+def _strict_div(a, b, span):
+    def div(t, s):
+        x, y = a(t, s), b(t, s)
+        if y == 0.0:
+            raise EvalError("division by zero", span)
+        return x / y
+
+    return div
+
+
+def _strict_pow(a, b, span):
+    def power(t, s):
+        x, y = a(t, s), b(t, s)
+        if x < 0.0 and not math.isfinite(y):
+            raise EvalError("negative base with non-finite exponent", span)
+        if x < 0.0 and y != math.floor(y):
+            raise EvalError("negative base with non-integer exponent", span)
         try:
-            out = a**b
+            out = x**y
         except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"power failed: {exc}", ast.span) from exc
+            raise EvalError(f"power failed: {exc}", span) from exc
         if not math.isfinite(out):
-            raise EvalError("non-finite power result", ast.span)
+            raise EvalError("non-finite power result", span)
         return out
-    # Call
-    args = [evaluate(arg, t, s) for arg in ast.args]
-    f = ast.func
-    if f == "exp":
-        out = math.exp(args[0]) if args[0] < 709.0 else math.inf
-        if not math.isfinite(out):
-            raise EvalError("exp overflow", ast.span)
-        return out
-    if f == "log":
-        if args[0] <= 0.0:
-            raise EvalError("log of non-positive value", ast.span)
-        return math.log(args[0])
-    if f == "sqrt":
-        if args[0] < 0.0:
-            raise EvalError("sqrt of negative value", ast.span)
-        return math.sqrt(args[0])
-    if f == "tanh":
-        return math.tanh(args[0])
-    if f == "abs":
-        return abs(args[0])
-    if f == "min":
-        return min(args)
-    return max(args)
+
+    return power
+
+
+def _strict_exp(a, span):
+    def exp(t, s):
+        x = a(t, s)
+        if x < 709.0:  # math.exp is finite below 709; NaN fails the test too
+            return math.exp(x)
+        raise EvalError("exp overflow", span)
+
+    return exp
+
+
+def _strict_log(a, span):
+    def log(t, s):
+        x = a(t, s)
+        if x <= 0.0:
+            raise EvalError("log of non-positive value", span)
+        return math.log(x)
+
+    return log
+
+
+def _strict_sqrt(a, span):
+    def sqrt(t, s):
+        x = a(t, s)
+        if x < 0.0:
+            raise EvalError("sqrt of negative value", span)
+        return math.sqrt(x)
+
+    return sqrt
+
+
+# Builders of the strict closures, keyed as in the AST.
+_STRICT = {
+    "+": lambda a, b, span: lambda t, s: a(t, s) + b(t, s),
+    "-": lambda a, b, span: lambda t, s: a(t, s) - b(t, s),
+    "*": lambda a, b, span: lambda t, s: a(t, s) * b(t, s),
+    "/": _strict_div,
+    "^": _strict_pow,
+    "exp": _strict_exp,
+    "log": _strict_log,
+    "sqrt": _strict_sqrt,
+    "tanh": lambda a, span: lambda t, s: math.tanh(a(t, s)),
+    "abs": lambda a, span: lambda t, s: abs(a(t, s)),
+    "min": lambda a, b, span: lambda t, s: min(a(t, s), b(t, s)),
+    "max": lambda a, b, span: lambda t, s: max(a(t, s), b(t, s)),
+}
 
 
 # numpy forms of every operator and function, keyed as in the AST.
@@ -390,16 +442,6 @@ def _build(ast, names):
 
 def _constant(value):
     return lambda t, s: value
-
-
-def evaluate_vec(ast, t, s):
-    """Vectorized evaluation; ``t`` and ``s`` may be scalars or arrays.
-
-    Domain faults produce nan/inf instead of raising; engines check
-    finiteness downstream where it matters.  Callers that evaluate one
-    expression repeatedly should :func:`compile` it once instead.
-    """
-    return compile(ast)(t, s)
 
 
 def to_source(ast):

@@ -18,7 +18,7 @@ from scipy.special import ndtr
 
 from . import rng
 from .errors import ContractError
-from .model import block_index, discount_factor
+from .model import MAX_TIME_STEPS, block_index, discount_factor
 from .parallel import chunk_ranges
 from .pricing import (
     DEFAULT_N,
@@ -100,6 +100,8 @@ def replicate(
         raise ContractError(f"need at least one path, got {n_paths}")
     if n_rebalance < 1:
         raise ContractError(f"need at least one rebalance, got {n_rebalance}")
+    if n_rebalance > MAX_TIME_STEPS:
+        raise ContractError(f"need at most {MAX_TIME_STEPS} rebalances, got {n_rebalance}")
     t_star = final_block_start(market)
     if s_star is None:
         s_star = market.s0

@@ -22,6 +22,11 @@ from .errors import ConfigError, DomainError
 # Relative tolerance used to snap times intended as block boundaries.
 BOUNDARY_SNAP = 1e-12
 
+# Most steps a time grid may have: Simpson panels, em/split steps and
+# rebalance dates.  Grids are held in memory and stepped through in
+# Python, so a larger count is a mistyped flag, not a finer answer.
+MAX_TIME_STEPS = 1 << 20
+
 
 def is_positive(x):
     """True for a finite x > 0; NaN and infinities fail."""
@@ -154,9 +159,9 @@ def discount_factor(rate, t1, t2):
 class CoefficientExpr:
     """A parsed coefficient function of (t, s).
 
-    Calling it is the strict scalar evaluator; ``vec`` calls the compiled
-    numpy evaluator, whose ``uses_t`` / ``uses_s`` flags say which
-    variables the expression depends on.
+    Calling it runs the strict scalar evaluator; ``vec`` calls the
+    compiled numpy evaluator, whose ``uses_t`` / ``uses_s`` flags say
+    which variables the expression depends on.
     """
 
     source: str
@@ -175,8 +180,13 @@ class CoefficientExpr:
         """
         return coeffexpr.compile(self.ast)
 
+    @functools.cached_property
+    def strict(self):
+        """The strict scalar evaluator, compiled on first use and kept."""
+        return coeffexpr.compile_strict(self.ast)
+
     def __call__(self, t, s):
-        return coeffexpr.evaluate(self.ast, t, s)
+        return self.strict(t, s)
 
     def vec(self, t, s):
         return self.compiled(t, s)
@@ -316,8 +326,20 @@ VALIDATION_S_POINTS = 65
 
 
 def validation_grid(market):
-    ts = np.linspace(0.0, market.T, VALIDATION_T_POINTS)
-    ss = np.geomspace(market.s0 / 100.0, 100.0 * market.s0, VALIDATION_S_POINTS)
+    """The (times, prices) validation grid of ``market``, as read-only arrays.
+
+    The grid depends only on T and s0, so it is built once per pair and
+    shared.
+    """
+    return _validation_grid(market.T, market.s0)
+
+
+@functools.lru_cache(maxsize=16)
+def _validation_grid(T, s0):
+    ts = np.linspace(0.0, T, VALIDATION_T_POINTS)
+    ss = np.geomspace(s0 / 100.0, 100.0 * s0, VALIDATION_S_POINTS)
+    ts.flags.writeable = False
+    ss.flags.writeable = False
     return ts, ss
 
 

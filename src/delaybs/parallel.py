@@ -30,30 +30,40 @@ def map_chunks(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
 
 def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
-    """Merge per-chunk (count, sum, M2) triples in deterministic order.
+    """Mean and standard error of per-path statistics, chunk by chunk.
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
-    chunk.  Each chunk's M2, its sum of squared deviations, is taken
-    about the chunk's own mean, and the chunks are merged in index order
-    by the pairwise update of Chan, Golub & LeVeque (1979), so the
-    variance does not cancel when the mean is large next to the spread.
+    chunk; the chunks' moments are combined by :func:`merge_moments`.
     Returns (mean, standard_error, n).
     """
     if n < 1:
         raise ContractError(f"need at least one path, got {n}")
-    partials = map_chunks(lambda lo, hi: _moments(fn(lo, hi)), n, workers, chunk_size)
+    partials = map_chunks(lambda lo, hi: moments(fn(lo, hi)), n, workers, chunk_size)
+    _, total, m2 = merge_moments(partials)
+    mean = total / n
+    var = m2 / (n - 1) if n > 1 else 0.0
+    return mean, (var / n) ** 0.5, n
+
+
+def moments(values):
+    """(count, sum, M2) of a 1-d array, M2 taken about its own mean."""
+    total = float(values.sum())
+    dev = values - total / len(values)
+    return len(values), total, float((dev * dev).sum())
+
+
+def merge_moments(partials):
+    """Merge (count, sum, M2) triples in the order given.
+
+    Each M2, a sum of squared deviations, is about its own part's mean;
+    the parts are merged by the pairwise update of Chan, Golub & LeVeque
+    (1979), so the variance does not cancel when the mean is large next
+    to the spread.
+    """
     count, total, m2 = partials[0]
     for c, s, q in partials[1:]:
         delta = s / c - total / count
         m2 += q + delta * delta * (count * c / (count + c))
         count += c
         total += s
-    mean = total / n
-    var = m2 / (n - 1) if n > 1 else 0.0
-    return mean, (var / n) ** 0.5, n
-
-
-def _moments(values):
-    total = float(values.sum())
-    dev = values - total / len(values)
-    return len(values), total, float((dev * dev).sum())
+    return count, total, m2

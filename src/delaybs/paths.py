@@ -26,7 +26,8 @@ import numpy as np
 
 from . import rng
 from .errors import ContractError, IntegrationFailure
-from .model import block_index, is_positive
+from .model import MAX_TIME_STEPS, block_index, is_positive
+from .parallel import merge_moments, moments
 from .quadrature import DEFAULT_N, block_integrals_vec
 
 
@@ -253,11 +254,15 @@ def _lag_steps(name, lag, dt):
 def grid_steps(sfde, dt):
     """Steps (to T, of the diffusion lag b, of the drift lag a) on the dt grid.
 
-    Raises :class:`ContractError` unless dt is positive and divides the
-    horizon and the lags.
+    Raises :class:`ContractError` unless dt is positive, divides the
+    horizon and the lags and gives at most ``MAX_TIME_STEPS`` steps.
     """
     if not is_positive(dt):
         raise ContractError(f"dt must be positive, got {dt}")
+    if sfde.T / dt > MAX_TIME_STEPS:
+        raise ContractError(
+            f"dt={dt} gives more than {MAX_TIME_STEPS} steps to the horizon {sfde.T}"
+        )
     n_steps = round(sfde.T / dt)
     if abs(n_steps * dt - sfde.T) > 1e-9:
         raise ContractError(f"dt={dt} must divide the horizon {sfde.T}")
@@ -296,19 +301,22 @@ def em_values_vec(sfde, dt, dW):
         raise ContractError("dW step count does not match the grid")
     buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
     first_nonpos = np.full(n_paths, -1, dtype=np.int64)
-    for n in range(n_steps):
-        t = n * dt
-        s_n = buf.value(n)
-        drift = _drift_values(sfde, buf, n, t, m_b, m_a)
-        g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-        s_next = s_n + drift * dt + g_lag * s_n * dW[n]
-        if not np.all(np.isfinite(s_next)):
-            raise IntegrationFailure(
-                f"non-finite state at step {n + 1}", step_index=n + 1
-            )
-        crossed = (s_next <= 0.0) & (first_nonpos < 0)
-        first_nonpos[crossed] = n + 1
-        buf.put(n + 1, s_next)
+    # A state that overflows fails the finite check below; numpy need
+    # not also warn about it.
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            t = n * dt
+            s_n = buf.value(n)
+            drift = _drift_values(sfde, buf, n, t, m_b, m_a)
+            g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
+            s_next = s_n + drift * dt + g_lag * s_n * dW[n]
+            if not np.all(np.isfinite(s_next)):
+                raise IntegrationFailure(
+                    f"non-finite state at step {n + 1}", step_index=n + 1
+                )
+            crossed = (s_next <= 0.0) & (first_nonpos < 0)
+            first_nonpos[crossed] = n + 1
+            buf.put(n + 1, s_next)
     times = np.arange(n_steps + 1) * dt
     return times, buf.values(), first_nonpos
 
@@ -336,28 +344,30 @@ def split_values_vec(sfde, dt, dW, record_y=False):
     y_hist = np.empty((n_steps + 1, n_paths)) if record_y else None
     if record_y:
         y_hist[0] = state.y
-    for n in range(n_steps):
-        t = n * dt
-        if n % m_b == 0 and n > 0:
-            # new block: restart the exponential at the current price
-            state.psi.fill(1.0)
-            state.m_acc.fill(0.0)
-            state.qv.fill(0.0)
-            state.y = buf.value(n).copy()
-        fval = _drift_values(sfde, buf, n, t, m_b, m_a)
-        state.y = state.y + dt * fval / state.psi
-        g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-        state.m_acc = state.m_acc + g_lag * dW[n]
-        state.qv = state.qv + g_lag * g_lag * dt
-        state.psi = np.exp(state.m_acc - 0.5 * state.qv)
-        s_next = state.psi * state.y
-        if not np.all(np.isfinite(s_next)):
-            raise IntegrationFailure(
-                f"non-finite state at step {n + 1}", step_index=n + 1
-            )
-        buf.put(n + 1, s_next)
-        if record_y:
-            y_hist[n + 1] = state.y
+    # As in em_values_vec, the finite check reports an overflow.
+    with np.errstate(all="ignore"):
+        for n in range(n_steps):
+            t = n * dt
+            if n % m_b == 0 and n > 0:
+                # new block: restart the exponential at the current price
+                state.psi.fill(1.0)
+                state.m_acc.fill(0.0)
+                state.qv.fill(0.0)
+                state.y = buf.value(n).copy()
+            fval = _drift_values(sfde, buf, n, t, m_b, m_a)
+            state.y = state.y + dt * fval / state.psi
+            g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
+            state.m_acc = state.m_acc + g_lag * dW[n]
+            state.qv = state.qv + g_lag * g_lag * dt
+            state.psi = np.exp(state.m_acc - 0.5 * state.qv)
+            s_next = state.psi * state.y
+            if not np.all(np.isfinite(s_next)):
+                raise IntegrationFailure(
+                    f"non-finite state at step {n + 1}", step_index=n + 1
+                )
+            buf.put(n + 1, s_next)
+            if record_y:
+                y_hist[n + 1] = state.y
     times = np.arange(n_steps + 1) * dt
     if record_y:
         return times, buf.values(), y_hist.T
@@ -423,14 +433,13 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
     steps_list = sorted(steps_list)
     if not steps_list or steps_list[0] < 1:
         raise ContractError(f"step counts must be positive, got {steps_list}")
+    if steps_list[-1] > MAX_TIME_STEPS:
+        raise ContractError(f"step counts must be at most {MAX_TIME_STEPS}, got {steps_list}")
     finest = steps_list[-1]
     for steps in steps_list:
         if finest % steps != 0:
             raise ContractError("step counts must divide the finest resolution")
-    acc = {
-        s: {"gap_sq": 0.0, "diff": 0.0, "em": 0.0, "sp": 0.0}
-        for s in steps_list
-    }
+    acc = {s: {"gap_sq": 0.0, "gap": [], "em": 0.0, "sp": 0.0} for s in steps_list}
     dt_f = sfde.T / finest
     for lo in range(0, n_paths, chunk):
         hi = min(lo + chunk, n_paths)
@@ -447,14 +456,15 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
             gap = em_T - sp_T
             a = acc[steps]
             a["gap_sq"] += float((gap * gap).sum())
-            a["diff"] += float(gap.sum())
+            a["gap"].append(moments(gap))
             a["em"] += float(em_T.sum())
             a["sp"] += float(sp_T.sum())
     results = []
     for steps in steps_list:
         a = acc[steps]
-        mean_diff = a["diff"] / n_paths
-        var_diff = max(a["gap_sq"] / n_paths - mean_diff**2, 0.0)
+        _, diff, m2 = merge_moments(a["gap"])
+        mean_diff = diff / n_paths
+        var_diff = m2 / n_paths
         results.append(
             {
                 "steps": steps,

@@ -81,6 +81,14 @@ def _final_block_variance(market, s_block, t, quad_n=DEFAULT_N):
     return v
 
 
+def _log_ratio(x, y):
+    """log(x / y) for positive x and y, also where x / y underflows to 0."""
+    ratio = x / y
+    if ratio > 0.0:
+        return math.log(ratio)
+    return math.log(x) - math.log(y)
+
+
 def beta_pm(market, option, state, quad_n=DEFAULT_N):
     """The two closed-form arguments; their difference is the total vol."""
     t_star = final_block_start(market)
@@ -92,7 +100,7 @@ def beta_pm(market, option, state, quad_n=DEFAULT_N):
         raise DomainError("zero remaining variance at expiry")
     v = _final_block_variance(market, state.s_block, state.t, quad_n)
     lam = market.rate.integral(state.t, market.T)
-    log_m = math.log(state.s_t / option.strike)
+    log_m = _log_ratio(state.s_t, option.strike)
     sq = math.sqrt(v)
     beta_plus = (log_m + lam + 0.5 * v) / sq
     beta_minus = beta_plus - sq
@@ -124,8 +132,9 @@ def h_value(x, m, v, strike, rate_integral_0T):
     if np.any(np.asarray(v) <= 0.0):
         raise DomainError("variance must be positive")
     sq = math.sqrt(v)
-    alpha1 = (math.log(x / strike) + rate_integral_0T + m + v) / sq
-    alpha2 = (math.log(x / strike) + rate_integral_0T + m) / sq
+    log_m = _log_ratio(x, strike)
+    alpha1 = (log_m + rate_integral_0T + m + v) / sq
+    alpha2 = (log_m + rate_integral_0T + m) / sq
     return (
         x * math.exp(m + 0.5 * v) * norm_cdf(alpha1)
         - strike * norm_cdf(alpha2) * math.exp(-rate_integral_0T)
@@ -219,7 +228,7 @@ def price_classical(s, strike, rate_integral, total_variance):
     if total_variance <= 0.0:
         raise DomainError("total variance must be positive")
     sigma = math.sqrt(total_variance)
-    d1 = (math.log(s / strike) + rate_integral) / sigma + 0.5 * sigma
+    d1 = (_log_ratio(s, strike) + rate_integral) / sigma + 0.5 * sigma
     d2 = d1 - sigma
     return s * norm_cdf(d1) - strike * math.exp(-rate_integral) * norm_cdf(d2)
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, DomainError
-from .model import floor_block
+from .model import MAX_TIME_STEPS, floor_block
 
 DEFAULT_N = 64
 
@@ -33,6 +33,8 @@ def simpson_weights(a, b, n):
     """Abscissae and weights of composite Simpson on [a, b] with n panels."""
     if n < 2 or n % 2 != 0:
         raise DomainError(f"subinterval count must be even and >= 2, got {n}")
+    if n > MAX_TIME_STEPS:
+        raise DomainError(f"subinterval count must be at most {MAX_TIME_STEPS}, got {n}")
     xs = np.linspace(a, b, n + 1)
     ws = np.full(n + 1, 2.0)
     ws[1::2] = 4.0

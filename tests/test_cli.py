@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from delaybs import cli, paths
 from delaybs.model import block_schedule, load_config, market_from_config, sfde_from_config
@@ -355,11 +358,13 @@ def test_check_accepts_the_largest_seed(capsys):
 
 
 # `convergence` stdout as printed while the engines stored paths
-# path-major and recomputed the moving-average window at every step.
+# path-major and recomputed the moving-average window at every step;
+# se_diff as merged from per-chunk moments (one ulp off E[x^2] - mean^2
+# in the 128-step segment-point row).
 _CONVERGENCE_HEADER = "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
 _SEGMENT_POINT_OUT = _CONVERGENCE_HEADER + (
     "64,0.015625,0.0039651778217344091,1.1183722635099111,1.1184390950285432,7.2383627766900828e-05\n"
-    "128,0.0078125,0.0027713657198350367,1.1184060278966215,1.1184706562605244,5.0584223916342366e-05\n"
+    "128,0.0078125,0.0027713657198350367,1.1184060278966215,1.1184706562605244,5.0584223916342372e-05\n"
     "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
 )
 _PROPORTIONAL_OUT = _CONVERGENCE_HEADER + (
@@ -465,12 +470,147 @@ def test_repeated_in_process_calls_match_a_fresh_parser(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_simulate_integration_failure_writes_nothing_to_stdout(tmp_path, capsys):
+@pytest.mark.parametrize("scheme", ["em", "split"])
+def test_simulate_integration_failure_writes_nothing_to_stdout(tmp_path, capsys, scheme):
     config = _config(tmp_path, base=FIXED, g_expr="1e200*s")  # overflows at step 2
-    code = cli.main(["simulate", "--config", config, "--scheme", "em", "--dt", "0.0078125",
-                     "--paths", "4"])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print on stderr
+        code = cli.main(["simulate", "--config", config, "--scheme", scheme,
+                         "--dt", "0.0078125", "--paths", "4"])
     captured = capsys.readouterr()
     assert code == cli.EXIT_NUMERICAL
     assert captured.out == ""
-    assert captured.err.startswith("numerical failure: non-finite state")
+    assert [str(w.message) for w in caught] == []
+    assert captured.err.splitlines() == ["numerical failure: non-finite state at step 2"]
+
+
+# --- argv fuzzing ------------------------------------------------------------
+
+_NOT_A_NUMBER = st.sampled_from(["", "x", "nan", "NaN", "inf", "-inf", "1e", "0x10", "1,2", "--"])
+_HUGE_INT = st.integers(2**31, 10**40)
+_HUGE_FLOAT = st.sampled_from(["1e300", "-1e300", "1.7976931348623157e308", "1e400", "-1e400"])
+_TINY_FLOAT = st.sampled_from(["5e-324", "1e-300", "2.2250738585072014e-308", "2e-7", "-5e-324"])
+_WILD_INT = st.one_of(
+    _HUGE_INT.map(str),
+    _HUGE_INT.map(lambda n: str(-n)),
+    st.integers(-5, 1).map(str),
+    _NOT_A_NUMBER,
+    _HUGE_FLOAT,
+)
+_WILD_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    _HUGE_FLOAT,
+    _TINY_FLOAT,
+    _NOT_A_NUMBER,
+    st.sampled_from(["0", "-0.0", "-1"]),
+)
+
+
+def _choice(*values):
+    return st.sampled_from([str(v) for v in values])
+
+
+def _count_list(*counts):
+    """A comma-separated list of the given counts."""
+    return st.lists(_choice(*counts), min_size=1, max_size=3).map(",".join)
+
+
+def _wild_list(*counts):
+    """A malformed count list, or a list with wild items."""
+    item = st.one_of(_choice(*counts), _WILD_INT)
+    return st.one_of(
+        st.lists(item, min_size=1, max_size=4).map(",".join),
+        _choice("", ",", ",,", "4,,8", "4;8", " 4", "4 8", "a,b", "1e3", "4,-8"),
+    )
+
+
+_MARKETS = (CONSTANT, STATE)
+_ALL_CONFIGS = _choice(CONSTANT, STATE, FIXED, _CONFIGS / "missing.json")
+# (well-formed values, wild values or None) for each flag.  --paths is always
+# given and stays small (its wild values are never positive), so every
+# command finishes in milliseconds and runs one chunk, which starts no
+# thread whatever --workers says; every other number is fuzzed freely.
+_COMMON = {
+    "--paths": (st.integers(1, 6).map(str), st.one_of(
+        st.integers(-(10**40), 0).map(str), _NOT_A_NUMBER, _HUGE_FLOAT)),
+    "--seed": (st.integers(0, 2**64 - 1).map(str), _WILD_INT),
+    "--workers": (st.integers(1, 4).map(str), _WILD_INT),
+    "--quad-n": (_choice(2, 16, 64), _WILD_INT),
+}
+_OPTIONS = {
+    "price": {
+        "--config": (_choice(*_MARKETS), _ALL_CONFIGS),
+        "--method": (_choice("closed", "semi", "mc", "classical"), None),
+        "--strike": (_choice(80.5, 100.0, 120.0), _WILD_FLOAT),
+        "--t": (_choice(0.0, 0.5, 0.8, 0.85), _WILD_FLOAT),
+        "--spot": (_choice(50.0, 100.0), _WILD_FLOAT),
+        "--kind": (_choice("call", "put"), None),
+    },
+    "simulate": {
+        "--config": (_choice(CONSTANT, STATE, FIXED), _ALL_CONFIGS),
+        "--scheme": (_choice("exact", "em", "split"), None),
+        "--dt": (_choice(0.25, 0.0625, 2.0**-7), _WILD_FLOAT),
+        "--measure": (_choice("P", "Q"), None),
+    },
+    "hedge": {
+        "--config": (_choice(*_MARKETS), _ALL_CONFIGS),
+        "--strike": (_choice(90.0, 100.0), _WILD_FLOAT),
+        "--ladder": (_count_list(1, 4, 16), _wild_list(1, 4, 16)),
+    },
+    "check": {
+        "--config": (_choice(*_MARKETS), _ALL_CONFIGS),
+        "--strike": (_choice(90.0, 100.0), _WILD_FLOAT),
+    },
+    "convergence": {
+        "--config": (_choice(FIXED), _ALL_CONFIGS),
+        "--steps": (_count_list(4, 8, 16, 32), _wild_list(4, 8, 16, 32)),
+    },
+}
+_ALWAYS = ("--config", "--paths", "--method", "--strike")
+
+
+@st.composite
+def _argv(draw):
+    """A subcommand with well-formed flags, one to three numbers or lists wild."""
+    command = draw(st.sampled_from(sorted(_OPTIONS)))
+    options = {**_COMMON, **_OPTIONS[command]}
+    fuzzable = sorted(flag for flag, (_, wild) in options.items() if wild is not None)
+    wild = draw(st.sets(st.sampled_from(fuzzable), min_size=1, max_size=3))
+    argv = [command]
+    for flag in sorted(options):
+        if flag in wild or flag in _ALWAYS or draw(st.booleans()):
+            value = draw(options[flag][flag in wild])
+            # "--flag=value" keeps a value such as "-1e300" from reading as a flag
+            argv.append(f"{flag}={value}")
+    if command == "check" and draw(st.booleans()):
+        argv.append("--skip-validation")
+    return argv
+
+
+# Inputs that once escaped main with a traceback.
+@example(["simulate", f"--config={FIXED}", "--paths=2", "--seed=--"])
+@example(["price", f"--config={STATE}", "--method=closed", "--kind=put", "--paths=6",
+          "--spot=5e-324", "--strike=80.5", "--t=0.8"])
+@example(["price", f"--config={STATE}", "--method=classical", "--paths=1", "--strike=100",
+          "--quad-n=1000000000000"])
+@example(["simulate", f"--config={FIXED}", "--paths=2", "--scheme=em", "--dt=5e-324"])
+@example(["convergence", f"--config={FIXED}", "--paths=2", "--steps=1000000000000"])
+@example(["hedge", f"--config={STATE}", "--paths=2", "--strike=100",
+          "--ladder=4,1000000000000"])
+@settings(max_examples=300, deadline=None)
+@given(_argv())
+def test_fuzzed_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)  # an exception escaping main is a traceback
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_CHECK_FAILED, cli.EXIT_CONFIG, cli.EXIT_NUMERICAL)
+    assert "Traceback" not in err
+    if code == cli.EXIT_CHECK_FAILED:
+        # the one non-zero exit that reports: a complete check table with a failure
+        lines = out.splitlines()
+        assert argv[0] == "check" and lines[0] == "check,estimate,std_error,status"
+        assert all(line.count(",") == 3 for line in lines[1:])
+        assert any(line.endswith(",fail") for line in lines[1:])
+    elif code != cli.EXIT_OK:
+        assert out == ""

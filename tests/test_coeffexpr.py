@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from delaybs import coeffexpr
@@ -144,7 +145,7 @@ def test_vector_eval_matches_scalar():
 
     ast = parse("0.1 + 0.1*s/(1+s)")
     s = np.array([0.5, 1.0, 2.0])
-    vec = coeffexpr.evaluate_vec(ast, 0.0, s)
+    vec = coeffexpr.compile(ast)(0.0, s)
     for i, si in enumerate(s):
         assert vec[i] == evaluate(ast, 0.0, si)
 
@@ -197,3 +198,121 @@ def test_compiled_matches_strict_evaluator_on_corpus():
                 assert vec[i] == pytest.approx(ref, rel=1e-9, abs=1e-12), to_source(ast)
                 checked += 1
     assert checked > 500
+
+
+def _reference_evaluate(ast, t, s):
+    """The recursive tree walker the strict evaluator is compiled from."""
+    if isinstance(ast, Lit):
+        return ast.value
+    if isinstance(ast, Var):
+        return float(t) if ast.name == "t" else float(s)
+    if isinstance(ast, Neg):
+        return -_reference_evaluate(ast.operand, t, s)
+    if isinstance(ast, Bin):
+        a = _reference_evaluate(ast.left, t, s)
+        b = _reference_evaluate(ast.right, t, s)
+        if ast.op == "+":
+            return a + b
+        if ast.op == "-":
+            return a - b
+        if ast.op == "*":
+            return a * b
+        if ast.op == "/":
+            if b == 0.0:
+                raise EvalError("division by zero", ast.span)
+            return a / b
+        if a < 0.0 and not math.isfinite(b):
+            raise EvalError("negative base with non-finite exponent", ast.span)
+        if a < 0.0 and b != math.floor(b):
+            raise EvalError("negative base with non-integer exponent", ast.span)
+        try:
+            out = a**b
+        except (OverflowError, ZeroDivisionError) as exc:
+            raise EvalError(f"power failed: {exc}", ast.span) from exc
+        if not math.isfinite(out):
+            raise EvalError("non-finite power result", ast.span)
+        return out
+    args = [_reference_evaluate(arg, t, s) for arg in ast.args]
+    f = ast.func
+    if f == "exp":
+        out = math.exp(args[0]) if args[0] < 709.0 else math.inf
+        if not math.isfinite(out):
+            raise EvalError("exp overflow", ast.span)
+        return out
+    if f == "log":
+        if args[0] <= 0.0:
+            raise EvalError("log of non-positive value", ast.span)
+        return math.log(args[0])
+    if f == "sqrt":
+        if args[0] < 0.0:
+            raise EvalError("sqrt of negative value", ast.span)
+        return math.sqrt(args[0])
+    if f == "tanh":
+        return math.tanh(args[0])
+    if f == "abs":
+        return abs(args[0])
+    if f == "min":
+        return min(args)
+    return max(args)
+
+
+def _outcome(fn, *args):
+    """("value", x) or ("error", type, message, span): what fn(*args) did."""
+    try:
+        return ("value", fn(*args))
+    except EvalError as exc:
+        return ("error", type(exc), str(exc), exc.span)
+
+
+def _same_outcome(a, b):
+    """Equal floats of one type (signed zeros alike, or both NaN), or one error."""
+    if a[0] == b[0] == "value":
+        x, y = a[1], b[1]
+        if type(x) is not type(y):
+            return False
+        if math.isnan(x) or math.isnan(y):
+            return math.isnan(x) and math.isnan(y)
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return a == b
+
+
+# Points with domain faults: s <= 0 (log, sqrt, negative bases), t == s
+# (t - s == 0 divides by zero), large s (exp and power overflow, and
+# exp's cut-off of 709 exactly), and non-finite or numpy-typed inputs.
+_DIFF_POINTS = [
+    (0.0, 1.0),
+    (0.37, 41.5),
+    (0.9, 0.02),
+    (0.0, 0.0),
+    (0.5, -0.0),
+    (1.0, -2.5),
+    (-3.0, -1.0),
+    (2.0, 2.0),
+    (0.25, 800.0),
+    (0.25, 709.0),
+    (1e3, 1e-300),
+    (math.inf, 1.0),
+    (0.5, math.nan),
+    (np.float64(0.75), np.float64(7.0)),
+]
+
+
+def test_compile_strict_matches_reference_walker_on_corpus():
+    rnd = random.Random(2718)
+    faults = values = 0
+    for _ in range(1500):
+        # Reparse the printed tree so that every node carries a real span.
+        source = to_source(_random_expr(rnd, rnd.randint(1, 5)))
+        ast = parse(source)
+        strict = coeffexpr.compile_strict(ast)
+        for t, s in _DIFF_POINTS:
+            want = _outcome(_reference_evaluate, ast, t, s)
+            got = _outcome(strict, t, s)
+            assert _same_outcome(got, want), (source, t, s, got, want)
+            assert _same_outcome(_outcome(evaluate, ast, t, s), want)
+            if want[0] == "error":
+                faults += 1
+            else:
+                values += 1
+    # both branches are well exercised
+    assert faults > 2000 and values > 5000, (faults, values)

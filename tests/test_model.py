@@ -109,6 +109,21 @@ def _market(g_expr, f_expr="0.08", g_min=0.1):
     )
 
 
+def test_validation_grid_is_built_once_and_read_only():
+    ts, ss = validation_grid(_market("0.2"))
+    again = validation_grid(_market("0.3", f_expr="0.01"))  # same T and s0
+    assert again[0] is ts and again[1] is ss
+    for grid in (ts, ss):
+        with pytest.raises(ValueError):
+            grid[0] = 1.0
+
+
+def test_strict_evaluator_is_compiled_once():
+    g = CoefficientExpr.parse("0.1 + 0.1*s/(1+s)")
+    assert g.strict is g.strict
+    assert g(0.3, 50.0) == g.strict(0.3, 50.0) == 0.1 + 0.1 * 50.0 / (1 + 50.0)
+
+
 def test_validate_constant_above_bound():
     assert validate_market(_market("0.2")) == []
 

@@ -223,6 +223,30 @@ def test_scheme_agreement_shrinks_with_dt():
     assert results[0]["rms_gap"] / results[1]["rms_gap"] >= 1.3
 
 
+def test_se_diff_survives_a_large_mean_gap(monkeypatch):
+    # Terminal gaps of mean 1e8 and spread 1e-3, over eleven chunks:
+    # E[x^2] - mean^2 cancels to noise here.
+    gaps = []
+
+    def em(sfde, dt, dW):
+        gap = 1e8 + 1e-3 * dW.sum(axis=1)
+        gaps.append(gap)
+        return None, gap[:, None], None
+
+    def split(sfde, dt, dW):
+        return None, np.zeros((dW.shape[0], 1))
+
+    monkeypatch.setattr(paths, "em_values_vec", em)
+    monkeypatch.setattr(paths, "split_values_vec", split)
+    n = 1000
+    (result,) = fixed_delay_convergence(_sfde(), [4], n, 5, chunk=99)
+    x = np.concatenate(gaps)
+    var = np.var(x)
+    assert result["se_diff"] == pytest.approx(math.sqrt(var / n), rel=1e-6)
+    naive = max(float((x * x).sum()) / n - (float(x.sum()) / n) ** 2, 0.0)
+    assert abs(naive - var) > 0.5 * var
+
+
 def test_moving_average_drift_runs():
     sfde = _sfde(drift=DriftFunctional("moving-average", c=0.1))
     path = simulate_split_fixed(sfde, 1.0 / 64.0, BrownianSpec(2, 0))
