@@ -30,12 +30,10 @@ from .pricing import (
     price_mc,
     price_semi,
 )
-from .rng import BrownianSpec
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BrownianSpec",
     "CoefficientExpr",
     "DriftFunctional",
     "FixedDelaySfde",

@@ -29,7 +29,7 @@ from .model import (
     validate_market,
     validation_error,
 )
-from .parallel import map_chunks
+from .parallel import accumulate_moments, map_chunks
 from .quadrature import DEFAULT_N, integrate
 
 EXIT_OK = 0
@@ -122,7 +122,7 @@ def _load_market(args, validate=True):
 
 def cmd_price(args):
     market = _load_market(args)
-    option = OptionSpec(args.strike, args.kind, args.t)
+    option = OptionSpec(args.strike, args.kind)
     spot = args.spot if args.spot is not None else market.s0
     state = pricing.MarketState(args.t, spot)
     if args.method == "closed":
@@ -190,7 +190,8 @@ def cmd_hedge(args):
     ladder = _counts(args.ladder, "--ladder")
     reports = [
         hedging.replicate(
-            market, option, n_rebalance, args.paths, args.seed, quad_n=args.quad_n
+            market, option, n_rebalance, args.paths, args.seed, args.workers,
+            quad_n=args.quad_n,
         )
         for n_rebalance in ladder
     ]
@@ -272,13 +273,10 @@ def cmd_check(args):
 
 
 def _discounted_terminal_mean(market, args):
-    from .parallel import accumulate_moments
-    from .paths import exact_values_vec
-
     disc = discount_factor(market.rate, 0.0, market.T)
 
     def chunk(lo, hi):
-        s_T = exact_values_vec(
+        s_T = paths.exact_values_vec(
             market, "Q", args.seed, lo, hi, 0.0, market.s0, market.s0,
             [market.T], args.quad_n,
         )[:, 0]
@@ -290,7 +288,7 @@ def _discounted_terminal_mean(market, args):
 def cmd_convergence(args):
     sfde = sfde_from_config(load_config(args.config))
     steps = _counts(args.steps, "--steps")
-    results = paths.fixed_delay_convergence(sfde, steps, args.paths, args.seed)
+    results = paths.fixed_delay_convergence(sfde, steps, args.paths, args.seed, args.workers)
     print("steps,dt,rms_gap,mean_em,mean_split,se_diff")
     for r in results:
         print(

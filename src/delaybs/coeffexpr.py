@@ -10,7 +10,7 @@ power, so ``-2^2 == -4``.
 Evaluation is pure: the same AST evaluated at the same point always
 returns the same bits.  ``compile_strict`` builds the strict scalar
 evaluator, a closure tree that raises :class:`EvalError` on any
-non-finite intermediate; ``evaluate`` compiles it and calls it once.
+non-finite intermediate.
 ``compile`` builds the numpy evaluator used by the quadrature and Monte
 Carlo engines: a closure with constant subtrees folded, which lets
 non-finite values flow through for the caller to check, and flags
@@ -37,7 +37,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "evaluate",
     "compile_strict",
     "compile",
     "Compiled",
@@ -254,15 +253,6 @@ def parse(source):
     if kind != "eof":
         raise ParseError(f"unexpected trailing input {text!r}", offset)
     return node
-
-
-def evaluate(ast, t, s):
-    """Strict scalar evaluation; raises :class:`EvalError` on domain faults.
-
-    Callers that evaluate one expression repeatedly should
-    :func:`compile_strict` it once instead.
-    """
-    return compile_strict(ast)(t, s)
 
 
 def compile_strict(ast):

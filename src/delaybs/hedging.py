@@ -19,28 +19,15 @@ from scipy.special import ndtr
 from . import rng
 from .errors import ContractError
 from .model import MAX_TIME_STEPS, block_index, discount_factor
-from .parallel import chunk_ranges
+from .parallel import map_chunks
 from .pricing import (
     DEFAULT_N,
     MarketState,
-    beta_pm,
     final_block_start,
+    log_ratio_vec,
     price_closed,
 )
 from .quadrature import block_integrals_vec
-
-
-@dataclass(frozen=True)
-class HedgeWeights:
-    """Stock and bond units of the replicating portfolio at time t.
-
-    pi_xi multiplies the bond price xi(t) = exp(integral of lambda from
-    0 to t), matching the closed-form decomposition.
-    """
-
-    pi_s: float
-    pi_xi: float
-    t: float
 
 
 @dataclass(frozen=True)
@@ -51,24 +38,12 @@ class ReplicationReport:
     n_paths: int
 
 
-def hedge_weights(market, option, state, quad_n=DEFAULT_N):
-    """Closed-form hedge: stock delta Phi(beta_plus), bond leg from the
-    strike term."""
-    if option.kind != "call":
-        raise ContractError("the closed-form hedge is stated for calls")
-    bp, bm = beta_pm(market, option, state, quad_n)
-    pi_s = 0.5 * math.erfc(-bp / math.sqrt(2.0))
-    pi_xi = -option.strike * (0.5 * math.erfc(-bm / math.sqrt(2.0))) * math.exp(
-        -market.rate.integral(0.0, market.T)
-    )
-    return HedgeWeights(pi_s=pi_s, pi_xi=pi_xi, t=state.t)
-
-
 def _weights_vec(market, option, t, s_t, s_block, quad_n=DEFAULT_N):
-    """Vectorized stock delta and bond value at a single time."""
+    """Closed-form hedge at one time: stock delta Phi(beta_plus) and the
+    bond leg's value, from the strike term, for a vector of prices."""
     v, _, lam = block_integrals_vec(market, s_block, t, market.T, quad_n)
     sq = np.sqrt(v)
-    bp = (np.log(s_t / option.strike) + lam + 0.5 * v) / sq
+    bp = (log_ratio_vec(s_t, option.strike) + lam + 0.5 * v) / sq
     bm = bp - sq
     pi_s = ndtr(bp)
     bond_value = -option.strike * ndtr(bm) * math.exp(-lam)  # pi_xi * xi(t)
@@ -81,6 +56,7 @@ def replicate(
     n_rebalance,
     n_paths,
     seed,
+    workers=1,
     s_star=None,
     quad_n=DEFAULT_N,
     identity_tol=None,
@@ -107,14 +83,12 @@ def replicate(
         s_star = market.s0
     k = block_index(t_star, market.h)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
-    err_sum = 0.0
-    err_sq = 0.0
-    for lo, hi in chunk_ranges(n_paths):
+    v0 = price_closed(market, option, MarketState(t_star, float(s_star)), quad_n).value
+
+    def chunk(lo, hi):
+        """Sums of the terminal error and of its square over streams lo..hi-1."""
         n = hi - lo
         s = np.full(n, float(s_star))
-        v0 = price_closed(
-            market, option, MarketState(t_star, float(s_star)), quad_n
-        ).value
         wealth = np.full(n, v0)
         for i in range(n_rebalance):
             t_i, t_next = grid[i], grid[i + 1]
@@ -142,8 +116,13 @@ def replicate(
             cash = cash / discount_factor(market.rate, t_i, t_next)
             wealth = cash + pi_s * s
         err = wealth - np.maximum(s - option.strike, 0.0)
-        err_sum += float(err.sum())
-        err_sq += float((err * err).sum())
+        return float(err.sum()), float((err * err).sum())
+
+    err_sum = err_sq = 0.0
+    # An explicit fold in chunk order: sum() compensates from Python 3.12.
+    for part_sum, part_sq in map_chunks(chunk, n_paths, workers):
+        err_sum += part_sum
+        err_sq += part_sq
     mean = err_sum / n_paths
     rmse = math.sqrt(err_sq / n_paths)
     return ReplicationReport(

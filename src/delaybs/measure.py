@@ -13,13 +13,10 @@ start.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import rng
-from .errors import ContractError, NumericalError
+from .errors import NumericalError
 from .model import block_index, block_schedule, discount_factor
 from .parallel import accumulate_moments
 from .quadrature import DEFAULT_N, block_integrals_vec
@@ -27,34 +24,6 @@ from .quadrature import DEFAULT_N, block_integrals_vec
 # Relative tolerance below which the residual variance of the density
 # increment given the price increment is treated as exactly zero.
 DEGENERATE_TOL = 1e-12
-
-
-def market_price_of_risk(market, u, s_block):
-    """theta(u) = (f(u, s_block) - lambda(u)) / g(u, s_block)."""
-    if s_block <= 0.0:
-        raise ContractError(f"block-start price must be positive, got {s_block}")
-    g = market.g(u, s_block)
-    if abs(g) < market.g_min:
-        raise ContractError(
-            f"|g({u}, {s_block})| = {abs(g)} below g_min={market.g_min}"
-        )
-    return (market.f(u, s_block) - market.rate.rate(u)) / g
-
-
-@dataclass
-class GirsanovAccumulator:
-    """Running log-density of one path plus its per-block records."""
-
-    log_rho: float = 0.0
-    blocks: list = field(default_factory=list)
-
-    def add_block(self, v, c, theta_sq, dlog_rho):
-        self.blocks.append({"v": v, "c": c, "theta_sq": theta_sq})
-        self.log_rho += dlog_rho
-
-    @property
-    def rho(self):
-        return math.exp(self.log_rho)
 
 
 def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
@@ -84,32 +53,6 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
     resid = np.where(resid <= DEGENERATE_TOL * theta_sq, 0.0, resid)
     i2 = np.where(zero, 0.0, c / np.sqrt(g2) * z1 + np.sqrt(resid) * z2)
     return i1, i2
-
-
-def joint_block_step(market, s_k, a, b, spec, quad_n=DEFAULT_N, accumulator=None):
-    """Jointly sample one block's price and density log-increments.
-
-    Returns (price log-increment under P, density log-increment).  The
-    price normal is substream 0 of the block, the density normal
-    substream 1, so the price draw matches the one a pure Q simulation
-    would consume.
-    """
-    k = block_index(a, market.h)
-    z1 = rng.normal_scalar(spec, k, 0)
-    z2 = rng.normal_scalar(spec, k, 1)
-    sk = np.array([float(s_k)])
-    g2, f_int, lam_int, theta_sq = block_integrals_vec(
-        market, sk, a, b, quad_n, with_theta=True
-    )
-    i1, i2 = _joint_increments(
-        g2, f_int, lam_int, theta_sq, np.array([z1]), np.array([z2])
-    )
-    g2, f_int, theta_sq = float(g2[0]), float(f_int[0]), float(theta_sq[0])
-    dlog_s = f_int - 0.5 * g2 + float(i1[0])
-    dlog_rho = -float(i2[0]) - 0.5 * theta_sq
-    if accumulator is not None:
-        accumulator.add_block(g2, f_int - lam_int, theta_sq, dlog_rho)
-    return dlog_s, dlog_rho
 
 
 def _p_terminal_with_density(market, seed, lo, hi, quad_n=DEFAULT_N):
@@ -151,15 +94,13 @@ def density_mean_check(market, n_paths, seed, workers=1, quad_n=DEFAULT_N):
 
 
 def importance_price(market, option, n_paths, seed, workers=1, quad_n=DEFAULT_N):
-    """Price by P-simulation weighted with the Girsanov density.
+    """Price at time 0 by P-simulation weighted with the Girsanov density.
 
     Estimates discount * E_P[rho_T * payoff(S(T))]; agrees with the
     direct Q estimator within combined Monte Carlo error.
     """
     from .pricing import PricingResult
 
-    if option.t_valuation != 0.0:
-        raise ContractError("importance pricing is defined at valuation time 0")
     disc = discount_factor(market.rate, 0.0, market.T)
 
     def chunk(lo, hi):

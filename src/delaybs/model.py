@@ -27,10 +27,19 @@ BOUNDARY_SNAP = 1e-12
 # Python, so a larger count is a mistyped flag, not a finer answer.
 MAX_TIME_STEPS = 1 << 20
 
+# Largest |rate| * T: the exponential of a larger rate integral, a
+# discount or growth factor, overflows a float.
+MAX_RATE_INTEGRAL = 700.0
+
 
 def is_positive(x):
     """True for a finite x > 0; NaN and infinities fail."""
     return math.isfinite(x) and x > 0.0
+
+
+def _require_finite(what, values):
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"{what} must be finite, got {tuple(values)}")
 
 
 def floor_block(t, h):
@@ -40,12 +49,7 @@ def floor_block(t, h):
     time meant as ``3*h`` never lands in the previous block through
     rounding.
     """
-    if h <= 0.0:
-        raise DomainError(f"block length must be positive, got {h}")
-    if t < 0.0:
-        raise DomainError(f"time must be non-negative, got {t}")
-    k = math.floor((t / h) * (1.0 + BOUNDARY_SNAP))
-    return k * h
+    return block_index(t, h) * h
 
 
 def block_index(t, h):
@@ -92,8 +96,8 @@ class RateCurve:
     def piecewise(cls, edges, rates):
         edges = tuple(float(x) for x in edges)
         rates = tuple(float(x) for x in rates)
-        if len(edges) != len(rates) + 1:
-            raise ConfigError("piecewise curve needs len(times) == len(rates) + 1")
+        if len(edges) != len(rates) + 1 or not rates:
+            raise ConfigError("piecewise curve needs len(times) == len(rates) + 1 >= 2")
         if any(b <= a for a, b in zip(edges, edges[1:])):
             raise ConfigError("piecewise edges must be strictly increasing")
         return cls("piecewise", edges, rates)
@@ -196,7 +200,6 @@ class CoefficientExpr:
 class OptionSpec:
     strike: float
     kind: str = "call"  # "call" | "put"
-    t_valuation: float = 0.0
 
     def __post_init__(self):
         if not is_positive(self.strike):
@@ -231,6 +234,13 @@ class VariableDelayMarket:
             raise ConfigError(f"s0 must be positive, got {self.s0}")
         if not is_positive(self.g_min):
             raise ConfigError(f"g_min must be positive, got {self.g_min}")
+        if not self.T / self.h <= MAX_TIME_STEPS:
+            raise ConfigError(f"T/h must be at most {MAX_TIME_STEPS} blocks, got {self.T / self.h}")
+        if not max(abs(r) for r in self.rate.values) * self.T <= MAX_RATE_INTEGRAL:
+            raise ConfigError(
+                f"rates must be finite with |rate| * T at most {MAX_RATE_INTEGRAL}, "
+                f"got {self.rate.values}"
+            )
 
 
 @dataclass(frozen=True)
@@ -251,6 +261,7 @@ class DriftFunctional:
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConfigError(f"unknown drift kind {self.kind!r}")
+        _require_finite("drift c and eps", (self.c, self.eps))
         if self.kind == "segment-point":
             if self.c <= 0.0 or self.eps < 0.0:
                 raise ConfigError("segment-point drift needs c > 0 and eps >= 0")
@@ -272,6 +283,7 @@ class InitialPath:
     def __post_init__(self):
         if len(self.times) != len(self.values) or len(self.times) < 2:
             raise ConfigError("initial path needs matching times and values, >= 2")
+        _require_finite("initial path times and values", self.times + self.values)
         if any(b <= a for a, b in zip(self.times, self.times[1:])):
             raise ConfigError("initial path times must be strictly increasing")
         if self.times[-1] != 0.0:
@@ -296,6 +308,7 @@ class FixedDelaySfde:
     T: float
 
     def __post_init__(self):
+        _require_finite("L, b, a and T", (self.L, self.b, self.a, self.T))
         if not (0.0 < self.b <= self.L):
             raise ConfigError(f"need 0 < b <= L, got b={self.b}, L={self.L}")
         if self.a <= 0.0:
@@ -336,6 +349,8 @@ def validation_grid(market):
 
 @functools.lru_cache(maxsize=16)
 def _validation_grid(T, s0):
+    if not (s0 / 100.0 > 0.0 and math.isfinite(100.0 * s0)):
+        raise ConfigError(f"s0={s0} puts the validation grid s0/100 .. 100*s0 out of range")
     ts = np.linspace(0.0, T, VALIDATION_T_POINTS)
     ss = np.geomspace(s0 / 100.0, 100.0 * s0, VALIDATION_S_POINTS)
     ts.flags.writeable = False

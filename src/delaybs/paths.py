@@ -12,38 +12,20 @@ Three schemes:
   structurally positive whenever the initial history is positive and the
   drift is non-negative on positive segments.
 
-Engines are vectorized across stream ids; the per-path entry points are
-the one-path case of the same code, so scalar and Monte Carlo uses agree
-bit for bit.
+Engines are vectorized across stream ids.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import rng
 from .errors import ContractError, IntegrationFailure
 from .model import MAX_TIME_STEPS, block_index, is_positive
-from .parallel import merge_moments, moments
+from .parallel import map_chunks, merge_moments, moments
 from .quadrature import DEFAULT_N, block_integrals_vec
-
-
-@dataclass(frozen=True)
-class Path:
-    """A sampled trajectory with its measure tag and RNG stream."""
-
-    times: np.ndarray
-    values: np.ndarray
-    measure: str  # "P" | "Q"
-    spec: rng.BrownianSpec
-    first_nonpositive_step: int | None = field(default=None, compare=False)
-
-    def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0.0):
-            raise ContractError("path times must be strictly increasing")
 
 
 class SegmentBuffer:
@@ -96,33 +78,14 @@ class SegmentBuffer:
         return self.data[self.n_hist :].T
 
 
-@dataclass
-class SplitState:
-    """State of the splitting scheme inside one block of length b."""
-
-    psi: np.ndarray
-    y: np.ndarray
-    m_acc: np.ndarray
-    qv: np.ndarray
-
-
 # ---------------------------------------------------------------------------
 # Exact block sampler for the variable-delay market
 # ---------------------------------------------------------------------------
 
 
-def sample_block_exact(market, s_k, a, b, measure, z, quad_n=DEFAULT_N):
-    """One exact within-block step: s_k * exp(m + sqrt(v) * z)."""
-    from .quadrature import block_moments
-
-    mom = block_moments(market, s_k, a, b, measure, quad_n)
-    return s_k * math.exp(mom.m + math.sqrt(mom.v) * z)
-
-
 def _knots(market, t_start, t_end, sample_times):
     """Sorted union of block boundaries and requested sample times."""
     tol = 1e-12 * max(market.T, 1.0)
-    knots = [t_start]
     boundary = (block_index(t_start, market.h) + 1) * market.h
     pending = sorted(sample_times)
     for t in pending:
@@ -146,7 +109,7 @@ def _knots(market, t_start, t_end, sample_times):
             out[-1] = (out[-1][0], out[-1][1] or wanted)
         else:
             out.append((t, wanted))
-    return knots[0], out
+    return out
 
 
 def exact_values_vec(
@@ -171,12 +134,12 @@ def exact_values_vec(
     n = hi - lo
     s = np.full(n, float(s_start)) if np.isscalar(s_start) else np.array(s_start, dtype=float)
     sb = np.full(n, float(s_block)) if np.isscalar(s_block) else np.array(s_block, dtype=float)
-    t0, merged = _knots(market, t_start, max(sample_times), sample_times)
+    merged = _knots(market, t_start, max(sample_times), sample_times)
     out = np.empty((n, len(sample_times)))
     tol = 1e-12 * max(market.T, 1.0)
 
-    prev = t0
-    k_cur = block_index(t0, market.h)
+    prev = t_start
+    k_cur = block_index(t_start, market.h)
     substep = 0
     out_col = 0
     for t, wanted in merged:
@@ -185,7 +148,7 @@ def exact_values_vec(
             k_cur = k
             substep = 0
         # refresh the frozen block state at each boundary
-        if abs(prev - k * market.h) <= tol and prev > t0 + tol:
+        if abs(prev - k * market.h) <= tol and prev > t_start + tol:
             sb = s.copy()
         g2, f_int, lam_int = block_integrals_vec(market, sb, prev, t, quad_n)
         drift = lam_int if measure == "Q" else f_int
@@ -198,32 +161,6 @@ def exact_values_vec(
             out_col += 1
         prev = t
     return out
-
-
-def simulate_exact(
-    market,
-    measure,
-    spec,
-    t_start,
-    s_start,
-    s_blockstart,
-    sample_times,
-    quad_n=DEFAULT_N,
-):
-    """Exact-in-distribution path of one stream at the requested times."""
-    values = exact_values_vec(
-        market,
-        measure,
-        spec.seed,
-        spec.stream_id,
-        spec.stream_id + 1,
-        t_start,
-        s_start,
-        s_blockstart,
-        list(sample_times),
-        quad_n,
-    )[0]
-    return Path(np.asarray(sample_times, dtype=float), values, measure, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -245,6 +182,10 @@ def brownian_increments(seed, lo, hi, n_steps, dt):
 
 
 def _lag_steps(name, lag, dt):
+    if lag / dt > MAX_TIME_STEPS:
+        raise ContractError(
+            f"dt={dt} gives more than {MAX_TIME_STEPS} steps to the {name} lag {lag}"
+        )
     m = round(lag / dt)
     if m < 1 or abs(m * dt - lag) > 1e-9 * max(lag, 1.0):
         raise ContractError(f"dt={dt} must divide the {name} lag {lag}")
@@ -255,7 +196,8 @@ def grid_steps(sfde, dt):
     """Steps (to T, of the diffusion lag b, of the drift lag a) on the dt grid.
 
     Raises :class:`ContractError` unless dt is positive, divides the
-    horizon and the lags and gives at most ``MAX_TIME_STEPS`` steps.
+    horizon and the lags and gives at most ``MAX_TIME_STEPS`` steps to
+    each.
     """
     if not is_positive(dt):
         raise ContractError(f"dt must be positive, got {dt}")
@@ -283,6 +225,10 @@ def _drift_values(sfde, buf, step, t, m_b, m_a):
 
 
 def _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a):
+    if sfde.L / dt > MAX_TIME_STEPS:
+        raise ContractError(
+            f"dt={dt} gives more than {MAX_TIME_STEPS} history steps over L={sfde.L}"
+        )
     n_hist = max(m_b, m_a, int(math.ceil(sfde.L / dt - 1e-9)))
     return SegmentBuffer(sfde.phi, dt, n_steps, n_paths, n_hist)
 
@@ -335,60 +281,41 @@ def split_values_vec(sfde, dt, dW, record_y=False):
     if n_steps != grid_n:
         raise ContractError("dW step count does not match the grid")
     buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
-    state = SplitState(
-        psi=np.ones(n_paths),
-        y=buf.value(0).copy(),
-        m_acc=np.zeros(n_paths),
-        qv=np.zeros(n_paths),
-    )
+    psi = np.ones(n_paths)
+    y = buf.value(0)
+    m_acc = np.zeros(n_paths)
+    qv = np.zeros(n_paths)
     y_hist = np.empty((n_steps + 1, n_paths)) if record_y else None
     if record_y:
-        y_hist[0] = state.y
+        y_hist[0] = y
     # As in em_values_vec, the finite check reports an overflow.
     with np.errstate(all="ignore"):
         for n in range(n_steps):
             t = n * dt
             if n % m_b == 0 and n > 0:
                 # new block: restart the exponential at the current price
-                state.psi.fill(1.0)
-                state.m_acc.fill(0.0)
-                state.qv.fill(0.0)
-                state.y = buf.value(n).copy()
+                psi.fill(1.0)
+                m_acc.fill(0.0)
+                qv.fill(0.0)
+                y = buf.value(n)
             fval = _drift_values(sfde, buf, n, t, m_b, m_a)
-            state.y = state.y + dt * fval / state.psi
+            y = y + dt * fval / psi
             g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-            state.m_acc = state.m_acc + g_lag * dW[n]
-            state.qv = state.qv + g_lag * g_lag * dt
-            state.psi = np.exp(state.m_acc - 0.5 * state.qv)
-            s_next = state.psi * state.y
+            m_acc = m_acc + g_lag * dW[n]
+            qv = qv + g_lag * g_lag * dt
+            psi = np.exp(m_acc - 0.5 * qv)
+            s_next = psi * y
             if not np.all(np.isfinite(s_next)):
                 raise IntegrationFailure(
                     f"non-finite state at step {n + 1}", step_index=n + 1
                 )
             buf.put(n + 1, s_next)
             if record_y:
-                y_hist[n + 1] = state.y
+                y_hist[n + 1] = y
     times = np.arange(n_steps + 1) * dt
     if record_y:
         return times, buf.values(), y_hist.T
     return times, buf.values()
-
-
-def simulate_em_fixed(sfde, dt, spec):
-    """Euler--Maruyama path of one stream, recorded at every grid node."""
-    n_steps, _, _ = grid_steps(sfde, dt)
-    dW = brownian_increments(spec.seed, spec.stream_id, spec.stream_id + 1, n_steps, dt)
-    times, values, first_nonpos = em_values_vec(sfde, dt, dW)
-    fnp = int(first_nonpos[0]) if first_nonpos[0] >= 0 else None
-    return Path(times, values[0], "P", spec, first_nonpositive_step=fnp)
-
-
-def simulate_split_fixed(sfde, dt, spec):
-    """Splitting-scheme path of one stream, recorded at every grid node."""
-    n_steps, _, _ = grid_steps(sfde, dt)
-    dW = brownian_increments(spec.seed, spec.stream_id, spec.stream_id + 1, n_steps, dt)
-    times, values = split_values_vec(sfde, dt, dW)
-    return Path(times, values[0], "P", spec)
 
 
 def _pairwise_sum(x):
@@ -420,7 +347,13 @@ def _pairwise_sum(x):
     return out
 
 
-def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
+# Paths per convergence chunk.  A chunk holds the finest increments and
+# one em/split buffer at a time, so its memory grows with the finest
+# step count; 16,384 paths keep 512 steps near 240 MB.
+CONVERGENCE_CHUNK = 16384
+
+
+def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
     """Compare the two fixed-delay schemes on shared Brownian paths.
 
     Increments are generated on the finest grid and aggregated for the
@@ -439,11 +372,12 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
     for steps in steps_list:
         if finest % steps != 0:
             raise ContractError("step counts must divide the finest resolution")
-    acc = {s: {"gap_sq": 0.0, "gap": [], "em": 0.0, "sp": 0.0} for s in steps_list}
     dt_f = sfde.T / finest
-    for lo in range(0, n_paths, chunk):
-        hi = min(lo + chunk, n_paths)
+
+    def chunk(lo, hi):
+        """(sum of gap^2, gap moments, sum of em, sum of split) per step count."""
         dW_f = brownian_increments(seed, lo, hi, finest, dt_f)
+        out = []
         for steps in steps_list:
             factor = finest // steps
             dW = dW_f if factor == 1 else _pairwise_sum(
@@ -454,26 +388,30 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, chunk=16384):
             em_T = em_values_vec(sfde, dt, dW)[1][:, -1].copy()
             sp_T = split_values_vec(sfde, dt, dW)[1][:, -1].copy()
             gap = em_T - sp_T
-            a = acc[steps]
-            a["gap_sq"] += float((gap * gap).sum())
-            a["gap"].append(moments(gap))
-            a["em"] += float(em_T.sum())
-            a["sp"] += float(sp_T.sum())
+            out.append(
+                (float((gap * gap).sum()), moments(gap), float(em_T.sum()), float(sp_T.sum()))
+            )
+        return out
+
+    per_chunk = map_chunks(chunk, n_paths, workers, CONVERGENCE_CHUNK)
     results = []
-    for steps in steps_list:
-        a = acc[steps]
-        _, diff, m2 = merge_moments(a["gap"])
-        mean_diff = diff / n_paths
-        var_diff = m2 / n_paths
+    for steps, parts in zip(steps_list, zip(*per_chunk)):
+        # An explicit fold in chunk order: sum() compensates from Python 3.12.
+        gap_sq = em = sp = 0.0
+        for part_gap_sq, _, part_em, part_sp in parts:
+            gap_sq += part_gap_sq
+            em += part_em
+            sp += part_sp
+        _, diff, m2 = merge_moments([gap for _, gap, _, _ in parts])
         results.append(
             {
                 "steps": steps,
                 "dt": sfde.T / steps,
-                "rms_gap": math.sqrt(a["gap_sq"] / n_paths),
-                "mean_diff": mean_diff,
-                "se_diff": math.sqrt(var_diff / n_paths),
-                "mean_em": a["em"] / n_paths,
-                "mean_split": a["sp"] / n_paths,
+                "rms_gap": math.sqrt(gap_sq / n_paths),
+                "mean_diff": diff / n_paths,
+                "se_diff": math.sqrt(m2 / n_paths / n_paths),
+                "mean_em": em / n_paths,
+                "mean_split": sp / n_paths,
             }
         )
     return results

@@ -5,7 +5,7 @@ Four routes:
 * ``price_closed`` — the closed form valid once the final block's
   volatility is known (valuation time at or after the final block start);
 * ``price_semi`` — simulate the block-start state to the final block
-  boundary, then apply the conditional-expectation kernel ``h_value``;
+  boundary, then apply the conditional-expectation kernel ``_h_value_vec``;
 * ``price_mc`` — direct discounted-payoff Monte Carlo under Q;
 * ``price_classical`` — the constant-coefficient Black-Scholes reference,
   an independent code path used as an oracle.
@@ -89,6 +89,17 @@ def _log_ratio(x, y):
     return math.log(x) - math.log(y)
 
 
+def log_ratio_vec(x, y):
+    """Elementwise log(x / y) for positive x and y, bit for bit, except
+    that it is log x - log y where x / y underflows to 0 or overflows."""
+    with np.errstate(over="ignore", under="ignore", divide="ignore"):
+        out = np.log(x / y)
+        lost = np.isinf(out)
+        if lost.any():
+            out = np.where(lost, np.log(x) - np.log(y), out)
+    return out
+
+
 def beta_pm(market, option, state, quad_n=DEFAULT_N):
     """The two closed-form arguments; their difference is the total vol."""
     t_star = final_block_start(market)
@@ -124,26 +135,11 @@ def price_closed(market, option, state, quad_n=DEFAULT_N):
     return PricingResult(value=value, method="closed")
 
 
-def h_value(x, m, v, strike, rate_integral_0T):
-    """Conditional-expectation kernel mapping a discounted block-start
-    state to the option value contribution."""
-    if x <= 0.0 or strike <= 0.0:
-        raise DomainError("x and strike must be positive")
-    if np.any(np.asarray(v) <= 0.0):
-        raise DomainError("variance must be positive")
-    sq = math.sqrt(v)
-    log_m = _log_ratio(x, strike)
-    alpha1 = (log_m + rate_integral_0T + m + v) / sq
-    alpha2 = (log_m + rate_integral_0T + m) / sq
-    return (
-        x * math.exp(m + 0.5 * v) * norm_cdf(alpha1)
-        - strike * norm_cdf(alpha2) * math.exp(-rate_integral_0T)
-    )
-
-
 def _h_value_vec(x, m, v, strike, rate_integral_0T):
+    """Conditional-expectation kernel mapping discounted block-start states
+    x to their option value contributions."""
     sq = np.sqrt(v)
-    log_m = np.log(x / strike) + rate_integral_0T + m
+    log_m = log_ratio_vec(x, strike) + rate_integral_0T + m
     alpha1 = (log_m + v) / sq
     alpha2 = log_m / sq
     return x * np.exp(m + 0.5 * v) * ndtr(alpha1) - strike * ndtr(alpha2) * math.exp(
@@ -165,7 +161,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
     if option.kind == "put":
         call = price_semi(
             market,
-            option.__class__(option.strike, "call", option.t_valuation),
+            option.__class__(option.strike, "call"),
             state, n_paths, seed, workers, quad_n,
         )
         return PricingResult(
@@ -180,8 +176,10 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
         # degenerate expectation: the final block state is known
         x = state.s_t * math.exp(-market.rate.integral(0.0, t_star))
         v = _final_block_variance(market, state.s_t, t_star, quad_n)
-        value = grow_t * h_value(x, -0.5 * v, v, option.strike, R_T)
-        return PricingResult(value=value, method="semi")
+        if not x > 0.0:
+            raise DomainError("x and strike must be positive")
+        h = _h_value_vec(np.array([x]), -0.5 * v, v, option.strike, R_T)
+        return PricingResult(value=grow_t * float(h[0]), method="semi")
     disc_to_star = math.exp(-market.rate.integral(0.0, t_star))
 
     def chunk(lo, hi):

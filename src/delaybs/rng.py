@@ -13,14 +13,12 @@ which keeps substreams aligned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtri
 
 from .errors import ContractError
 
-__all__ = ["BrownianSpec", "check_seed", "normals", "normal_scalar"]
+__all__ = ["check_seed", "normals"]
 
 # Default seed used by the CLI when none is given; fixed so that runs
 # are reproducible out of the box.
@@ -29,14 +27,6 @@ DEFAULT_SEED = 20240613
 # Seeds are exact 64-bit Philox key words: 0 <= seed < SEED_LIMIT.
 SEED_LIMIT = 1 << 64
 _U_MIN = 2.0**-54  # keep uniforms strictly inside (0, 1) before ndtri
-
-
-@dataclass(frozen=True)
-class BrownianSpec:
-    """Identity of one Brownian driver: base seed plus path index."""
-
-    seed: int
-    stream_id: int = 0
 
 
 def check_seed(seed):
@@ -72,7 +62,3 @@ def normals(seed, block, substep, lo, hi):
     u = np.random.Generator(bg).random(hi - start)[lo - start :]
     return ndtri(np.maximum(u, _U_MIN))
 
-
-def normal_scalar(spec, block, substep):
-    """The single normal a given path sees at (block, substep)."""
-    return float(normals(spec.seed, block, substep, spec.stream_id, spec.stream_id + 1)[0])

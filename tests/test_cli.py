@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from delaybs import cli, paths
 from delaybs.model import block_schedule, load_config, market_from_config, sfde_from_config
-from delaybs.rng import BrownianSpec
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONSTANT = str(_CONFIGS / "constant.json")
@@ -211,6 +211,56 @@ def test_output_independent_of_worker_count(capsys):
     assert one == many
 
 
+# Outputs of two-or-more-chunk reductions as the single-threaded chunk
+# loops printed them, before `hedge` and `convergence` took --workers.
+_HEDGE_TWO_CHUNKS = (
+    "n_rebalance,mean_error,rmse,n_paths\n"
+    "2,0.001691295321848233,1.7036307025371709,70000\n"
+    "4,-0.0038065305083352157,1.244220595270646,70000\n"
+)
+_CONVERGENCE_700_PATH_CHUNKS = (
+    "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
+    "32,0.03125,0.0055357314559388911,1.1147223075176744,1.1147182094012358,0.00010106813866185025\n"
+    "64,0.015625,0.0039556543564024885,1.1147394395124817,1.1147862460468534,7.2214981215040801e-05\n"
+)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_hedge_output_independent_of_worker_count(capsys, workers):
+    # 70,000 paths are two CHUNK_SIZE chunks
+    code, out = _run(capsys, ["hedge", "--config", STATE, "--strike", "100", "--paths", "70000",
+                              "--ladder", "2,4", "--seed", "5", "--workers", workers])
+    assert (code, out) == (cli.EXIT_OK, _HEDGE_TWO_CHUNKS)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_convergence_output_independent_of_worker_count(capsys, monkeypatch, workers):
+    monkeypatch.setattr(paths, "CONVERGENCE_CHUNK", 700)  # five chunks, one partial
+    code, out = _run(capsys, ["convergence", "--config", FIXED, "--steps", "32,64",
+                              "--paths", "3000", "--seed", "7", "--workers", workers])
+    assert (code, out) == (cli.EXIT_OK, _CONVERGENCE_700_PATH_CHUNKS)
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["check", "--config", STATE, "--strike", "1e-320", "--paths", "3"], None),
+    (["hedge", "--config", STATE, "--strike", "1e-320", "--paths", "3"],
+     "n_rebalance,mean_error,rmse,n_paths\n4,0,0,3\n16,0,0,3\n64,0,0,3\n"),
+    (["price", "--config", STATE, "--method", "semi", "--t", "0.75", "--spot", "5e-324",
+      "--strike", "100"], "method,value,std_error,n_paths\nsemi,0,0,0\n"),
+])
+def test_extreme_log_moneyness_warns_nothing(capsys, argv, expected):
+    # x / K overflows to inf or underflows to 0 here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print on stderr
+        code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_OK
+    assert [str(w.message) for w in caught] == []
+    assert captured.err == ""
+    if expected is not None:
+        assert captured.out == expected
+
+
 def _config(tmp_path, base=CONSTANT, **changes):
     cfg = json.loads(open(base).read())
     cfg.update(changes)
@@ -409,16 +459,19 @@ def _simulate_reference(scheme, config, n_paths, seed, dt):
     cfg = load_config(config)
     lines = ["time,value,stream_id"]
     for sid in range(n_paths):
-        spec = BrownianSpec(seed, sid)
         if scheme == "exact":
             market = market_from_config(cfg)
             times = [t for t in block_schedule(market.T, market.h) if t > 0.0]
-            path = paths.simulate_exact(market, "Q", spec, 0.0, market.s0, market.s0, times)
-        elif scheme == "em":
-            path = paths.simulate_em_fixed(sfde_from_config(cfg), dt, spec)
+            values = paths.exact_values_vec(
+                market, "Q", seed, sid, sid + 1, 0.0, market.s0, market.s0, times
+            )
         else:
-            path = paths.simulate_split_fixed(sfde_from_config(cfg), dt, spec)
-        lines += [f"{t:.17g},{v:.17g},{sid}" for t, v in zip(path.times, path.values)]
+            sfde = sfde_from_config(cfg)
+            n_steps = paths.grid_steps(sfde, dt)[0]
+            dW = paths.brownian_increments(seed, sid, sid + 1, n_steps, dt)
+            engine = paths.em_values_vec if scheme == "em" else paths.split_values_vec
+            times, values = engine(sfde, dt, dW)[:2]
+        lines += [f"{t:.17g},{v:.17g},{sid}" for t, v in zip(times, values[0])]
     return "\n".join(lines) + "\n"
 
 
@@ -600,6 +653,11 @@ def _argv(draw):
 @settings(max_examples=300, deadline=None)
 @given(_argv())
 def test_fuzzed_argv_exits_cleanly(argv):
+    _assert_exits_cleanly(argv)
+
+
+def _assert_exits_cleanly(argv):
+    """Run main on argv and check the exit contract."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)  # an exception escaping main is a traceback
@@ -614,3 +672,127 @@ def test_fuzzed_argv_exits_cleanly(argv):
         assert any(line.endswith(",fail") for line in lines[1:])
     elif code != cli.EXIT_OK:
         assert out == ""
+
+
+# --- config fuzzing ----------------------------------------------------------
+
+_MOVING_AVERAGE = {"a": 0.125, "drift": {"kind": "moving-average", "c": 0.1}}
+# The shipped configs, plus the fixed-delay one with a moving-average drift.
+_CONFIG_BASES = {
+    "constant": (CONSTANT, {}),
+    "state": (STATE, {}),
+    "fixed": (FIXED, {}),
+    "moving": (FIXED, _MOVING_AVERAGE),
+}
+# Small commands for each kind of config; argv follows the "--config=" flag.
+_MARKET_COMMANDS = (
+    ("price", "--method=closed", "--strike=100", "--t=0.8"),
+    ("price", "--method=classical", "--strike=100", "--t=0.8"),
+    ("price", "--method=semi", "--strike=100", "--paths=3"),
+    ("price", "--method=mc", "--strike=100", "--paths=3"),
+    ("hedge", "--strike=100", "--ladder=4", "--paths=3"),
+    ("check", "--paths=3"),
+    ("simulate", "--paths=2"),
+)
+_SFDE_COMMANDS = (
+    ("simulate", "--scheme=em", "--dt=0.0625", "--paths=2"),
+    ("simulate", "--scheme=split", "--dt=0.0625", "--paths=2"),
+    ("convergence", "--steps=8,16", "--paths=3"),
+)
+_WILD_NUMBER = st.sampled_from([
+    math.nan, math.inf, -math.inf,
+    1e300, -1e300, 1.7976931348623157e308, 1e308,
+    5e-324, -5e-324, 1e-300, 1e-9,
+    0.0, -0.0, -1.0, -0.25,
+])
+
+
+def _base_config(base):
+    path, changes = _CONFIG_BASES[base]
+    cfg = json.loads(open(path).read())
+    cfg.update(changes)
+    return cfg
+
+
+def _number_keys(cfg, prefix=""):
+    """Dotted keys of the numbers in a config."""
+    for key, value in cfg.items():
+        if isinstance(value, dict):
+            yield from _number_keys(value, f"{prefix}{key}.")
+        elif isinstance(value, (int, float)):
+            yield prefix + key
+
+
+def _commands(base):
+    return _SFDE_COMMANDS if "drift" in _base_config(base) else _MARKET_COMMANDS
+
+
+@st.composite
+def _wild_config(draw):
+    """A shipped config with one to three numbers wild, and a command reading it."""
+    base = draw(st.sampled_from(sorted(_CONFIG_BASES)))
+    keys = draw(st.sets(st.sampled_from(sorted(_number_keys(_base_config(base)))),
+                        min_size=1, max_size=3))
+    wild = {key: draw(_WILD_NUMBER) for key in sorted(keys)}
+    return base, wild, draw(st.sampled_from(_commands(base)))
+
+
+def _write_config(directory, base, wild):
+    cfg = _base_config(base)
+    for dotted, value in wild.items():
+        *outer, last = dotted.split(".")
+        node = cfg
+        for key in outer:
+            node = node[key]
+        node[last] = value
+    path = Path(directory) / "cfg.json"
+    path.write_text(json.dumps(cfg))  # NaN and Infinity are JSON extensions json reads
+    return str(path)
+
+
+_EM = _SFDE_COMMANDS[0]
+_SPLIT = _SFDE_COMMANDS[1]
+_CONVERGENCE = _SFDE_COMMANDS[2]
+_CLOSED = _MARKET_COMMANDS[0]
+_MC = _MARKET_COMMANDS[3]
+# Config numbers that once escaped main with a traceback, exited 3, ran
+# out of memory or were accepted although not finite.
+_CONFIG_REPROS = [
+    ("fixed", {"T": math.nan}, _EM),
+    ("moving", {"a": 1e308}, _EM),
+    ("moving", {"a": 1e308}, _CONVERGENCE),
+    ("fixed", {"drift.c": math.nan}, _SPLIT),
+    ("fixed", {"a": math.nan}, _EM),
+    ("fixed", {"L": 1e9}, _EM),
+    ("state", {"h": 1e-9}, _MC),
+    ("constant", {"rate.rate": -1e300}, _CLOSED),
+    ("constant", {"rate.rate": math.nan}, _CLOSED),
+    ("constant", {"s0": 5e-324}, _CLOSED),
+]
+
+
+@pytest.mark.parametrize("base, wild, command", _CONFIG_REPROS, ids=[
+    f"{base}-{','.join(f'{k}={v}' for k, v in wild.items())}-{command[0]}"
+    for base, wild, command in _CONFIG_REPROS
+])
+def test_config_numbers_are_checked_at_the_boundary(tmp_path, capsys, base, wild, command):
+    config = _write_config(tmp_path, base, wild)
+    _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+
+
+def _pinned(examples):
+    def pin(test):
+        for case in reversed(examples):
+            test = example(case)(test)
+        return test
+    return pin
+
+
+@_pinned(_CONFIG_REPROS)
+@settings(max_examples=200, deadline=None)
+@given(_wild_config())
+def test_fuzzed_config_exits_cleanly(case):
+    base, wild, command = case
+    with tempfile.TemporaryDirectory() as directory:
+        config = _write_config(directory, base, wild)
+        _assert_exits_cleanly([command[0], f"--config={config}", *command[1:]])

@@ -13,7 +13,7 @@ from delaybs.coeffexpr import (
     Neg,
     ParseError,
     Var,
-    evaluate,
+    compile_strict,
     parse,
     structurally_equal,
     to_source,
@@ -21,7 +21,7 @@ from delaybs.coeffexpr import (
 
 
 def ev(source, t=0.0, s=1.0):
-    return evaluate(parse(source), t, s)
+    return compile_strict(parse(source))(t, s)
 
 
 def test_literal():
@@ -67,7 +67,7 @@ def test_eval_examples():
 def test_eval_error_carries_span():
     ast = parse("1 + log(s)")
     with pytest.raises(EvalError) as exc:
-        evaluate(ast, 0.0, -1.0)
+        compile_strict(ast)(0.0, -1.0)
     start, end = exc.value.span
     assert "1 + log(s)"[start:end] == "log(s)"
 
@@ -93,7 +93,7 @@ def test_negative_base_fractional_power():
 def test_negative_base_non_finite_exponent(source):
     ast = parse("0.2 + 0*" + source)
     with pytest.raises(EvalError) as exc:
-        evaluate(ast, 0.0, 2.0)
+        compile_strict(ast)(0.0, 2.0)
     start, end = exc.value.span
     assert ("0.2 + 0*" + source)[start:end] == source
 
@@ -106,8 +106,8 @@ def test_precedence():
 
 def test_eval_is_pure():
     ast = parse("exp(-t) * (0.1 + 0.1*s/(1+s)) ^ 2")
-    a = evaluate(ast, 0.37, 41.5)
-    b = evaluate(ast, 0.37, 41.5)
+    a = compile_strict(ast)(0.37, 41.5)
+    b = compile_strict(ast)(0.37, 41.5)
     assert a == b
 
 
@@ -147,7 +147,7 @@ def test_vector_eval_matches_scalar():
     s = np.array([0.5, 1.0, 2.0])
     vec = coeffexpr.compile(ast)(0.0, s)
     for i, si in enumerate(s):
-        assert vec[i] == evaluate(ast, 0.0, si)
+        assert vec[i] == compile_strict(ast)(0.0, si)
 
 
 @pytest.mark.parametrize(
@@ -191,7 +191,7 @@ def test_compiled_matches_strict_evaluator_on_corpus():
         vec = np.broadcast_to(coeffexpr.compile(ast)(t, s), t.shape)
         for i, (ti, si) in enumerate(points):
             try:
-                ref = evaluate(ast, ti, si)
+                ref = compile_strict(ast)(ti, si)
             except EvalError:
                 continue
             if math.isfinite(ref) and abs(ref) < 1e100:
@@ -309,7 +309,6 @@ def test_compile_strict_matches_reference_walker_on_corpus():
             want = _outcome(_reference_evaluate, ast, t, s)
             got = _outcome(strict, t, s)
             assert _same_outcome(got, want), (source, t, s, got, want)
-            assert _same_outcome(_outcome(evaluate, ast, t, s), want)
             if want[0] == "error":
                 faults += 1
             else:

@@ -6,8 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaybs import OptionSpec
 from delaybs.errors import ContractError
-from delaybs.hedging import HedgeWeights, hedge_weights, replicate
-from delaybs.model import discount_factor
+from delaybs.hedging import _weights_vec, replicate
 from delaybs.pricing import MarketState, price_closed
 
 
@@ -15,11 +14,19 @@ def _bond(market, t):
     return math.exp(market.rate.integral(0.0, t))
 
 
+def _weights(market, option, state):
+    """Stock units and bond units (of the bond worth _bond(t)) at one price."""
+    pi_s, bond_value = _weights_vec(
+        market, option, state.t, np.array([state.s_t]), state.s_block
+    )
+    return float(pi_s[0]), float(bond_value[0]) / _bond(market, state.t)
+
+
 def test_portfolio_identity_hand_point(constant_market):
     state = MarketState(0.8, 100.0)
     option = OptionSpec(100.0)
-    w = hedge_weights(constant_market, option, state)
-    value = w.pi_s * state.s_t + w.pi_xi * _bond(constant_market, state.t)
+    pi_s, pi_xi = _weights(constant_market, option, state)
+    value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
     closed = price_closed(constant_market, option, state).value
     assert value == pytest.approx(closed, abs=1e-12)
 
@@ -39,8 +46,8 @@ def test_portfolio_identity_hand_point(constant_market):
 def test_portfolio_identity_randomized(constant_market, s, k, t):
     state = MarketState(t, s)
     option = OptionSpec(k)
-    w = hedge_weights(constant_market, option, state)
-    value = w.pi_s * state.s_t + w.pi_xi * _bond(constant_market, state.t)
+    pi_s, pi_xi = _weights(constant_market, option, state)
+    value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
     closed = price_closed(constant_market, option, state).value
     assert value == pytest.approx(closed, abs=1e-12)
 
@@ -48,24 +55,24 @@ def test_portfolio_identity_randomized(constant_market, s, k, t):
 def test_deep_in_the_money_limits(constant_market):
     state = MarketState(0.8, 1e5)
     option = OptionSpec(100.0)
-    w = hedge_weights(constant_market, option, state)
-    assert w.pi_s == pytest.approx(1.0, abs=1e-12)
-    assert w.pi_xi == pytest.approx(
+    pi_s, pi_xi = _weights(constant_market, option, state)
+    assert pi_s == pytest.approx(1.0, abs=1e-12)
+    assert pi_xi == pytest.approx(
         -100.0 * math.exp(-constant_market.rate.integral(0.0, 1.0)), rel=1e-12
     )
 
 
 def test_deep_out_of_the_money_limits(constant_market):
     state = MarketState(0.8, 0.01)
-    w = hedge_weights(constant_market, OptionSpec(100.0), state)
-    assert w.pi_s == pytest.approx(0.0, abs=1e-12)
-    assert w.pi_xi == pytest.approx(0.0, abs=1e-12)
+    pi_s, pi_xi = _weights(constant_market, OptionSpec(100.0), state)
+    assert pi_s == pytest.approx(0.0, abs=1e-12)
+    assert pi_xi == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_monotone_in_spot(constant_market):
     option = OptionSpec(100.0)
     deltas = [
-        hedge_weights(constant_market, option, MarketState(0.85, s)).pi_s
+        _weights(constant_market, option, MarketState(0.85, s))[0]
         for s in np.linspace(40.0, 250.0, 40)
     ]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
@@ -73,14 +80,14 @@ def test_delta_monotone_in_spot(constant_market):
 
 
 def test_hedge_rejects_puts(constant_market):
-    with pytest.raises(ContractError):
-        hedge_weights(constant_market, OptionSpec(100.0, "put"), MarketState(0.85, 90.0))
+    with pytest.raises(ContractError, match="calls"):
+        replicate(constant_market, OptionSpec(100.0, "put"), 4, 10, 1)
 
 
 def test_bond_leg_sign(constant_market):
-    w = hedge_weights(constant_market, OptionSpec(100.0), MarketState(0.85, 110.0))
-    assert w.pi_s > 0.0
-    assert w.pi_xi < 0.0
+    pi_s, pi_xi = _weights(constant_market, OptionSpec(100.0), MarketState(0.85, 110.0))
+    assert pi_s > 0.0
+    assert pi_xi < 0.0
 
 
 def test_replication_identity_holds_along_paths(constant_market):
@@ -116,12 +123,6 @@ def test_replication_other_block_price(constant_market):
         constant_market, OptionSpec(100.0), 64, 20_000, 17, s_star=120.0
     )
     assert report.rmse < 1.0
-
-
-def test_weights_record_time(constant_market):
-    w = hedge_weights(constant_market, OptionSpec(100.0), MarketState(0.9, 100.0))
-    assert isinstance(w, HedgeWeights)
-    assert w.t == 0.9
 
 
 @pytest.mark.parametrize("n_rebalance", [0, -2])

@@ -4,27 +4,32 @@ import numpy as np
 import pytest
 
 from delaybs import OptionSpec
-from delaybs.errors import ContractError
 from delaybs.measure import (
-    GirsanovAccumulator,
     _joint_increments,
+    _p_terminal_with_density,
     density_mean_check,
     importance_price,
-    joint_block_step,
-    market_price_of_risk,
 )
 from delaybs.model import block_schedule
 from delaybs.pricing import MarketState, price_mc
-from delaybs.rng import BrownianSpec
+from delaybs.quadrature import block_integrals_vec
+from delaybs.rng import normals
+
+
+def _theta_sq(market, s_block, a, b):
+    """Integral of the squared market price of risk over [a, b] at one price."""
+    return float(block_integrals_vec(market, np.array([s_block]), a, b, with_theta=True)[3][0])
 
 
 def test_mpr_cancellation(balanced_market):
-    assert market_price_of_risk(balanced_market, 0.1, 80.0) == 0.0
+    assert _theta_sq(balanced_market, 80.0, 0.0, 0.25) == 0.0
 
 
 def test_mpr_arithmetic(constant_market):
-    # (0.08 - 0.05) / 0.2
-    assert market_price_of_risk(constant_market, 0.3, 100.0) == pytest.approx(0.15, abs=1e-15)
+    # ((0.08 - 0.05) / 0.2)^2 over a block of length 0.1
+    assert _theta_sq(constant_market, 100.0, 0.3, 0.4) == pytest.approx(
+        0.15**2 * 0.1, abs=1e-15
+    )
 
 
 def test_mpr_balanced_point(state_market):
@@ -34,20 +39,13 @@ def test_mpr_balanced_point(state_market):
         state_market.g.__class__.parse("0.2"),
         state_market.rate, state_market.g_min,
     )
-    assert market_price_of_risk(market, 0.0, 1.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_mpr_requires_positive_price(state_market):
-    with pytest.raises(ContractError):
-        market_price_of_risk(state_market, 0.0, -1.0)
+    assert _theta_sq(market, 1.0, 0.0, 0.25) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_joint_step_balanced_market(balanced_market):
-    dlog_s, dlog_rho = joint_block_step(
-        balanced_market, 100.0, 0.0, 0.25, BrownianSpec(3, 0)
-    )
-    assert dlog_rho == 0.0
-    assert math.isfinite(dlog_s)
+    s_T, rho = _p_terminal_with_density(balanced_market, 3, 0, 1)
+    assert rho[0] == 1.0
+    assert math.isfinite(s_T[0])
 
 
 def test_joint_increments_perfect_correlation():
@@ -70,9 +68,6 @@ def test_joint_increments_rejects_inconsistent_covariance():
 
 
 def test_exponential_martingale_single_block(state_market):
-    from delaybs.quadrature import block_integrals_vec
-    from delaybs.rng import normals
-
     sk = np.full(1, 100.0)
     g2, f_int, lam, th2 = block_integrals_vec(
         state_market, sk, 0.0, 0.25, with_theta=True
@@ -90,20 +85,23 @@ def test_exponential_martingale_single_block(state_market):
 
 
 def test_density_chain_telescopes(state_market):
-    spec = BrownianSpec(21, 5)
-    acc = GirsanovAccumulator()
-    s = state_market.s0
+    # stream 5 of seed 21, one block at a time: rho_T is the product of
+    # the per-block density factors
+    s = np.array([state_market.s0])
     increments = []
     knots = block_schedule(state_market.T, state_market.h)
-    for a, b in zip(knots[:-1], knots[1:]):
-        dlog_s, dlog_rho = joint_block_step(
-            state_market, s, a, b, spec, accumulator=acc
+    for k, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
+        g2, f_int, lam, th2 = block_integrals_vec(state_market, s, a, b, with_theta=True)
+        i1, i2 = _joint_increments(
+            g2, f_int, lam, th2, normals(21, k, 0, 5, 6), normals(21, k, 1, 5, 6)
         )
-        increments.append(dlog_rho)
-        s = s * math.exp(dlog_s)
-    assert acc.log_rho == pytest.approx(sum(increments), abs=1e-12)
-    assert acc.rho > 0.0
-    assert len(acc.blocks) == len(knots) - 1
+        increments.append(float(-i2[0] - 0.5 * th2[0]))
+        s = s * np.exp(f_int - 0.5 * g2 + i1)
+    s_T, rho = _p_terminal_with_density(state_market, 21, 5, 6)
+    assert math.log(rho[0]) == pytest.approx(math.fsum(increments), abs=1e-12)
+    assert rho[0] > 0.0
+    assert s_T[0] == pytest.approx(s[0], rel=1e-12)
+    assert len(increments) == len(knots) - 1
 
 
 def test_density_mean_balanced(balanced_market):
@@ -144,14 +142,6 @@ def test_importance_zero_strike_recovers_spot(state_market):
 
 
 def test_rho_positive_on_every_path(state_market):
-    from delaybs.measure import _p_terminal_with_density
-
     _, rho = _p_terminal_with_density(state_market, 8, 0, 10_000)
     assert np.all(rho > 0.0)
 
-
-def test_importance_requires_time_zero(state_market, atm_option):
-    with pytest.raises(ContractError):
-        importance_price(
-            state_market, OptionSpec(100.0, "call", 0.5), 100, 9
-        )

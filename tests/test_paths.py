@@ -13,22 +13,16 @@ from delaybs import (
     RateCurve,
     VariableDelayMarket,
 )
-from delaybs import paths
+from delaybs import paths, rng
 from delaybs.errors import ContractError
 from delaybs.paths import (
-    Path,
     SegmentBuffer,
     brownian_increments,
     em_values_vec,
     exact_values_vec,
     fixed_delay_convergence,
-    sample_block_exact,
-    simulate_em_fixed,
-    simulate_exact,
-    simulate_split_fixed,
     split_values_vec,
 )
-from delaybs.rng import BrownianSpec
 
 
 def _market(g="0.2", f="0.08", rate=0.05, h=0.25, T=1.0):
@@ -41,15 +35,19 @@ def _market(g="0.2", f="0.08", rate=0.05, h=0.25, T=1.0):
     )
 
 
-def test_zero_noise_step():
-    market = _market(rate=0.0)
-    out = sample_block_exact(market, 100.0, 0.0, 0.25, "Q", 0.0)
+def _one_block_step(monkeypatch, market, z):
+    """One exact block step of one stream whose normal is z."""
+    monkeypatch.setattr(rng, "normals", lambda seed, block, substep, lo, hi: np.full(hi - lo, z))
+    return exact_values_vec(market, "Q", 0, 0, 1, 0.0, 100.0, 100.0, [0.25])[0, 0]
+
+
+def test_zero_noise_step(monkeypatch):
+    out = _one_block_step(monkeypatch, _market(rate=0.0), 0.0)
     assert out == pytest.approx(100.0 * math.exp(-0.5 * 0.04 * 0.25), rel=1e-14)
 
 
-def test_hand_computed_step():
-    market = _market()
-    out = sample_block_exact(market, 100.0, 0.0, 0.25, "Q", 1.0)
+def test_hand_computed_step(monkeypatch):
+    out = _one_block_step(monkeypatch, _market(), 1.0)
     # m = 0.05*0.25 - 0.01/2 = 0.0075, sqrt(v) = 0.1
     assert out == pytest.approx(100.0 * math.exp(0.0075 + 0.1), rel=1e-13)
 
@@ -64,14 +62,12 @@ def test_lognormal_mean_identity():
 
 def test_simulate_exact_single_block_matches_scalar_step():
     market = _market()
-    spec = BrownianSpec(5, 3)
-    path = simulate_exact(market, "Q", spec, 0.0, 100.0, 100.0, [0.25])
-    from delaybs.rng import normal_scalar
-
-    z = normal_scalar(spec, 0, 0)
-    assert path.values[0] == pytest.approx(
-        sample_block_exact(market, 100.0, 0.0, 0.25, "Q", z), rel=1e-14
-    )
+    # stream 3 alone is the n = 1 case of the same engine
+    one = exact_values_vec(market, "Q", 5, 3, 4, 0.0, 100.0, 100.0, [0.25])
+    many = exact_values_vec(market, "Q", 5, 0, 8, 0.0, 100.0, 100.0, [0.25])
+    assert one[0, 0] == many[3, 0]
+    z = rng.normals(5, 0, 0, 3, 4)[0]
+    assert one[0, 0] == pytest.approx(100.0 * math.exp(0.0075 + 0.1 * z), rel=1e-14)
 
 
 def test_constant_coefficient_terminal_law():
@@ -102,8 +98,9 @@ def test_exact_determinism():
 
 
 def test_path_times_must_increase():
-    with pytest.raises(Exception):
-        Path(np.array([0.5, 0.25]), np.array([1.0, 1.0]), "P", BrownianSpec(1))
+    # a sample time must come after the time the path starts from
+    with pytest.raises(ContractError, match="outside"):
+        exact_values_vec(_market(), "P", 1, 0, 1, 0.5, 100.0, 100.0, [0.25])
 
 
 def _sfde(drift=None, g="0.2", phi0=1.0, T=1.0):
@@ -193,28 +190,27 @@ def test_split_positivity():
 
 def test_em_records_first_nonpositive_and_continues():
     sfde = _sfde(g="5")
-    path = None
-    for sid in range(200):
-        p = simulate_em_fixed(sfde, 0.25, BrownianSpec(77, sid))
-        if p.first_nonpositive_step is not None:
-            path = p
-            break
-    assert path is not None
-    assert path.values[path.first_nonpositive_step] <= 0.0
-    assert path.values.size == 5  # integration ran to the horizon
+    dW = brownian_increments(77, 0, 200, 4, 0.25)
+    _, values, first_nonpos = em_values_vec(sfde, 0.25, dW)
+    crossed = np.flatnonzero(first_nonpos >= 0)
+    assert crossed.size > 0
+    sid = crossed[0]
+    assert values[sid, first_nonpos[sid]] <= 0.0
+    assert values.shape == (200, 5)  # integration ran to the horizon
 
 
 def test_em_requires_dt_dividing_lag():
     sfde = _sfde()
-    with pytest.raises(Exception, match="divide"):
-        simulate_em_fixed(sfde, 0.3, BrownianSpec(1, 0))
+    with pytest.raises(ContractError, match="divide"):
+        em_values_vec(sfde, 0.3, np.zeros((1, 3)))
 
 
 def test_fixed_delay_determinism():
     sfde = _sfde()
-    a = simulate_split_fixed(sfde, 1.0 / 64.0, BrownianSpec(9, 4))
-    b = simulate_split_fixed(sfde, 1.0 / 64.0, BrownianSpec(9, 4))
-    assert np.array_equal(a.values, b.values)
+    dt = 1.0 / 64.0
+    a = split_values_vec(sfde, dt, brownian_increments(9, 4, 5, 64, dt))[1]
+    b = split_values_vec(sfde, dt, brownian_increments(9, 4, 5, 64, dt))[1]
+    assert np.array_equal(a, b)
 
 
 def test_scheme_agreement_shrinks_with_dt():
@@ -238,8 +234,9 @@ def test_se_diff_survives_a_large_mean_gap(monkeypatch):
 
     monkeypatch.setattr(paths, "em_values_vec", em)
     monkeypatch.setattr(paths, "split_values_vec", split)
+    monkeypatch.setattr(paths, "CONVERGENCE_CHUNK", 99)
     n = 1000
-    (result,) = fixed_delay_convergence(_sfde(), [4], n, 5, chunk=99)
+    (result,) = fixed_delay_convergence(_sfde(), [4], n, 5)
     x = np.concatenate(gaps)
     var = np.var(x)
     assert result["se_diff"] == pytest.approx(math.sqrt(var / n), rel=1e-6)
@@ -249,8 +246,9 @@ def test_se_diff_survives_a_large_mean_gap(monkeypatch):
 
 def test_moving_average_drift_runs():
     sfde = _sfde(drift=DriftFunctional("moving-average", c=0.1))
-    path = simulate_split_fixed(sfde, 1.0 / 64.0, BrownianSpec(2, 0))
-    assert np.all(path.values > 0.0)
+    dt = 1.0 / 64.0
+    _, values = split_values_vec(sfde, dt, brownian_increments(2, 0, 1, 64, dt))
+    assert np.all(values > 0.0)
 
 
 class _FullWindowBuffer(SegmentBuffer):

@@ -10,8 +10,8 @@ from delaybs.errors import ContractError, DomainError
 from delaybs.pricing import (
     MarketState,
     beta_pm,
+    _h_value_vec,
     final_block_start,
-    h_value,
     norm_cdf,
     price_classical,
     price_closed,
@@ -204,9 +204,14 @@ def test_discount_shift_consistency():
 # --- H kernel -------------------------------------------------------------
 
 
+def _h_one(x, m, v, strike, rate_integral_0T):
+    """The vector kernel at one discounted block-start state."""
+    return float(_h_value_vec(np.array([x]), m, v, strike, rate_integral_0T)[0])
+
+
 def test_h_value_centered_case():
     v = 0.04
-    out = h_value(1.0, -0.5 * v, v, 1.0, 0.0)
+    out = _h_one(1.0, -0.5 * v, v, 1.0, 0.0)
     assert out == pytest.approx(2.0 * norm_cdf(0.1) - 1.0, abs=1e-15)
     assert out == pytest.approx(0.0796557, abs=5e-8)
 
@@ -220,7 +225,7 @@ def test_h_value_reduces_to_closed_form():
 
         v = _final_block_variance(market, s_t, t)
         x = s_t * math.exp(-market.rate.integral(0.0, t))
-        lhs = math.exp(market.rate.integral(0.0, t)) * h_value(
+        lhs = math.exp(market.rate.integral(0.0, t)) * _h_one(
             x, -0.5 * v, v, 100.0, market.rate.integral(0.0, 1.0)
         )
         rhs = price_closed(market, OptionSpec(100.0), state).value
@@ -228,15 +233,17 @@ def test_h_value_reduces_to_closed_form():
 
 
 def test_h_value_large_x_asymptote():
-    out = h_value(1e9, 0.01, 0.04, 1.0, 0.05)
+    out = _h_one(1e9, 0.01, 0.04, 1.0, 0.05)
     assert out == pytest.approx(1e9 * math.exp(0.01 + 0.02) - math.exp(-0.05), rel=1e-12)
 
 
 def test_h_value_domain():
-    with pytest.raises(DomainError):
-        h_value(1.0, 0.0, 0.0, 1.0, 0.0)
-    with pytest.raises(DomainError):
-        h_value(-1.0, 0.0, 0.04, 1.0, 0.0)
+    # the kernel at t = t* needs a positive variance and a positive
+    # discounted state; exp(-0.8) * 5e-324 rounds to 0
+    with pytest.raises(DomainError, match="variance"):
+        price_semi(_market(g="0"), OptionSpec(1.0), MarketState(0.8, 1.0), 10, 1)
+    with pytest.raises(DomainError, match="positive"):
+        price_semi(_market(rate=1.0), OptionSpec(1.0), MarketState(0.8, 5e-324), 10, 1)
 
 
 # --- Monte Carlo routes ---------------------------------------------------

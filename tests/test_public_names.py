@@ -1,0 +1,84 @@
+"""Every public top-level function or class in delaybs is used by delaybs.
+
+A helper that only tests call is a second copy of what the vectorised
+engines already do; this test fails when one is added.
+"""
+
+import ast
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "delaybs"
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+# Public names no code under src/ uses, each with the reason it stays.
+ALLOWED = {
+    "to_source": "acceptance criterion 10: the parser round-trips through the printer",
+    "structurally_equal": "acceptance criterion 10: compares reparsed trees",
+}
+
+
+def _trees():
+    return {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE.glob("*.py")}
+
+
+def _names(node):
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            yield sub.id
+        elif isinstance(sub, ast.Attribute):
+            yield sub.attr
+
+
+def _used_names(trees):
+    """Names read as a Name or an Attribute in the package, outside the
+    top-level definition of the same name (recursion is not a use)."""
+    used = set()
+    for tree in trees.values():
+        for node in tree.body:
+            own = getattr(node, "name", None)
+            used.update(name for name in _names(node) if name != own)
+    return used
+
+
+def _reexported(trees):
+    return {
+        alias.asname or alias.name
+        for node in ast.walk(trees["__init__.py"])
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+
+
+def _traced():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return {attribute.split(".")[0] for _, _, attribute in tracer.TARGETS}
+
+
+def test_every_public_definition_is_used_in_the_package():
+    trees = _trees()
+    kept = _used_names(trees) | _reexported(trees) | _traced() | set(ALLOWED)
+    unused = sorted(
+        f"{module}:{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in kept
+    )
+    assert not unused, f"public names that no code under src/ uses: {unused}"
+
+
+def test_allowed_names_are_still_defined_and_unused():
+    trees = _trees()
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+    used = _used_names(trees) | _reexported(trees) | _traced()
+    assert sorted(name for name in ALLOWED if name not in defined or name in used) == []
