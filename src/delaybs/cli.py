@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 
@@ -116,8 +117,32 @@ def _counts(text, flag):
     return counts
 
 
-def _load_market(args, validate=True):
-    return market_from_config(load_config(args.config), validate=validate)
+@functools.lru_cache(maxsize=16)
+def _build(kind, key):
+    """The model of one config, built from its canonical JSON ``key``.
+
+    Equal keys are equal parsed configs, so a cached model is the one a
+    fresh build would give.  A market comes with its validation
+    violations; a failed build raises and is not cached.
+    """
+    cfg = json.loads(key)
+    if kind == "sfde":
+        return sfde_from_config(cfg)
+    market = market_from_config(cfg, validate=False)
+    return market, tuple(validate_market(market))
+
+
+def _model(args, kind):
+    """The model of ``args.config``, re-read on every call and built once
+    per distinct content."""
+    return _build(kind, json.dumps(load_config(args.config), sort_keys=True))
+
+
+def _load_market(args):
+    market, violations = _model(args, "market")
+    if violations:
+        raise validation_error(violations)
+    return market
 
 
 def cmd_price(args):
@@ -152,9 +177,8 @@ def cmd_simulate(args):
     # Everything that can reject the command runs before the CSV header.
     if args.paths < 1:
         raise ContractError(f"need at least one path, got {args.paths}")
-    cfg = load_config(args.config)
     if args.scheme == "exact":
-        market = market_from_config(cfg)
+        market = _load_market(args)
         times = [t for t in block_schedule(market.T, market.h) if t > 0.0]
 
         def chunk(lo, hi):
@@ -163,7 +187,7 @@ def cmd_simulate(args):
                 times, args.quad_n,
             )
     else:
-        sfde = sfde_from_config(cfg)
+        sfde = _model(args, "sfde")
         if args.dt is None:
             raise ConfigError("--dt is required for the em and split schemes")
         n_steps = paths.grid_steps(sfde, args.dt)[0]
@@ -205,8 +229,7 @@ def cmd_hedge(args):
 
 
 def cmd_check(args):
-    market = _load_market(args, validate=False)
-    violations = validate_market(market)
+    market, violations = _model(args, "market")
     if violations and not args.skip_validation:
         raise validation_error(violations)
     rows = []
@@ -286,7 +309,7 @@ def _discounted_terminal_mean(market, args):
 
 
 def cmd_convergence(args):
-    sfde = sfde_from_config(load_config(args.config))
+    sfde = _model(args, "sfde")
     steps = _counts(args.steps, "--steps")
     results = paths.fixed_delay_convergence(sfde, steps, args.paths, args.seed, args.workers)
     print("steps,dt,rms_gap,mean_em,mean_split,se_diff")

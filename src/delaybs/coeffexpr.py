@@ -247,6 +247,8 @@ def _with_span(node, span):
 
 def parse(source):
     """Parse ``source`` into an AST, or raise :class:`ParseError`."""
+    if not isinstance(source, str):
+        raise TypeError(f"an expression must be a string, got {type(source).__name__}")
     parser = _Parser(source)
     node = parser.expr()
     kind, text, offset = parser.peek()

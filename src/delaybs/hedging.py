@@ -23,6 +23,7 @@ from .parallel import map_chunks
 from .pricing import (
     DEFAULT_N,
     MarketState,
+    _final_block_variance,
     final_block_start,
     log_ratio_vec,
     price_closed,
@@ -81,6 +82,8 @@ def replicate(
     t_star = final_block_start(market)
     if s_star is None:
         s_star = market.s0
+    # Every hedge weight divides by the root of a final-block variance.
+    _final_block_variance(market, s_star, t_star, quad_n)
     k = block_index(t_star, market.h)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
     v0 = price_closed(market, option, MarketState(t_star, float(s_star)), quad_n).value

@@ -432,17 +432,43 @@ def _rate_from_config(cfg):
     raise ConfigError(f"unknown rate kind {kind!r}")
 
 
+def _initial_path(phi_cfg, cfg):
+    if isinstance(phi_cfg, dict):
+        return InitialPath(tuple(phi_cfg["times"]), tuple(phi_cfg["values"]))
+    return InitialPath.constant(float(phi_cfg), _field(cfg, "L", float))
+
+
+def _drift(drift_cfg):
+    return DriftFunctional(
+        kind=drift_cfg["kind"],
+        c=float(drift_cfg["c"]),
+        eps=float(drift_cfg.get("eps", 0.0)),
+    )
+
+
+def _field(cfg, key, convert, *default):
+    """``convert`` applied to ``cfg[key]``, or to ``default`` when one is
+    given and the key is absent.  A value of the wrong JSON type is a
+    ConfigError naming the key; a missing key raises KeyError for the
+    caller to report.
+    """
+    try:
+        return convert(cfg.get(key, *default) if default else cfg[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"config key {key!r} has a value of the wrong type: {exc}") from exc
+
+
 def market_from_config(cfg, validate=True):
     """Build a VariableDelayMarket from a parsed JSON document."""
     try:
         market = VariableDelayMarket(
-            h=float(cfg["h"]),
-            T=float(cfg["T"]),
-            s0=float(cfg["s0"]),
-            f=CoefficientExpr.parse(cfg["f_expr"]),
-            g=CoefficientExpr.parse(cfg["g_expr"]),
-            rate=_rate_from_config(cfg["rate"]),
-            g_min=float(cfg.get("g_min", 1e-4)),
+            h=_field(cfg, "h", float),
+            T=_field(cfg, "T", float),
+            s0=_field(cfg, "s0", float),
+            f=_field(cfg, "f_expr", CoefficientExpr.parse),
+            g=_field(cfg, "g_expr", CoefficientExpr.parse),
+            rate=_field(cfg, "rate", _rate_from_config),
+            g_min=_field(cfg, "g_min", float, 1e-4),
         )
     except KeyError as exc:
         raise ConfigError(f"market config missing key {exc}") from exc
@@ -458,25 +484,16 @@ def market_from_config(cfg, validate=True):
 def sfde_from_config(cfg):
     """Build a FixedDelaySfde from a parsed JSON document."""
     try:
-        phi_cfg = cfg["phi_samples"]
-        if isinstance(phi_cfg, dict):
-            phi = InitialPath(tuple(phi_cfg["times"]), tuple(phi_cfg["values"]))
-        else:
-            phi = InitialPath.constant(float(phi_cfg), float(cfg["L"]))
-        drift_cfg = cfg["drift"]
-        drift = DriftFunctional(
-            kind=drift_cfg["kind"],
-            c=float(drift_cfg["c"]),
-            eps=float(drift_cfg.get("eps", 0.0)),
-        )
+        phi = _field(cfg, "phi_samples", lambda phi_cfg: _initial_path(phi_cfg, cfg))
+        drift = _field(cfg, "drift", _drift)
         return FixedDelaySfde(
-            L=float(cfg["L"]),
-            b=float(cfg["b"]),
-            a=float(cfg["a"]),
+            L=_field(cfg, "L", float),
+            b=_field(cfg, "b", float),
+            a=_field(cfg, "a", float),
             phi=phi,
             drift=drift,
-            g=CoefficientExpr.parse(cfg["g_expr"]),
-            T=float(cfg["T"]),
+            g=_field(cfg, "g_expr", CoefficientExpr.parse),
+            T=_field(cfg, "T", float),
         )
     except KeyError as exc:
         raise ConfigError(f"fixed-delay config missing key {exc}") from exc
@@ -485,11 +502,16 @@ def sfde_from_config(cfg):
 
 
 def load_config(path):
-    """Read a JSON config file, with a friendly error naming the path."""
+    """Read a JSON config object, with a friendly error naming the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"config file {path} could not be read: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object, got {type(cfg).__name__}")
+    return cfg

@@ -8,9 +8,12 @@ across worker counts.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ContractError
+import numpy as np
+
+from .errors import ContractError, NumericalError
 
 CHUNK_SIZE = 1 << 16
 
@@ -34,7 +37,8 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
     chunk; the chunks' moments are combined by :func:`merge_moments`.
-    Returns (mean, standard_error, n).
+    Returns (mean, standard_error, n); a mean or standard error that is
+    not finite raises :class:`NumericalError`.
     """
     if n < 1:
         raise ContractError(f"need at least one path, got {n}")
@@ -42,14 +46,21 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     _, total, m2 = merge_moments(partials)
     mean = total / n
     var = m2 / (n - 1) if n > 1 else 0.0
-    return mean, (var / n) ** 0.5, n
+    se = (var / n) ** 0.5
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(f"Monte Carlo mean {mean} or standard error {se} is not finite")
+    return mean, se, n
 
 
 def moments(values):
-    """(count, sum, M2) of a 1-d array, M2 taken about its own mean."""
-    total = float(values.sum())
-    dev = values - total / len(values)
-    return len(values), total, float((dev * dev).sum())
+    """(count, sum, M2) of a 1-d array, M2 taken about its own mean.
+
+    Overflow gives an infinite or NaN sum, reported by the caller.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(values.sum())
+        dev = values - total / len(values)
+        return len(values), total, float((dev * dev).sum())
 
 
 def merge_moments(partials):

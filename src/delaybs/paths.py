@@ -22,7 +22,7 @@ import math
 import numpy as np
 
 from . import rng
-from .errors import ContractError, IntegrationFailure
+from .errors import ContractError, IntegrationFailure, NumericalError
 from .model import MAX_TIME_STEPS, block_index, is_positive
 from .parallel import map_chunks, merge_moments, moments
 from .quadrature import DEFAULT_N, block_integrals_vec
@@ -387,10 +387,11 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
             # copy the terminal rows so each buffer is freed before the next
             em_T = em_values_vec(sfde, dt, dW)[1][:, -1].copy()
             sp_T = split_values_vec(sfde, dt, dW)[1][:, -1].copy()
-            gap = em_T - sp_T
-            out.append(
-                (float((gap * gap).sum()), moments(gap), float(em_T.sum()), float(sp_T.sum()))
-            )
+            with np.errstate(over="ignore", invalid="ignore"):
+                gap = em_T - sp_T
+                out.append(
+                    (float((gap * gap).sum()), moments(gap), float(em_T.sum()), float(sp_T.sum()))
+                )
         return out
 
     per_chunk = map_chunks(chunk, n_paths, workers, CONVERGENCE_CHUNK)
@@ -414,4 +415,6 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
                 "mean_split": sp / n_paths,
             }
         )
+        if not all(map(math.isfinite, results[-1].values())):
+            raise NumericalError(f"non-finite convergence statistics: {results[-1]}")
     return results

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -10,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from delaybs import cli, paths
-from delaybs.model import block_schedule, load_config, market_from_config, sfde_from_config
+from delaybs.model import (
+    block_schedule,
+    load_config,
+    market_from_config,
+    sfde_from_config,
+    validate_market,
+)
 
 _CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONSTANT = str(_CONFIGS / "constant.json")
@@ -523,6 +530,120 @@ def test_repeated_in_process_calls_match_a_fresh_parser(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+# --- the model cache -----------------------------------------------------------
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _cold(argv):
+    cli._build.cache_clear()
+    return _call(argv)
+
+
+def test_rewritten_config_is_read_again(tmp_path):
+    quote = ["price", "--method", "closed", "--strike", "100", "--t", "0.8"]
+    first = _call([*quote, "--config", _config(tmp_path, g_expr="0.2")])
+    second = _call([*quote, "--config", _config(tmp_path, g_expr="0.3")])  # same path
+    assert first[0] == second[0] == cli.EXIT_OK
+    assert second != first
+    assert second == _cold([*quote, "--config", _config(tmp_path, g_expr="0.3")])
+
+
+@pytest.mark.parametrize("changes, needle", [
+    ({"g_expr": "0.001"}, "failed validation"),
+    ({"g_expr": "0.2 +* s"}, "bad coefficient expression"),
+    ({"g_expr": 5}, "'g_expr'"),
+    ({"h": -1.0}, "h must be positive"),
+])
+def test_failing_config_fails_on_every_call(tmp_path, changes, needle):
+    argv = ["price", "--config", _config(tmp_path, **changes), "--method", "closed",
+            "--strike", "100", "--t", "0.8"]
+    calls = [_cold(argv)] + [_call(argv) for _ in range(2)]
+    assert calls[1:] == calls[:2]
+    code, out, err = calls[0]
+    assert (code, out) == (cli.EXIT_CONFIG, "")
+    assert err.startswith("error: ") and needle in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["price", "--config", STATE, "--method", "closed", "--strike", "100", "--t", "0.8"],
+    ["price", "--config", STATE, "--method", "semi", "--strike", "100", "--paths", "500"],
+    ["price", "--config", STATE, "--method", "mc", "--strike", "100", "--paths", "500"],
+    ["hedge", "--config", STATE, "--strike", "100", "--ladder", "4,16", "--paths", "500"],
+    ["check", "--config", STATE, "--paths", "500"],
+    ["simulate", "--config", STATE, "--paths", "3"],
+    ["simulate", "--config", FIXED, "--scheme", "em", "--dt", "0.0625", "--paths", "3"],
+    ["convergence", "--config", FIXED, "--steps", "8,16", "--paths", "500"],
+])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_warm_and_cold_calls_print_the_same_bytes(argv, workers):
+    argv = [*argv, "--workers", workers, "--seed", "3"]
+    cold = _cold(argv)
+    assert cold[0] == cli.EXIT_OK
+    assert [_call(argv) for _ in range(2)] == [cold, cold]
+
+
+def test_market_is_validated_once_per_config(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(market):
+        calls.append(market)
+        return validate_market(market)
+
+    monkeypatch.setattr(cli, "validate_market", counting)
+    cli._build.cache_clear()
+    for strike in ("90", "100", "110"):
+        code, out, _ = _call(["price", "--config", STATE, "--method", "closed",
+                              "--strike", strike, "--t", "0.8"])
+        assert code == cli.EXIT_OK and out
+    assert len(calls) == 1
+
+    bad = _config(tmp_path, g_expr="0.001")
+    check = ["check", "--config", bad, "--paths", "100", "--skip-validation"]
+    assert _call(["price", "--config", bad, "--method", "closed", "--strike", "100"])[0] == (
+        cli.EXIT_CONFIG)
+    warm = _call(check)
+    assert len(calls) == 2
+    assert warm == (cli.EXIT_CHECK_FAILED,
+                    "check,estimate,std_error,status\nmarket_validation,8385,0,fail\n", "")
+    assert warm == _cold(check)
+
+
+# --- numerical failures --------------------------------------------------------
+
+
+@pytest.mark.parametrize("base, changes, argv", [
+    (CONSTANT, {"s0": 1e300}, ["price", "--method", "mc", "--strike", "100", "--paths", "3"]),
+    (CONSTANT, {"s0": 1e300}, ["check", "--paths", "3"]),
+    (FIXED, {"phi_samples": 1e300}, ["convergence", "--steps", "4,8", "--paths", "3"]),
+])
+def test_non_finite_statistics_are_numerical_failures(tmp_path, base, changes, argv):
+    argv = [*argv, "--config", _config(tmp_path, base=base, **changes)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print on stderr
+        code, out, err = _call(argv)
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
+
+
+def test_hedge_on_a_zero_variance_final_block_is_usage_error(tmp_path, capsys):
+    config = _config(tmp_path, T=5e-324)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        line = _fails_with_one_error_line(capsys, [
+            "hedge", "--config", config, "--strike", "100", "--paths", "3", "--ladder", "4",
+        ])
+    assert [str(w.message) for w in caught] == []
+    assert "final-block variance" in line
+
+
 @pytest.mark.parametrize("scheme", ["em", "split"])
 def test_simulate_integration_failure_writes_nothing_to_stdout(tmp_path, capsys, scheme):
     config = _config(tmp_path, base=FIXED, g_expr="1e200*s")  # overflows at step 2
@@ -710,8 +831,12 @@ _WILD_NUMBER = st.sampled_from([
 def _base_config(base):
     path, changes = _CONFIG_BASES[base]
     cfg = json.loads(open(path).read())
-    cfg.update(changes)
+    cfg.update(copy.deepcopy(changes))  # _write_config writes into nested objects
     return cfg
+
+
+# Values of the wrong JSON type for any key: strings, lists, null, objects.
+_WRONG_TYPE = st.sampled_from(["abc", "", [], [1.0], None, {}, {"kind": "x"}])
 
 
 def _number_keys(cfg, prefix=""):
@@ -723,23 +848,44 @@ def _number_keys(cfg, prefix=""):
             yield prefix + key
 
 
+def _keys(cfg, prefix=""):
+    """Dotted keys of every value in a config, objects and their members."""
+    for key, value in cfg.items():
+        yield prefix + key
+        if isinstance(value, dict):
+            yield from _keys(value, f"{prefix}{key}.")
+
+
 def _commands(base):
     return _SFDE_COMMANDS if "drift" in _base_config(base) else _MARKET_COMMANDS
 
 
 @st.composite
 def _wild_config(draw):
-    """A shipped config with one to three numbers wild, and a command reading it."""
+    """A shipped config with one to three values wild, and a command reading it.
+
+    A number may become another number; any value may become one of the
+    wrong JSON type.
+    """
     base = draw(st.sampled_from(sorted(_CONFIG_BASES)))
-    keys = draw(st.sets(st.sampled_from(sorted(_number_keys(_base_config(base)))),
-                        min_size=1, max_size=3))
-    wild = {key: draw(_WILD_NUMBER) for key in sorted(keys)}
+    cfg = _base_config(base)
+    numbers = set(_number_keys(cfg))
+    keys = draw(st.sets(st.sampled_from(sorted(_keys(cfg))), min_size=1, max_size=3))
+    # the members of a replaced object are gone
+    keys = [key for key in sorted(keys) if not any(key.startswith(k + ".") for k in keys)]
+    wild = {key: draw(st.one_of(_WILD_NUMBER, _WRONG_TYPE) if key in numbers else _WRONG_TYPE)
+            for key in keys}
     return base, wild, draw(st.sampled_from(_commands(base)))
 
 
 def _write_config(directory, base, wild):
+    """Write the base config with the ``wild`` values; the key "" replaces
+    the whole document."""
     cfg = _base_config(base)
     for dotted, value in wild.items():
+        if not dotted:
+            cfg = value
+            continue
         *outer, last = dotted.split(".")
         node = cfg
         for key in outer:
@@ -780,6 +926,51 @@ def test_config_numbers_are_checked_at_the_boundary(tmp_path, capsys, base, wild
     _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
 
 
+# Config values of the wrong JSON type that once escaped main with a traceback.
+_TYPE_REPROS = [
+    ("constant", {"": []}, _CLOSED),
+    ("constant", {"h": "abc"}, _CLOSED),
+    ("constant", {"h": [1]}, _CLOSED),
+    ("constant", {"h": 10**400}, _CLOSED),
+    ("constant", {"g_expr": 5}, _CLOSED),
+    ("constant", {"g_min": None}, _CLOSED),
+    ("constant", {"rate.rate": "x"}, _CLOSED),
+    ("fixed", {"drift": "x"}, _CONVERGENCE),
+]
+
+
+@pytest.mark.parametrize("base, wild, command", _TYPE_REPROS, ids=[
+    f"{base}-{','.join(f'{k}={v!r:.12}' for k, v in wild.items())}-{command[0]}"
+    for base, wild, command in _TYPE_REPROS
+])
+def test_config_values_of_the_wrong_type_are_usage_errors(tmp_path, capsys, base, wild,
+                                                          command):
+    config = _write_config(tmp_path, base, wild)
+    line = _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+    key = next(iter(wild)).split(".")[0]
+    assert repr(key) in line if key else "JSON object" in line
+
+
+@pytest.mark.parametrize("content", [
+    b'{"h": "\xff"}',  # not UTF-8
+    b'{"h": ' + b"1" * 5000 + b"}",  # past the integer digit limit
+    b"[" * 100_000,  # nested past the recursion limit
+])
+def test_unreadable_config_file_is_usage_error(tmp_path, capsys, content):
+    config = tmp_path / "cfg.json"
+    config.write_bytes(content)
+    line = _fails_with_one_error_line(capsys, [
+        "price", "--config", str(config), "--method", "closed", "--strike", "100",
+    ])
+    assert "could not be read" in line
+
+
+def test_config_path_to_a_directory_is_usage_error(tmp_path, capsys):
+    _fails_with_one_error_line(capsys, [
+        "price", "--config", str(tmp_path), "--method", "closed", "--strike", "100",
+    ])
+
+
 def _pinned(examples):
     def pin(test):
         for case in reversed(examples):
@@ -788,7 +979,7 @@ def _pinned(examples):
     return pin
 
 
-@_pinned(_CONFIG_REPROS)
+@_pinned(_CONFIG_REPROS + _TYPE_REPROS)
 @settings(max_examples=200, deadline=None)
 @given(_wild_config())
 def test_fuzzed_config_exits_cleanly(case):
