@@ -1,11 +1,18 @@
 """Replication of a call in the final delay block.
 
-The closed-form hedge holds Phi(beta_plus) units of stock; the bond leg
-is fixed by the portfolio identity with the closed-form price.  The
-discrete-rebalancing harness starts from the closed-form value at the
-final block boundary, rebalances on an equal grid, accrues the bond leg
-with exact discount factors, and reports the terminal replication error
-against the payoff.
+The closed-form hedge holds Phi(beta_plus) units of stock and carries
+the rest of the wealth as cash; the bond leg, -K Phi(beta_minus)
+e^{-lambda}, is fixed by the portfolio identity with the closed-form
+price and is formed explicitly only when that identity is asserted
+(``identity_tol``).  The discrete-rebalancing harness starts from the
+closed-form value at the final block boundary, rebalances on an equal
+grid, accrues the cash with exact discount factors, and reports the
+terminal replication error against the payoff.
+
+The block price is the constant ``s_star``, so every rebalance's
+variance, rate integral and stock-step moments are scalars: they are
+planned once per ``replicate`` call and shared by all chunks, which
+update their path buffers in place.
 """
 
 from __future__ import annotations
@@ -39,16 +46,52 @@ class ReplicationReport:
     n_paths: int
 
 
-def _weights_vec(market, option, t, s_t, s_block, quad_n=DEFAULT_N):
-    """Closed-form hedge at one time: stock delta Phi(beta_plus) and the
-    bond leg's value, from the strike term, for a vector of prices."""
-    v, _, lam = block_integrals_vec(market, s_block, t, market.T, quad_n)
-    sq = np.sqrt(v)
-    bp = (log_ratio_vec(s_t, option.strike) + lam + 0.5 * v) / sq
-    bm = bp - sq
-    pi_s = ndtr(bp)
-    bond_value = -option.strike * ndtr(bm) * math.exp(-lam)  # pi_xi * xi(t)
-    return pi_s, bond_value
+@dataclass(frozen=True)
+class _Rebalance:
+    """The scalars of one rebalance at time t for the block price s_star.
+
+    lam and v are the rate integral and the variance over [t, T], which
+    fix the hedge; log_drift (lam_int - g2/2) and vol (sqrt(g2)) fix the
+    exact stock step over [t, t_next], over which cash is divided by
+    ``discount``.
+    """
+
+    t: float
+    lam: float
+    half_v: float
+    sq: float
+    log_drift: float
+    vol: float
+    discount: float
+
+
+def _plan(market, s_star, grid, quad_n=DEFAULT_N):
+    """One _Rebalance per interval [t_i, t_{i+1}] of grid."""
+    plan = []
+    for t_i, t_next in zip(grid[:-1], grid[1:]):
+        v, _, lam = block_integrals_vec(market, s_star, t_i, market.T, quad_n)
+        g2, _, lam_int = block_integrals_vec(market, s_star, t_i, t_next, quad_n)
+        plan.append(_Rebalance(
+            t=t_i, lam=lam, half_v=0.5 * v, sq=np.sqrt(v),
+            log_drift=lam_int - 0.5 * g2, vol=np.sqrt(g2),
+            discount=discount_factor(market.rate, t_i, t_next),
+        ))
+    return plan
+
+
+def _weights(s, strike, step, with_bond):
+    """Closed-form hedge at step.t for a vector of prices s.
+
+    Returns the stock delta Phi(beta_plus) in a fresh array, and the
+    bond leg's value -K Phi(beta_minus) e^{-lam} when with_bond is set
+    (None otherwise).
+    """
+    bp = log_ratio_vec(s, strike)
+    bp += step.lam
+    bp += step.half_v
+    bp /= step.sq
+    bond_value = -strike * ndtr(bp - step.sq) * math.exp(-step.lam) if with_bond else None
+    return ndtr(bp, out=bp), bond_value
 
 
 def replicate(
@@ -69,7 +112,8 @@ def replicate(
     closed-form value, rebalances to the closed-form hedge at each grid
     time, and the report gives the mean and RMS terminal error against
     the call payoff.  When identity_tol is set, the portfolio identity
-    bond + delta * S = closed-form value is asserted at every rebalance.
+    bond + delta * S = closed-form value is asserted at every rebalance,
+    with the delta the loop trades.
     """
     if option.kind != "call":
         raise ContractError("replication is stated for calls")
@@ -87,21 +131,23 @@ def replicate(
     k = block_index(t_star, market.h)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
     v0 = price_closed(market, option, MarketState(t_star, float(s_star)), quad_n).value
+    plan = _plan(market, s_star, grid, quad_n)
+    strike = option.strike
 
     def chunk(lo, hi):
         """Sums of the terminal error and of its square over streams lo..hi-1."""
         n = hi - lo
         s = np.full(n, float(s_star))
         wealth = np.full(n, v0)
-        for i in range(n_rebalance):
-            t_i, t_next = grid[i], grid[i + 1]
-            pi_s, bond_value = _weights_vec(market, option, t_i, s, s_star, quad_n)
+        held = np.empty(n)
+        for i, step in enumerate(plan):
+            pi_s, bond_value = _weights(s, strike, step, identity_tol is not None)
             if identity_tol is not None:
                 vals = pi_s * s + bond_value
                 ref = np.array(
                     [
                         price_closed(
-                            market, option, MarketState(t_i, si, s_star), quad_n
+                            market, option, MarketState(step.t, si, s_star), quad_n
                         ).value
                         for si in s[: min(n, 64)]
                     ]
@@ -109,17 +155,21 @@ def replicate(
                 gap = np.max(np.abs(vals[: ref.size] - ref))
                 if gap > identity_tol:
                     raise ContractError(
-                        f"portfolio identity violated by {gap} at t={t_i}"
+                        f"portfolio identity violated by {gap} at t={step.t}"
                     )
-            cash = wealth - pi_s * s
+            wealth -= np.multiply(pi_s, s, out=held)  # the cash
             # advance the stock with one exact sub-block step
-            g2, _, lam_int = block_integrals_vec(market, s_star, t_i, t_next, quad_n)
             z = rng.normals(seed, k, i, lo, hi)
-            s = s * np.exp(lam_int - 0.5 * g2 + np.sqrt(g2) * z)
-            cash = cash / discount_factor(market.rate, t_i, t_next)
-            wealth = cash + pi_s * s
-        err = wealth - np.maximum(s - option.strike, 0.0)
-        return float(err.sum()), float((err * err).sum())
+            z *= step.vol
+            z += step.log_drift
+            s *= np.exp(z, out=z)
+            wealth /= step.discount
+            wealth += np.multiply(pi_s, s, out=held)
+        s -= strike
+        wealth -= np.maximum(s, 0.0, out=s)  # the terminal error
+        err_sum = float(wealth.sum())
+        wealth *= wealth
+        return err_sum, float(wealth.sum())
 
     err_sum = err_sq = 0.0
     # An explicit fold in chunk order: sum() compensates from Python 3.12.

@@ -422,27 +422,45 @@ def _rate_from_config(cfg):
     kind = cfg["kind"]
     try:
         if kind == "constant":
-            return RateCurve.constant(cfg["rate"])
+            return RateCurve.constant(_number(cfg["rate"]))
         if kind == "piecewise":
-            return RateCurve.piecewise(cfg["times"], cfg["rates"])
+            return RateCurve.piecewise(_numbers(cfg["times"]), _numbers(cfg["rates"]))
         if kind == "samples":
-            return RateCurve.samples(cfg["times"], cfg["rates"])
+            return RateCurve.samples(_numbers(cfg["times"]), _numbers(cfg["rates"]))
     except KeyError as exc:
         raise ConfigError(f"rate config missing key {exc}") from exc
     raise ConfigError(f"unknown rate kind {kind!r}")
 
 
+def _number(value):
+    """A JSON number (an int or float, not a bool) as a float.
+
+    Anything else, ``true`` and numeric strings included, is a TypeError
+    for :func:`_field` to report with the key's name.
+    """
+    if type(value) is float:
+        return value
+    if type(value) is int:  # exact type checks: bool is a subclass of int
+        return float(value)
+    raise TypeError(f"expected a JSON number, got {type(value).__name__} {value!r:.40}")
+
+
+def _numbers(values):
+    """A JSON list of numbers as a tuple of floats."""
+    return tuple(map(_number, values))
+
+
 def _initial_path(phi_cfg, cfg):
     if isinstance(phi_cfg, dict):
-        return InitialPath(tuple(phi_cfg["times"]), tuple(phi_cfg["values"]))
-    return InitialPath.constant(float(phi_cfg), _field(cfg, "L", float))
+        return InitialPath(_numbers(phi_cfg["times"]), _numbers(phi_cfg["values"]))
+    return InitialPath.constant(_number(phi_cfg), _field(cfg, "L", _number))
 
 
 def _drift(drift_cfg):
     return DriftFunctional(
         kind=drift_cfg["kind"],
-        c=float(drift_cfg["c"]),
-        eps=float(drift_cfg.get("eps", 0.0)),
+        c=_number(drift_cfg["c"]),
+        eps=_number(drift_cfg.get("eps", 0.0)),
     )
 
 
@@ -462,13 +480,13 @@ def market_from_config(cfg, validate=True):
     """Build a VariableDelayMarket from a parsed JSON document."""
     try:
         market = VariableDelayMarket(
-            h=_field(cfg, "h", float),
-            T=_field(cfg, "T", float),
-            s0=_field(cfg, "s0", float),
+            h=_field(cfg, "h", _number),
+            T=_field(cfg, "T", _number),
+            s0=_field(cfg, "s0", _number),
             f=_field(cfg, "f_expr", CoefficientExpr.parse),
             g=_field(cfg, "g_expr", CoefficientExpr.parse),
             rate=_field(cfg, "rate", _rate_from_config),
-            g_min=_field(cfg, "g_min", float, 1e-4),
+            g_min=_field(cfg, "g_min", _number, 1e-4),
         )
     except KeyError as exc:
         raise ConfigError(f"market config missing key {exc}") from exc
@@ -487,13 +505,13 @@ def sfde_from_config(cfg):
         phi = _field(cfg, "phi_samples", lambda phi_cfg: _initial_path(phi_cfg, cfg))
         drift = _field(cfg, "drift", _drift)
         return FixedDelaySfde(
-            L=_field(cfg, "L", float),
-            b=_field(cfg, "b", float),
-            a=_field(cfg, "a", float),
+            L=_field(cfg, "L", _number),
+            b=_field(cfg, "b", _number),
+            a=_field(cfg, "a", _number),
             phi=phi,
             drift=drift,
             g=_field(cfg, "g_expr", CoefficientExpr.parse),
-            T=_field(cfg, "T", float),
+            T=_field(cfg, "T", _number),
         )
     except KeyError as exc:
         raise ConfigError(f"fixed-delay config missing key {exc}") from exc

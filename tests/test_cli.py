@@ -232,6 +232,33 @@ _CONVERGENCE_700_PATH_CHUNKS = (
 )
 
 
+# `hedge` stdout as the rebalance loop printed it when it formed the bond
+# leg at every rebalance and re-planned the block integrals in every chunk.
+_HEDGE_GOLDEN = [
+    # the final_block benchmark's hedge at workload seed 11
+    (["--ladder", "4,16,64", "--paths", "16384", "--seed", "3991227610"],
+     "n_rebalance,mean_error,rmse,n_paths\n"
+     "4,-0.0095465522599165673,1.2603092713425479,16384\n"
+     "16,-0.0053041902180608735,0.65232665148503011,16384\n"
+     "64,0.001033319465428312,0.32960715605823726,16384\n"),
+    # three chunks, the last one partial, and an unsorted ladder
+    (["--ladder", "64,3,16,5", "--paths", "140000", "--seed", "11"],
+     "n_rebalance,mean_error,rmse,n_paths\n"
+     "64,1.2329344551966516e-06,0.33360330622379381,140000\n"
+     "3,0.0012733736549772371,1.4202873388848563,140000\n"
+     "16,-0.0008763254987827773,0.65015124758227105,140000\n"
+     "5,0.004567780584768073,1.1220171066342866,140000\n"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, expected", _HEDGE_GOLDEN, ids=["benchmark", "three_chunks"])
+def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
+    code, out = _run(capsys, ["hedge", "--config", STATE, "--strike", "100", *argv,
+                              "--workers", workers])
+    assert (code, out) == (cli.EXIT_OK, expected)
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_hedge_output_independent_of_worker_count(capsys, workers):
     # 70,000 paths are two CHUNK_SIZE chunks
@@ -836,7 +863,8 @@ def _base_config(base):
 
 
 # Values of the wrong JSON type for any key: strings, lists, null, objects.
-_WRONG_TYPE = st.sampled_from(["abc", "", [], [1.0], None, {}, {"kind": "x"}])
+# JSON true and numeric strings are not numbers either.
+_WRONG_TYPE = st.sampled_from(["abc", "", [], [1.0], None, {}, {"kind": "x"}, True, "0.4"])
 
 
 def _number_keys(cfg, prefix=""):
@@ -936,6 +964,13 @@ _TYPE_REPROS = [
     ("constant", {"g_min": None}, _CLOSED),
     ("constant", {"rate.rate": "x"}, _CLOSED),
     ("fixed", {"drift": "x"}, _CONVERGENCE),
+    ("constant", {"h": True}, _CLOSED),
+    ("constant", {"h": "0.4"}, _CLOSED),
+    ("constant", {"rate.rate": True}, _CLOSED),
+    ("state", {"g_min": "0.05"}, _CLOSED),
+    ("fixed", {"drift.c": "0.1"}, _CONVERGENCE),
+    ("fixed", {"phi_samples": True}, _EM),
+    ("fixed", {"L": "0.25"}, _EM),
 ]
 
 
@@ -987,3 +1022,51 @@ def test_fuzzed_config_exits_cleanly(case):
     with tempfile.TemporaryDirectory() as directory:
         config = _write_config(directory, base, wild)
         _assert_exits_cleanly([command[0], f"--config={config}", *command[1:]])
+
+
+# --- drift invariance under Q -------------------------------------------------
+
+# Q-measure commands on configs/state_dependent.json; argv follows "--config=".
+_Q_COMMANDS = (
+    ("price", "--method=closed", "--strike=100", "--t=0.8"),
+    ("price", "--method=semi", "--strike=100", "--paths=2000", "--seed=3"),
+    ("price", "--method=mc", "--strike=100", "--paths=2000", "--seed=3"),
+    ("hedge", "--strike=100", "--ladder=4,16", "--paths=2000", "--seed=3"),
+    ("simulate", "--measure=Q", "--paths=3", "--seed=3"),
+)
+
+
+def _q_stdout(directory, f_expr):
+    """Exit code and stdout of each Q command with the drift set to f_expr."""
+    cfg = json.loads(open(STATE).read())
+    cfg["f_expr"] = f_expr
+    path = Path(directory) / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    runs = []
+    for command in _Q_COMMANDS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main([command[0], f"--config={path}", *command[1:]])
+        runs.append((code, out.getvalue()))
+    return runs
+
+
+_COEFFICIENT = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False).map(repr)
+_DRIFT = st.one_of(
+    _COEFFICIENT,
+    st.builds("({})*s/(1+s) + ({})*t".format, _COEFFICIENT, _COEFFICIENT),
+    st.builds("({})*tanh(s/100) + ({})*t".format, _COEFFICIENT, _COEFFICIENT),
+)
+
+
+@example("0.08")
+@example("0.3*s/(1+s) + 0.01*t")
+@example("0.2*tanh(s/100) - 0.1*t")
+@settings(max_examples=15, deadline=None)
+@given(_DRIFT)
+def test_q_measure_output_does_not_depend_on_the_drift(f_expr):
+    # Under the martingale measure the drift f drops out, bit for bit.
+    with tempfile.TemporaryDirectory() as directory:
+        shipped = _q_stdout(directory, json.loads(open(STATE).read())["f_expr"])
+        assert all(code == cli.EXIT_OK for code, _ in shipped)
+        assert _q_stdout(directory, f_expr) == shipped

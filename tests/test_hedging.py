@@ -6,7 +6,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaybs import OptionSpec
 from delaybs.errors import ContractError
-from delaybs.hedging import _weights_vec, replicate
+from delaybs.hedging import _plan, _weights, replicate
 from delaybs.pricing import MarketState, price_closed
 
 
@@ -14,18 +14,18 @@ def _bond(market, t):
     return math.exp(market.rate.integral(0.0, t))
 
 
-def _weights(market, option, state):
-    """Stock units and bond units (of the bond worth _bond(t)) at one price."""
-    pi_s, bond_value = _weights_vec(
-        market, option, state.t, np.array([state.s_t]), state.s_block
-    )
+def _units(market, option, state):
+    """Stock units and bond units (of the bond worth _bond(t)) at one price,
+    from the rebalance the replication loop would plan at state.t."""
+    step = _plan(market, state.s_block, np.array([state.t, market.T]))[0]
+    pi_s, bond_value = _weights(np.array([state.s_t]), option.strike, step, with_bond=True)
     return float(pi_s[0]), float(bond_value[0]) / _bond(market, state.t)
 
 
 def test_portfolio_identity_hand_point(constant_market):
     state = MarketState(0.8, 100.0)
     option = OptionSpec(100.0)
-    pi_s, pi_xi = _weights(constant_market, option, state)
+    pi_s, pi_xi = _units(constant_market, option, state)
     value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
     closed = price_closed(constant_market, option, state).value
     assert value == pytest.approx(closed, abs=1e-12)
@@ -46,7 +46,7 @@ def test_portfolio_identity_hand_point(constant_market):
 def test_portfolio_identity_randomized(constant_market, s, k, t):
     state = MarketState(t, s)
     option = OptionSpec(k)
-    pi_s, pi_xi = _weights(constant_market, option, state)
+    pi_s, pi_xi = _units(constant_market, option, state)
     value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
     closed = price_closed(constant_market, option, state).value
     assert value == pytest.approx(closed, abs=1e-12)
@@ -55,7 +55,7 @@ def test_portfolio_identity_randomized(constant_market, s, k, t):
 def test_deep_in_the_money_limits(constant_market):
     state = MarketState(0.8, 1e5)
     option = OptionSpec(100.0)
-    pi_s, pi_xi = _weights(constant_market, option, state)
+    pi_s, pi_xi = _units(constant_market, option, state)
     assert pi_s == pytest.approx(1.0, abs=1e-12)
     assert pi_xi == pytest.approx(
         -100.0 * math.exp(-constant_market.rate.integral(0.0, 1.0)), rel=1e-12
@@ -64,7 +64,7 @@ def test_deep_in_the_money_limits(constant_market):
 
 def test_deep_out_of_the_money_limits(constant_market):
     state = MarketState(0.8, 0.01)
-    pi_s, pi_xi = _weights(constant_market, OptionSpec(100.0), state)
+    pi_s, pi_xi = _units(constant_market, OptionSpec(100.0), state)
     assert pi_s == pytest.approx(0.0, abs=1e-12)
     assert pi_xi == pytest.approx(0.0, abs=1e-12)
 
@@ -72,7 +72,7 @@ def test_deep_out_of_the_money_limits(constant_market):
 def test_delta_monotone_in_spot(constant_market):
     option = OptionSpec(100.0)
     deltas = [
-        _weights(constant_market, option, MarketState(0.85, s))[0]
+        _units(constant_market, option, MarketState(0.85, s))[0]
         for s in np.linspace(40.0, 250.0, 40)
     ]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
@@ -85,7 +85,7 @@ def test_hedge_rejects_puts(constant_market):
 
 
 def test_bond_leg_sign(constant_market):
-    pi_s, pi_xi = _weights(constant_market, OptionSpec(100.0), MarketState(0.85, 110.0))
+    pi_s, pi_xi = _units(constant_market, OptionSpec(100.0), MarketState(0.85, 110.0))
     assert pi_s > 0.0
     assert pi_xi < 0.0
 
@@ -129,3 +129,12 @@ def test_replication_other_block_price(constant_market):
 def test_replication_needs_a_rebalance(constant_market, n_rebalance):
     with pytest.raises(ContractError, match="rebalance"):
         replicate(constant_market, OptionSpec(100.0), n_rebalance, 10, 1)
+
+
+def test_identity_check_leaves_the_report_unchanged(constant_market):
+    # the check reads the loop's delta; it must not change a single bit
+    option = OptionSpec(100.0)
+    for n in (1, 4, 16):
+        checked = replicate(constant_market, option, n, 3_000, 29, identity_tol=1e-12)
+        assert checked == replicate(constant_market, option, n, 3_000, 29)
+
