@@ -13,9 +13,11 @@ usage error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import json
 import math
+import os
 import sys
 
 from . import hedging, measure, paths, pricing, rng
@@ -30,7 +32,7 @@ from .model import (
     validate_market,
     validation_error,
 )
-from .parallel import accumulate_moments, map_chunks
+from .parallel import map_chunks
 from .quadrature import DEFAULT_N, integrate
 
 EXIT_OK = 0
@@ -40,6 +42,16 @@ EXIT_NUMERICAL = 3
 
 # Streams per engine call in `simulate`; bounds the em/split path buffers.
 SIMULATE_CHUNK = 1024
+
+# glibc's allocator policy for CLI runs, as (mallopt parameter, value):
+# M_MMAP_THRESHOLD (-3) at its 32 MiB ceiling keeps arrays up to that
+# size on the heap; M_TRIM_THRESHOLD (-1) at 128 MiB keeps a freed
+# working set there instead of returning it to the OS (at 64 MiB a
+# `convergence` run, whose heap peaks near 70 MB, still returned and
+# re-faulted about 10 MB per run); M_ARENA_MAX (-8) at 1 makes the
+# --workers threads share the main heap, which holds peak memory at the
+# one-thread figure.
+_MALLOC_POLICY = ((-3, 32 << 20), (-1, 128 << 20), (-8, 1))
 
 
 def _fmt(x):
@@ -249,14 +261,16 @@ def cmd_check(args):
         )
         rows.append(("density_mean", mean, se, abs(mean - 1.0) <= 3.0 * se))
 
-        mart_mean, mart_se, _ = _discounted_terminal_mean(market, args)
+        # One simulation of the Q paths gives the call price and the
+        # discounted terminal price of the martingale check.
+        disc = discount_factor(market.rate, 0.0, market.T)
+        mc, [(mart_mean, mart_se, _)] = pricing.price_mc_joint(
+            market, option, state, [lambda s_T: disc * s_T],
+            args.paths, args.seed, args.workers, args.quad_n,
+        )
         rows.append(
             ("martingale_mean", mart_mean, mart_se,
              abs(mart_mean - market.s0) <= 3.0 * mart_se)
-        )
-
-        mc = pricing.price_mc(
-            market, option, state, args.paths, args.seed, args.workers, args.quad_n
         )
         semi = pricing.price_semi(
             market, option, state, args.paths, seed(1), args.workers, args.quad_n
@@ -295,19 +309,6 @@ def cmd_check(args):
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
-def _discounted_terminal_mean(market, args):
-    disc = discount_factor(market.rate, 0.0, market.T)
-
-    def chunk(lo, hi):
-        s_T = paths.exact_values_vec(
-            market, "Q", args.seed, lo, hi, 0.0, market.s0, market.s0,
-            [market.T], args.quad_n,
-        )[:, 0]
-        return disc * s_T
-
-    return accumulate_moments(chunk, args.paths, args.workers)
-
-
 def cmd_convergence(args):
     sfde = _model(args, "sfde")
     steps = _counts(args.steps, "--steps")
@@ -339,7 +340,37 @@ def _parse_args(parser, argv):
     return args
 
 
+def _mallopt():
+    """glibc's ``mallopt``; raises where the C library is not glibc."""
+    if not os.confstr("CS_GNU_LIBC_VERSION"):
+        raise OSError("the C library is not glibc")
+    fn = ctypes.CDLL(None).mallopt
+    fn.argtypes = (ctypes.c_int, ctypes.c_int)
+    fn.restype = ctypes.c_int
+    return fn
+
+
+@functools.cache
+def _keep_heap():
+    """Apply ``_MALLOC_POLICY``, once per process and on glibc only.
+
+    Every block of a Monte Carlo chunk makes fresh 512 KB temporaries.
+    Under glibc's dynamic thresholds the freed heap goes back to the OS
+    after nearly every block and the next block faults it in again
+    (about 7,700 minor faults for a warm ``price --method mc --paths
+    262144`` on glibc 2.36); with the policy the heap is reused.  Library
+    callers that never enter :func:`main` keep the default allocator.
+    """
+    try:
+        mallopt = _mallopt()
+    except (AttributeError, OSError, ValueError):
+        return
+    for param, value in _MALLOC_POLICY:
+        mallopt(param, value)
+
+
 def main(argv=None):
+    _keep_heap()
     parser = build_parser()
     try:
         args = _parse_args(parser, argv)

@@ -40,16 +40,34 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     Returns (mean, standard_error, n); a mean or standard error that is
     not finite raises :class:`NumericalError`.
     """
+    return accumulate_joint_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)[0]
+
+
+def accumulate_joint_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
+    """:func:`accumulate_moments` of several statistics from one pass.
+
+    fn(lo, hi) returns a sequence of 1-d arrays, one per statistic;
+    returns a list with one (mean, standard_error, n) per statistic, each
+    with the bits :func:`accumulate_moments` gives for that statistic
+    alone.
+    """
     if n < 1:
         raise ContractError(f"need at least one path, got {n}")
-    partials = map_chunks(lambda lo, hi: moments(fn(lo, hi)), n, workers, chunk_size)
-    _, total, m2 = merge_moments(partials)
-    mean = total / n
-    var = m2 / (n - 1) if n > 1 else 0.0
-    se = (var / n) ** 0.5
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise NumericalError(f"Monte Carlo mean {mean} or standard error {se} is not finite")
-    return mean, se, n
+    per_chunk = map_chunks(
+        lambda lo, hi: [moments(values) for values in fn(lo, hi)], n, workers, chunk_size
+    )
+    out = []
+    for partials in zip(*per_chunk):
+        _, total, m2 = merge_moments(partials)
+        mean = total / n
+        var = m2 / (n - 1) if n > 1 else 0.0
+        se = (var / n) ** 0.5
+        if not (math.isfinite(mean) and math.isfinite(se)):
+            raise NumericalError(
+                f"Monte Carlo mean {mean} or standard error {se} is not finite"
+            )
+        out.append((mean, se, n))
+    return out
 
 
 def moments(values):

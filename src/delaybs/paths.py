@@ -150,7 +150,9 @@ def exact_values_vec(
         # refresh the frozen block state at each boundary
         if abs(prev - k * market.h) <= tol and prev > t_start + tol:
             sb = s.copy()
-        g2, f_int, lam_int = block_integrals_vec(market, sb, prev, t, quad_n)
+        g2, f_int, lam_int = block_integrals_vec(
+            market, sb, prev, t, quad_n, with_f=measure != "Q"
+        )
         drift = lam_int if measure == "Q" else f_int
         m = drift - 0.5 * g2
         z = rng.normals(seed, k, substep, lo, hi)

@@ -21,7 +21,7 @@ from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, floor_block, is_positive
-from .parallel import accumulate_moments
+from .parallel import accumulate_joint_moments, accumulate_moments
 from .paths import exact_values_vec
 from .quadrature import DEFAULT_N, block_integrals_vec
 
@@ -198,6 +198,18 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
 
 def price_mc(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
     """Direct Q-measure Monte Carlo: discounted expected payoff."""
+    return price_mc_joint(market, option, state, (), n_paths, seed, workers, quad_n)[0]
+
+
+def price_mc_joint(market, option, state, statistics, n_paths, seed, workers=1,
+                   quad_n=DEFAULT_N):
+    """:func:`price_mc` and further statistics of the same terminal prices.
+
+    Each of ``statistics`` maps the terminal prices S(T) of a chunk to
+    per-path values.  Returns the price_mc result and a list with one
+    (mean, standard_error, n) per statistic, from one simulation of the
+    paths.
+    """
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
@@ -207,12 +219,13 @@ def price_mc(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
             market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block,
             [market.T], quad_n,
         )[:, 0]
-        return option.payoff(s_T)
+        return [option.payoff(s_T)] + [stat(s_T) for stat in statistics]
 
-    mean, se, _ = accumulate_moments(chunk, n_paths, workers)
-    return PricingResult(
+    (mean, se, _), *extra = accumulate_joint_moments(chunk, n_paths, workers)
+    result = PricingResult(
         value=disc * mean, std_error=disc * se, n_paths=n_paths, method="mc"
     )
+    return result, extra
 
 
 def price_classical(s, strike, rate_integral, total_variance):

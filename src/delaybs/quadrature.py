@@ -131,18 +131,22 @@ def _block_integral(integrand, uses_t, s_k, a, b, n):
     return value
 
 
-def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False):
+def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False, with_f=False):
     """Per-path block integrals for a vector of block-start prices.
 
     Returns (g2_int, f_int, lam_int): the integrals of g(u, s_k)^2 and
     f(u, s_k) as arrays shaped like s_k, and the scalar rate integral;
     plus theta2_int (integral of ((f - lambda)/g)^2, shaped like s_k)
-    when with_theta is set.
+    when with_theta is set.  Only P-measure callers read the drift f, so
+    f_int is integrated when with_f or with_theta is set and is None
+    otherwise.
     """
     _check_single_block(market, a, b)
     f, g, rate = market.f, market.g, market.rate
     g2 = _block_integral(lambda u, s: g.vec(u, s) ** 2, g.compiled.uses_t, s_k, a, b, n)
-    f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b, n)
+    f_int = None
+    if with_f or with_theta:
+        f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b, n)
     lam_int = rate.integral(a, b)
     if not with_theta:
         return g2, f_int, lam_int

@@ -60,5 +60,6 @@ def normals(seed, block, substep, lo, hi):
     if start:
         bg.advance(start >> 2)
     u = np.random.Generator(bg).random(hi - start)[lo - start :]
-    return ndtri(np.maximum(u, _U_MIN))
+    np.maximum(u, _U_MIN, out=u)
+    return ndtri(u, out=u)
 

@@ -3,6 +3,10 @@ import copy
 import io
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -256,6 +260,37 @@ _HEDGE_GOLDEN = [
 def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
     code, out = _run(capsys, ["hedge", "--config", STATE, "--strike", "100", *argv,
                               "--workers", workers])
+    assert (code, out) == (cli.EXIT_OK, expected)
+
+
+# `check` stdout as it was printed when martingale_mean and the call
+# price each simulated the same Q paths.
+_CHECK_GOLDEN = [
+    # the block_mc benchmark's check at workload seed 11
+    (["--paths", "65536", "--seed", "364835417"],
+     "check,estimate,std_error,status\n"
+     "market_validation,0,0,pass\n"
+     "density_mean,0.99946330771295688,0.00056052745093490976,pass\n"
+     "martingale_mean,100.06220400188792,0.07431659882534293,pass\n"
+     "semi_vs_mc,-0.09886841669082358,0.071638745462067568,pass\n"
+     "importance_vs_mc,0.018818760032024429,0.070360806475220486,pass\n"
+     "put_parity,-0.053202653005218536,0.062709436946935385,pass\n"),
+    # three chunks, the last one partial
+    (["--paths", "140000", "--seed", "5"],
+     "check,estimate,std_error,status\n"
+     "market_validation,0,0,pass\n"
+     "density_mean,1.000445097086891,0.00038518909561710785,pass\n"
+     "martingale_mean,99.95363220544273,0.050976251777526918,pass\n"
+     "semi_vs_mc,0.045347170385847235,0.049273399630594766,pass\n"
+     "importance_vs_mc,-0.029863437145564831,0.047995497812677174,pass\n"
+     "put_parity,0.0060502783279252625,0.042934313669239624,pass\n"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("argv, expected", _CHECK_GOLDEN, ids=["benchmark", "three_chunks"])
+def test_check_output_is_unchanged(capsys, argv, expected, workers):
+    code, out = _run(capsys, ["check", "--config", STATE, *argv, "--workers", workers])
     assert (code, out) == (cli.EXIT_OK, expected)
 
 
@@ -1070,3 +1105,52 @@ def test_q_measure_output_does_not_depend_on_the_drift(f_expr):
         shipped = _q_stdout(directory, json.loads(open(STATE).read())["f_expr"])
         assert all(code == cli.EXIT_OK for code, _ in shipped)
         assert _q_stdout(directory, f_expr) == shipped
+
+
+_WARM_FAULTS = """
+import contextlib, io, resource, sys
+from delaybs import cli
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == cli.EXIT_OK
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="the policy is set on glibc only")
+def test_warm_mc_price_reuses_its_heap():
+    # Under glibc's default thresholds the second run makes about 7,700
+    # minor faults: every block faults its freed temporaries in again.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _WARM_FAULTS, "price", "--method", "mc", "--paths", "262144",
+         "--config", STATE, "--strike", "100"],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) < 1000
+
+
+def test_allocator_policy_is_set_once_per_process(monkeypatch, capsys):
+    argv = ["price", "--config", CONSTANT, "--method", "classical", "--strike", "100"]
+    calls = []
+    monkeypatch.setattr(cli, "_mallopt", lambda: lambda param, value: calls.append((param, value)))
+    cli._keep_heap.cache_clear()
+    try:
+        for _ in range(2):
+            assert _run(capsys, argv)[0] == cli.EXIT_OK
+        # M_MMAP_THRESHOLD 32 MiB, M_TRIM_THRESHOLD 128 MiB, M_ARENA_MAX 1
+        assert calls == [(-3, 32 << 20), (-1, 128 << 20), (-8, 1)]
+
+        def missing():
+            raise AttributeError("mallopt")
+
+        monkeypatch.setattr(cli, "_mallopt", missing)
+        cli._keep_heap.cache_clear()
+        expected = _run(capsys, argv)
+        assert expected[0] == cli.EXIT_OK
+        assert _run(capsys, argv) == expected
+    finally:
+        cli._keep_heap.cache_clear()

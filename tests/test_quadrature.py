@@ -91,7 +91,7 @@ def test_refinement_converged(state_market, constant_market):
 
 def test_vectorized_matches_scalar(state_market):
     sk = np.array([50.0, 100.0, 150.0])
-    g2, f_int, lam = block_integrals_vec(state_market, sk, 0.25, 0.5)
+    g2, f_int, lam = block_integrals_vec(state_market, sk, 0.25, 0.5, with_f=True)
     for i, s in enumerate(sk):
         mom = block_moments(state_market, float(s), 0.25, 0.5, "P")
         assert np.asarray(g2)[i] == pytest.approx(mom.v, rel=1e-14)
@@ -144,7 +144,7 @@ def test_block_integrals_match_simpson_reference(g_class, f, g_coeffs, rate, k, 
     market = VariableDelayMarket(0.25, 0.9, 100.0, f, g, RATES[rate], g_min=0.01)
     a, b = (0.25 * (k + x) for x in sorted(ends))
     sk = np.array([5.0, 100.0, 400.0])
-    g2, f_int, lam = block_integrals_vec(market, sk, a, b)
+    g2, f_int, lam = block_integrals_vec(market, sk, a, b, with_f=True)
     g2_t, f_int_t, lam_t, th2 = block_integrals_vec(market, sk, a, b, with_theta=True)
     assert lam == lam_t == market.rate.integral(a, b)
     for i, s in enumerate(map(float, sk)):
