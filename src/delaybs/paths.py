@@ -4,7 +4,8 @@ Three schemes:
 
 * the exact block sampler for the variable-delay market (coefficients are
   frozen per block, so each block's log-increment is Gaussian and can be
-  drawn without discretization error);
+  drawn without discretization error, under P jointly with the Girsanov
+  density);
 * Euler--Maruyama for the fixed-delay model;
 * the splitting construction for the fixed-delay model, which advances a
   stochastic exponential ``psi`` and a random delay-ODE solution ``y``
@@ -83,32 +84,65 @@ class SegmentBuffer:
 # ---------------------------------------------------------------------------
 
 
-def _knots(market, t_start, t_end, sample_times):
-    """Sorted union of block boundaries and requested sample times."""
+# Relative tolerance below which the residual variance of the density
+# increment given the price increment is treated as exactly zero.
+DEGENERATE_TOL = 1e-12
+
+
+def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
+    """Correlated (I1, I2) from independent standard normals.
+
+    I1 ~ N(0, g2), I2 ~ N(0, theta_sq), Cov(I1, I2) = f_int - lam_int.
+    Degenerate residual variance collapses to perfect correlation, which
+    is exact whenever theta is proportional to g within the block.
+    """
+    c = f_int - lam_int
+    i1 = np.sqrt(g2) * z1
+    # theta_sq == 0 means no drift mismatch; any nonzero c there is
+    # quadrature roundoff, tolerated up to the same relative budget.
+    zero = theta_sq <= 1e-24
+    cross = c * c / g2
+    bad = np.where(
+        zero,
+        cross > DEGENERATE_TOL * np.maximum(g2, 1.0),
+        cross > (1.0 + 1e-9) * np.maximum(theta_sq, 1e-300),
+    )
+    if np.any(bad):
+        raise NumericalError(
+            "block covariance is not positive semidefinite; "
+            "quadrature of v, c, theta_sq is inconsistent"
+        )
+    resid = np.maximum(theta_sq - cross, 0.0)
+    resid = np.where(resid <= DEGENERATE_TOL * theta_sq, 0.0, resid)
+    i2 = np.where(zero, 0.0, c / np.sqrt(g2) * z1 + np.sqrt(resid) * z2)
+    return i1, i2
+
+
+def _knots(market, t_start, sample_times):
+    """(time, wanted) pairs: the block edges k*h after t_start, as in
+    ``block_schedule``, merged with the sample times up to the last one.
+
+    Sample times must increase from t_start, each by more than tol, up
+    to the maturity T; one within tol of an edge replaces the edge.
+    """
+    h = market.h
     tol = 1e-12 * max(market.T, 1.0)
-    boundary = (block_index(t_start, market.h) + 1) * market.h
-    pending = sorted(sample_times)
-    for t in pending:
-        if t <= t_start + tol or t > t_end + tol:
-            raise ContractError(
-                f"sample time {t} outside ({t_start}, {t_end}]"
-            )
-    merged = []
-    while boundary < t_end - tol or pending:
-        if pending and (boundary >= t_end - tol or pending[0] <= boundary + tol):
-            t = pending.pop(0)
-            merged.append((t, True))
-            if abs(t - boundary) <= tol:
-                boundary += market.h
-        else:
-            merged.append((boundary, False))
-            boundary += market.h
     out = []
-    for t, wanted in merged:
-        if out and t - out[-1][0] <= tol:
-            out[-1] = (out[-1][0], out[-1][1] or wanted)
-        else:
-            out.append((t, wanted))
+    prev = t_start
+    k = block_index(t_start, h) + 1
+    for t in sample_times:
+        if t <= prev + tol or t > market.T + tol:
+            raise ContractError(
+                f"sample time {t} outside ({prev}, {market.T}]: sample times "
+                "must increase from t_start and end by the maturity"
+            )
+        while k * h < t - tol:
+            out.append((k * h, False))
+            k += 1
+        if k * h <= t + tol:
+            k += 1
+        out.append((t, True))
+        prev = t
     return out
 
 
@@ -123,6 +157,7 @@ def exact_values_vec(
     s_block,
     sample_times,
     quad_n=DEFAULT_N,
+    density=False,
 ):
     """Exact-scheme values at sample_times for stream ids lo..hi-1.
 
@@ -130,11 +165,26 @@ def exact_values_vec(
     ``s_block`` is the price at the start of the block containing
     ``t_start``.  One Gaussian substream is consumed per (block, substep)
     where substep counts the sub-intervals visited inside each block.
+
+    With ``density`` (under P only) the result is ``(values, rho)``, with
+    rho the Girsanov density dQ/dP at the last sample time.  The change
+    of measure removes the drift mismatch (f - lambda) from the price
+    dynamics.  Its log-density is driven by the same Brownian increments
+    as the price, so the two are sampled jointly per block as a
+    bivariate Gaussian: I1 = integral of g dW (price), I2 = integral of
+    theta dW (density), with covariance integral of g*theta = f - lambda.
+    I2's normal is substream 1, so the density needs whole blocks: a
+    sample time inside a block, other than the last, raises
+    :class:`ContractError`.  Within a block theta is evaluated from the
+    frozen block-start price only, which is what makes the density
+    increment measurable at the block start.
     """
+    if density and measure != "P":
+        raise ContractError(f"the density is sampled under P, not {measure}")
     n = hi - lo
     s = np.full(n, float(s_start)) if np.isscalar(s_start) else np.array(s_start, dtype=float)
     sb = np.full(n, float(s_block)) if np.isscalar(s_block) else np.array(s_block, dtype=float)
-    merged = _knots(market, t_start, max(sample_times), sample_times)
+    log_rho = np.zeros(n) if density else None
     out = np.empty((n, len(sample_times)))
     tol = 1e-12 * max(market.T, 1.0)
 
@@ -142,27 +192,34 @@ def exact_values_vec(
     k_cur = block_index(t_start, market.h)
     substep = 0
     out_col = 0
-    for t, wanted in merged:
+    for t, wanted in _knots(market, t_start, sample_times):
         k = block_index(prev, market.h)
         if k != k_cur:
             k_cur = k
             substep = 0
+        if density and substep:
+            raise ContractError(f"the density needs whole blocks; {prev} is inside block {k}")
         # refresh the frozen block state at each boundary
         if abs(prev - k * market.h) <= tol and prev > t_start + tol:
             sb = s.copy()
-        g2, f_int, lam_int = block_integrals_vec(
-            market, sb, prev, t, quad_n, with_f=measure != "Q"
+        g2, f_int, lam_int, *theta_sq = block_integrals_vec(
+            market, sb, prev, t, quad_n, with_f=measure != "Q", with_theta=density
         )
-        drift = lam_int if measure == "Q" else f_int
-        m = drift - 0.5 * g2
         z = rng.normals(seed, k, substep, lo, hi)
-        s = s * np.exp(m + np.sqrt(g2) * z)
+        if density:
+            z2 = rng.normals(seed, k, 1, lo, hi)
+            i1, i2 = _joint_increments(g2, f_int, lam_int, theta_sq[0], z, z2)
+            log_rho = log_rho - i2 - 0.5 * theta_sq[0]
+        else:
+            i1 = np.sqrt(g2) * z
+        drift = lam_int if measure == "Q" else f_int
+        s = s * np.exp(drift - 0.5 * g2 + i1)
         substep += 1
         if wanted:
             out[:, out_col] = s
             out_col += 1
         prev = t
-    return out
+    return (out, np.exp(log_rho)) if density else out
 
 
 # ---------------------------------------------------------------------------

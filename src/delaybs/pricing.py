@@ -135,16 +135,14 @@ def price_closed(market, option, state, quad_n=DEFAULT_N):
     return PricingResult(value=value, method="closed")
 
 
-def _h_value_vec(x, m, v, strike, rate_integral_0T):
+def _h_value_vec(x, v, strike, rate_integral_0T):
     """Conditional-expectation kernel mapping discounted block-start states
-    x to their option value contributions."""
+    x, with final-block variance v, to their option value contributions."""
     sq = np.sqrt(v)
-    log_m = log_ratio_vec(x, strike) + rate_integral_0T + m
+    log_m = log_ratio_vec(x, strike) + rate_integral_0T - 0.5 * v
     alpha1 = (log_m + v) / sq
     alpha2 = log_m / sq
-    return x * np.exp(m + 0.5 * v) * ndtr(alpha1) - strike * ndtr(alpha2) * math.exp(
-        -rate_integral_0T
-    )
+    return x * ndtr(alpha1) - strike * ndtr(alpha2) * math.exp(-rate_integral_0T)
 
 
 def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
@@ -178,7 +176,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
         v = _final_block_variance(market, state.s_t, t_star, quad_n)
         if not x > 0.0:
             raise DomainError("x and strike must be positive")
-        h = _h_value_vec(np.array([x]), -0.5 * v, v, option.strike, R_T)
+        h = _h_value_vec(np.array([x]), v, option.strike, R_T)
         return PricingResult(value=grow_t * float(h[0]), method="semi")
     disc_to_star = math.exp(-market.rate.integral(0.0, t_star))
 
@@ -188,7 +186,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
             [t_star], quad_n,
         )[:, 0]
         v = block_integrals_vec(market, s_star, t_star, market.T, quad_n)[0]
-        return _h_value_vec(s_star * disc_to_star, -0.5 * v, v, option.strike, R_T)
+        return _h_value_vec(s_star * disc_to_star, v, option.strike, R_T)
 
     mean, se, _ = accumulate_moments(chunk, n_paths, workers)
     return PricingResult(

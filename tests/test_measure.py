@@ -1,19 +1,25 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from delaybs import OptionSpec
-from delaybs.measure import (
-    _joint_increments,
-    _p_terminal_with_density,
-    density_mean_check,
-    importance_price,
-)
+from delaybs.errors import ContractError
+from delaybs.measure import density_mean_check, importance_price
 from delaybs.model import block_schedule
+from delaybs.paths import _joint_increments, exact_values_vec
 from delaybs.pricing import MarketState, price_mc
 from delaybs.quadrature import block_integrals_vec
 from delaybs.rng import normals
+
+
+def _p_terminal(market, seed, lo, hi):
+    """(S(T), rho_T) of full P-paths for stream ids lo..hi-1."""
+    values, rho = exact_values_vec(
+        market, "P", seed, lo, hi, 0.0, market.s0, market.s0, [market.T], density=True
+    )
+    return values[:, 0], rho
 
 
 def _theta_sq(market, s_block, a, b):
@@ -43,7 +49,7 @@ def test_mpr_balanced_point(state_market):
 
 
 def test_joint_step_balanced_market(balanced_market):
-    s_T, rho = _p_terminal_with_density(balanced_market, 3, 0, 1)
+    s_T, rho = _p_terminal(balanced_market, 3, 0, 1)
     assert rho[0] == 1.0
     assert math.isfinite(s_T[0])
 
@@ -97,11 +103,35 @@ def test_density_chain_telescopes(state_market):
         )
         increments.append(float(-i2[0] - 0.5 * th2[0]))
         s = s * np.exp(f_int - 0.5 * g2 + i1)
-    s_T, rho = _p_terminal_with_density(state_market, 21, 5, 6)
+    s_T, rho = _p_terminal(state_market, 21, 5, 6)
     assert math.log(rho[0]) == pytest.approx(math.fsum(increments), abs=1e-12)
     assert rho[0] > 0.0
     assert s_T[0] == pytest.approx(s[0], rel=1e-12)
     assert len(increments) == len(knots) - 1
+
+
+def test_density_leaves_the_p_prices_unchanged(state_market):
+    # h = 0.1 puts block edges where k*h and repeated addition of h differ
+    # (0.6 to 0.9); the price must follow the k*h blocks of block_schedule
+    # with or without the density, and whether or not it is sampled there.
+    market = dataclasses.replace(state_market, h=0.1)
+    plain = exact_values_vec(market, "P", 21, 0, 64, 0.0, 100.0, 100.0, [market.T])
+    s_T, _ = _p_terminal(market, 21, 0, 64)
+    assert np.array_equal(plain[:, 0], s_T)
+    times = block_schedule(market.T, market.h)[1:]
+    every_block = exact_values_vec(market, "P", 21, 0, 64, 0.0, 100.0, 100.0, times)
+    assert np.array_equal(every_block[:, -1], s_T)
+
+
+def test_density_needs_whole_blocks_under_p(state_market):
+    with pytest.raises(ContractError, match="under P"):
+        exact_values_vec(state_market, "Q", 1, 0, 4, 0.0, 100.0, 100.0, [0.9], density=True)
+    # 0.3 splits the block [0.25, 0.5), whose second piece would reuse
+    # the density's substream 1
+    with pytest.raises(ContractError, match="whole blocks"):
+        exact_values_vec(
+            state_market, "P", 1, 0, 4, 0.0, 100.0, 100.0, [0.3, 0.9], density=True
+        )
 
 
 def test_density_mean_balanced(balanced_market):
@@ -142,6 +172,6 @@ def test_importance_zero_strike_recovers_spot(state_market):
 
 
 def test_rho_positive_on_every_path(state_market):
-    _, rho = _p_terminal_with_density(state_market, 8, 0, 10_000)
+    _, rho = _p_terminal(state_market, 8, 0, 10_000)
     assert np.all(rho > 0.0)
 

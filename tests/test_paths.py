@@ -103,6 +103,15 @@ def test_path_times_must_increase():
         exact_values_vec(_market(), "P", 1, 0, 1, 0.5, 100.0, 100.0, [0.25])
 
 
+@pytest.mark.parametrize("times", [[0.5, 0.5, 0.9], [0.9, 0.5], [0.5, 1.5]])
+def test_sample_times_must_increase_up_to_maturity(times):
+    # column j holds the value at times[j], so a repeated time would leave
+    # a column unfilled and unsorted times would swap columns; past T lies
+    # outside the horizon over which the coefficients are validated
+    with pytest.raises(ContractError, match="outside"):
+        exact_values_vec(_market(), "Q", 1, 0, 3, 0.0, 100.0, 100.0, times)
+
+
 def _sfde(drift=None, g="0.2", phi0=1.0, T=1.0):
     return FixedDelaySfde(
         L=0.25, b=0.25, a=0.25,

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,14 +205,14 @@ def test_discount_shift_consistency():
 # --- H kernel -------------------------------------------------------------
 
 
-def _h_one(x, m, v, strike, rate_integral_0T):
+def _h_one(x, v, strike, rate_integral_0T):
     """The vector kernel at one discounted block-start state."""
-    return float(_h_value_vec(np.array([x]), m, v, strike, rate_integral_0T)[0])
+    return float(_h_value_vec(np.array([x]), v, strike, rate_integral_0T)[0])
 
 
 def test_h_value_centered_case():
     v = 0.04
-    out = _h_one(1.0, -0.5 * v, v, 1.0, 0.0)
+    out = _h_one(1.0, v, 1.0, 0.0)
     assert out == pytest.approx(2.0 * norm_cdf(0.1) - 1.0, abs=1e-15)
     assert out == pytest.approx(0.0796557, abs=5e-8)
 
@@ -226,15 +227,16 @@ def test_h_value_reduces_to_closed_form():
         v = _final_block_variance(market, s_t, t)
         x = s_t * math.exp(-market.rate.integral(0.0, t))
         lhs = math.exp(market.rate.integral(0.0, t)) * _h_one(
-            x, -0.5 * v, v, 100.0, market.rate.integral(0.0, 1.0)
+            x, v, 100.0, market.rate.integral(0.0, 1.0)
         )
         rhs = price_closed(market, OptionSpec(100.0), state).value
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
 def test_h_value_large_x_asymptote():
-    out = _h_one(1e9, 0.01, 0.04, 1.0, 0.05)
-    assert out == pytest.approx(1e9 * math.exp(0.01 + 0.02) - math.exp(-0.05), rel=1e-12)
+    # the kernel's log-mean is -v/2, so deep in the money it is x - e^{-R}
+    out = _h_one(1e9, 0.04, 1.0, 0.05)
+    assert out == pytest.approx(1e9 - math.exp(-0.05), rel=1e-12)
 
 
 def test_h_value_domain():
@@ -294,6 +296,37 @@ def test_deterministic_reduction_across_workers():
     ]
     assert results[0].value == results[1].value == results[2].value
     assert results[0].std_error == results[1].std_error == results[2].std_error
+
+
+# --- scale equivariance ---------------------------------------------------
+
+
+def _scaled_market(c):
+    """The state-dependent market in units 1/c of the currency: s0 times c,
+    and s replaced by s/c in f and g."""
+    unit = lambda expr: re.sub(r"\bs\b", f"(s/{float(c)!r})", expr)
+    return VariableDelayMarket(
+        h=0.25, T=0.9, s0=100.0 * c,
+        f=CoefficientExpr.parse(unit("0.3*s/(1+s) + 0.01*t")),
+        g=CoefficientExpr.parse(unit("0.1 + 0.1*s/(1+s)")),
+        rate=RateCurve.constant(0.05),
+        g_min=0.05,
+    )
+
+
+@pytest.mark.parametrize("c", [0.01, 7.0, 1e3])
+def test_prices_scale_with_the_currency_unit(c):
+    base, scaled = _scaled_market(1.0), _scaled_market(c)
+    option, scaled_option = OptionSpec(97.0), OptionSpec(97.0 * c)
+    closed = price_closed(base, option, MarketState(0.8, 103.0, 101.0)).value
+    scaled_closed = price_closed(
+        scaled, scaled_option, MarketState(0.8, 103.0 * c, 101.0 * c)
+    ).value
+    assert scaled_closed == pytest.approx(c * closed, rel=1e-12)
+    for pricer, seed in ((price_mc, 7), (price_semi, 3)):
+        value = pricer(base, option, MarketState(0.0, 100.0), 100_000, seed).value
+        moved = pricer(scaled, scaled_option, MarketState(0.0, 100.0 * c), 100_000, seed)
+        assert abs(moved.value - c * value) <= 3.0 * moved.std_error
 
 
 # --- parity ---------------------------------------------------------------
