@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,19 +66,19 @@ class EvalError(DelayBsError):
 @dataclass(frozen=True)
 class Lit:
     value: float
-    span: tuple = (0, 0)
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Var:
     name: str  # "t" or "s"
-    span: tuple = (0, 0)
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Neg:
     operand: object
-    span: tuple = (0, 0)
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,14 @@ class Bin:
     op: str  # one of + - * / ^
     left: object
     right: object
-    span: tuple = (0, 0)
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 @dataclass(frozen=True)
 class Call:
     func: str
     args: tuple
-    span: tuple = (0, 0)
+    span: tuple = field(default=(0, 0), compare=False)
 
 
 _TOKEN_RE = re.compile(
@@ -206,7 +206,7 @@ class _Parser:
         if kind == "op" and text == "(":
             node = self.expr()
             close = self.expect_op(")")
-            return _with_span(node, (offset, close[2] + 1))
+            return replace(node, span=(offset, close[2] + 1))
         raise ParseError("expected a number, variable, function or '('", offset)
 
     def call(self, name, offset):
@@ -230,19 +230,6 @@ class _Parser:
                 f"{name} takes {arity} argument(s), got {len(args)}", offset
             )
         return Call(name, tuple(args), (offset, close[2] + 1))
-
-
-def _with_span(node, span):
-    """Rebuild a node with a widened span (frozen dataclasses)."""
-    if isinstance(node, Lit):
-        return Lit(node.value, span)
-    if isinstance(node, Var):
-        return Var(node.name, span)
-    if isinstance(node, Neg):
-        return Neg(node.operand, span)
-    if isinstance(node, Bin):
-        return Bin(node.op, node.left, node.right, span)
-    return Call(node.func, node.args, span)
 
 
 def parse(source):
@@ -455,22 +442,4 @@ def to_source(ast):
 
 def structurally_equal(a, b):
     """Compare two ASTs ignoring source spans."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Lit):
-        return a.value == b.value
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Neg):
-        return structurally_equal(a.operand, b.operand)
-    if isinstance(a, Bin):
-        return (
-            a.op == b.op
-            and structurally_equal(a.left, b.left)
-            and structurally_equal(a.right, b.right)
-        )
-    return (
-        a.func == b.func
-        and len(a.args) == len(b.args)
-        and all(structurally_equal(x, y) for x, y in zip(a.args, b.args))
-    )
+    return a == b

@@ -10,9 +10,11 @@ grid, accrues the cash with exact discount factors, and reports the
 terminal replication error against the payoff.
 
 The block price is the constant ``s_star``, so every rebalance's
-variance, rate integral and stock-step moments are scalars: they are
-planned once per ``replicate`` call and shared by all chunks, which
-update their path buffers in place.
+variance and rate integral are scalars, planned once per ``replicate``
+call and shared by all chunks, which update their path buffers in
+place.  The stock steps come from the exact block sampler,
+:func:`delaybs.paths.exact_steps`, whose block integrals are scalars
+too while its block price is ``s_star``.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from . import rng
 from .errors import ContractError
-from .model import MAX_TIME_STEPS, block_index, discount_factor
-from .parallel import map_chunks
+from .model import MAX_TIME_STEPS, discount_factor
+from .parallel import reduce_moments
+from .paths import exact_steps
 from .pricing import (
     DEFAULT_N,
     MarketState,
@@ -51,17 +53,13 @@ class _Rebalance:
     """The scalars of one rebalance at time t for the block price s_star.
 
     lam and v are the rate integral and the variance over [t, T], which
-    fix the hedge; log_drift (lam_int - g2/2) and vol (sqrt(g2)) fix the
-    exact stock step over [t, t_next], over which cash is divided by
-    ``discount``.
+    fix the hedge; over [t, t_next] cash is divided by ``discount``.
     """
 
     t: float
     lam: float
     half_v: float
     sq: float
-    log_drift: float
-    vol: float
     discount: float
 
 
@@ -70,10 +68,8 @@ def _plan(market, s_star, grid, quad_n=DEFAULT_N):
     plan = []
     for t_i, t_next in zip(grid[:-1], grid[1:]):
         v, _, lam = block_integrals_vec(market, s_star, t_i, market.T, quad_n)
-        g2, _, lam_int = block_integrals_vec(market, s_star, t_i, t_next, quad_n)
         plan.append(_Rebalance(
             t=t_i, lam=lam, half_v=0.5 * v, sq=np.sqrt(v),
-            log_drift=lam_int - 0.5 * g2, vol=np.sqrt(g2),
             discount=discount_factor(market.rate, t_i, t_next),
         ))
     return plan
@@ -128,19 +124,21 @@ def replicate(
         s_star = market.s0
     # Every hedge weight divides by the root of a final-block variance.
     _final_block_variance(market, s_star, t_star, quad_n)
-    k = block_index(t_star, market.h)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
     v0 = price_closed(market, option, MarketState(t_star, float(s_star)), quad_n).value
     plan = _plan(market, s_star, grid, quad_n)
     strike = option.strike
 
     def chunk(lo, hi):
-        """Sums of the terminal error and of its square over streams lo..hi-1."""
+        """The terminal error and its square over streams lo..hi-1."""
         n = hi - lo
         s = np.full(n, float(s_star))
         wealth = np.full(n, v0)
         held = np.empty(n)
-        for i, step in enumerate(plan):
+        steps = exact_steps(
+            market, "Q", seed, lo, hi, t_star, s_star, s_star, grid[1:], quad_n
+        )
+        for step, s_next in zip(plan, steps):
             pi_s, bond_value = _weights(s, strike, step, identity_tol is not None)
             if identity_tol is not None:
                 vals = pi_s * s + bond_value
@@ -158,24 +156,14 @@ def replicate(
                         f"portfolio identity violated by {gap} at t={step.t}"
                     )
             wealth -= np.multiply(pi_s, s, out=held)  # the cash
-            # advance the stock with one exact sub-block step
-            z = rng.normals(seed, k, i, lo, hi)
-            z *= step.vol
-            z += step.log_drift
-            s *= np.exp(z, out=z)
+            s = s_next
             wealth /= step.discount
             wealth += np.multiply(pi_s, s, out=held)
         s -= strike
         wealth -= np.maximum(s, 0.0, out=s)  # the terminal error
-        err_sum = float(wealth.sum())
-        wealth *= wealth
-        return err_sum, float(wealth.sum())
+        return wealth, wealth * wealth
 
-    err_sum = err_sq = 0.0
-    # An explicit fold in chunk order: sum() compensates from Python 3.12.
-    for part_sum, part_sq in map_chunks(chunk, n_paths, workers):
-        err_sum += part_sum
-        err_sq += part_sq
+    (_, err_sum, _), (_, err_sq, _) = reduce_moments(chunk, n_paths, workers)
     mean = err_sum / n_paths
     rmse = math.sqrt(err_sq / n_paths)
     return ReplicationReport(

@@ -2,7 +2,8 @@
 
 Both read full P-paths and their Girsanov density rho_T = dQ/dP from
 the exact block sampler, :func:`delaybs.paths.exact_values_vec` with
-``density=True``, which documents how the two are sampled jointly.
+``density=True``; :func:`delaybs.paths.exact_steps` documents how the
+two are sampled jointly.
 """
 
 from __future__ import annotations

@@ -36,7 +36,7 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     """Mean and standard error of per-path statistics, chunk by chunk.
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
-    chunk; the chunks' moments are combined by :func:`merge_moments`.
+    chunk; the chunks' moments are combined by :func:`reduce_moments`.
     Returns (mean, standard_error, n); a mean or standard error that is
     not finite raises :class:`NumericalError`.
     """
@@ -51,14 +51,8 @@ def accumulate_joint_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     with the bits :func:`accumulate_moments` gives for that statistic
     alone.
     """
-    if n < 1:
-        raise ContractError(f"need at least one path, got {n}")
-    per_chunk = map_chunks(
-        lambda lo, hi: [moments(values) for values in fn(lo, hi)], n, workers, chunk_size
-    )
     out = []
-    for partials in zip(*per_chunk):
-        _, total, m2 = merge_moments(partials)
+    for _, total, m2 in reduce_moments(fn, n, workers, chunk_size):
         mean = total / n
         var = m2 / (n - 1) if n > 1 else 0.0
         se = (var / n) ** 0.5
@@ -70,6 +64,33 @@ def accumulate_joint_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     return out
 
 
+def reduce_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
+    """(count, sum, M2) over all n paths of each statistic fn returns.
+
+    fn(lo, hi) returns an iterable of 1-d arrays, one per statistic, each
+    reduced to its :func:`moments` as it comes, so a generator can free
+    one before it makes the next.  Each chunk's moments are merged in
+    chunk order by the pairwise update of Chan, Golub & LeVeque (1979),
+    so the variance does not cancel when the mean is large next to the
+    spread, and every result has the same bits at any worker count.
+    """
+    if n < 1:
+        raise ContractError(f"need at least one path, got {n}")
+    per_chunk = map_chunks(
+        lambda lo, hi: [moments(values) for values in fn(lo, hi)], n, workers, chunk_size
+    )
+    merged = []
+    for partials in zip(*per_chunk):
+        count, total, m2 = partials[0]
+        for c, s, q in partials[1:]:
+            delta = s / c - total / count
+            m2 += q + delta * delta * (count * c / (count + c))
+            count += c
+            total += s
+        merged.append((count, total, m2))
+    return merged
+
+
 def moments(values):
     """(count, sum, M2) of a 1-d array, M2 taken about its own mean.
 
@@ -79,20 +100,3 @@ def moments(values):
         total = float(values.sum())
         dev = values - total / len(values)
         return len(values), total, float((dev * dev).sum())
-
-
-def merge_moments(partials):
-    """Merge (count, sum, M2) triples in the order given.
-
-    Each M2, a sum of squared deviations, is about its own part's mean;
-    the parts are merged by the pairwise update of Chan, Golub & LeVeque
-    (1979), so the variance does not cancel when the mean is large next
-    to the spread.
-    """
-    count, total, m2 = partials[0]
-    for c, s, q in partials[1:]:
-        delta = s / c - total / count
-        m2 += q + delta * delta * (count * c / (count + c))
-        count += c
-        total += s
-    return count, total, m2

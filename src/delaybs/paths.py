@@ -25,7 +25,7 @@ import numpy as np
 from . import rng
 from .errors import ContractError, IntegrationFailure, NumericalError
 from .model import MAX_TIME_STEPS, block_index, is_positive
-from .parallel import map_chunks, merge_moments, moments
+from .parallel import reduce_moments
 from .quadrature import DEFAULT_N, block_integrals_vec
 
 
@@ -119,11 +119,12 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
 
 
 def _knots(market, t_start, sample_times):
-    """(time, wanted) pairs: the block edges k*h after t_start, as in
-    ``block_schedule``, merged with the sample times up to the last one.
+    """(time, wanted, edge) triples: the block edges k*h after t_start, as
+    in ``block_schedule``, merged with the sample times up to the last
+    one; ``edge`` marks the knots that end a block.
 
-    Sample times must increase from t_start, each by more than tol, up
-    to the maturity T; one within tol of an edge replaces the edge.
+    Sample times must increase from t_start up to the maturity T; one
+    within tol of an edge replaces the edge.
     """
     h = market.h
     tol = 1e-12 * max(market.T, 1.0)
@@ -131,19 +132,91 @@ def _knots(market, t_start, sample_times):
     prev = t_start
     k = block_index(t_start, h) + 1
     for t in sample_times:
-        if t <= prev + tol or t > market.T + tol:
+        if t <= prev or t > market.T + tol:
             raise ContractError(
                 f"sample time {t} outside ({prev}, {market.T}]: sample times "
                 "must increase from t_start and end by the maturity"
             )
         while k * h < t - tol:
-            out.append((k * h, False))
+            out.append((k * h, False, True))
             k += 1
-        if k * h <= t + tol:
+        edge = k * h <= t + tol
+        if edge:
             k += 1
-        out.append((t, True))
+        out.append((t, True, edge))
         prev = t
     return out
+
+
+def exact_steps(
+    market,
+    measure,
+    seed,
+    lo,
+    hi,
+    t_start,
+    s_start,
+    s_block,
+    sample_times,
+    quad_n=DEFAULT_N,
+    density=False,
+):
+    """Exact-scheme prices at each of sample_times for stream ids lo..hi-1.
+
+    A generator: it yields a fresh price array at each sample time, or
+    with ``density`` a (prices, log_rho) pair.  The sampler reads the
+    yielded prices again to take its next step, so a caller may write to
+    them only once it draws no further step.  ``s_start`` is the price
+    at ``t_start`` and ``s_block`` the price at the start of the block
+    containing ``t_start``, both scalars; the block price stays a scalar,
+    and so do its block integrals, until the first block edge.  One
+    Gaussian substream is consumed per (block, substep), where substep
+    counts the sub-intervals visited inside each block.
+
+    ``density`` (under P only) adds log_rho, the log of the Girsanov
+    density dQ/dP.  The change of measure removes the drift mismatch
+    (f - lambda) from the price dynamics.  Its log-density is driven by
+    the same Brownian increments as the price, so the two are sampled
+    jointly per block as a bivariate Gaussian: I1 = integral of g dW
+    (price), I2 = integral of theta dW (density), with covariance
+    integral of g*theta = f - lambda.  I2's normal is substream 1, so the
+    density needs whole blocks: a sample time inside a block, other than
+    the last, raises :class:`ContractError`.  Within a block theta is
+    evaluated from the frozen block-start price only, which is what makes
+    the density increment measurable at the block start.
+    """
+    if density and measure != "P":
+        raise ContractError(f"the density is sampled under P, not {measure}")
+    s, sb = float(s_start), float(s_block)
+    log_rho = 0.0
+    prev = t_start
+    k = block_index(t_start, market.h)
+    substep = 0
+    for t, wanted, edge in _knots(market, t_start, sample_times):
+        if density and substep:
+            raise ContractError(f"the density needs whole blocks; {prev} is inside block {k}")
+        g2, f_int, lam_int, *theta_sq = block_integrals_vec(
+            market, sb, prev, t, quad_n, with_f=measure != "Q", with_theta=density
+        )
+        # z becomes I1, then the growth factor exp(drift - g2/2 + I1)
+        z = rng.normals(seed, k, substep, lo, hi)
+        if density:
+            z2 = rng.normals(seed, k, 1, lo, hi)
+            z, i2 = _joint_increments(g2, f_int, lam_int, theta_sq[0], z, z2)
+            log_rho = log_rho - i2 - 0.5 * theta_sq[0]
+        else:
+            z *= np.sqrt(g2)
+        z += (lam_int if measure == "Q" else f_int) - 0.5 * g2
+        np.exp(z, out=z)
+        z *= s
+        s = z
+        if edge:  # refresh the frozen block state
+            k, substep, sb = k + 1, 0, s
+        else:
+            substep += 1
+        if wanted:
+            yield (s, log_rho) if density else s
+        prev = t
 
 
 def exact_values_vec(
@@ -159,66 +232,22 @@ def exact_values_vec(
     quad_n=DEFAULT_N,
     density=False,
 ):
-    """Exact-scheme values at sample_times for stream ids lo..hi-1.
+    """Exact-scheme values at sample_times for stream ids lo..hi-1, one
+    column per sample time, from :func:`exact_steps`.
 
-    ``s_start`` may be a scalar or an array over the streams;
-    ``s_block`` is the price at the start of the block containing
-    ``t_start``.  One Gaussian substream is consumed per (block, substep)
-    where substep counts the sub-intervals visited inside each block.
-
-    With ``density`` (under P only) the result is ``(values, rho)``, with
-    rho the Girsanov density dQ/dP at the last sample time.  The change
-    of measure removes the drift mismatch (f - lambda) from the price
-    dynamics.  Its log-density is driven by the same Brownian increments
-    as the price, so the two are sampled jointly per block as a
-    bivariate Gaussian: I1 = integral of g dW (price), I2 = integral of
-    theta dW (density), with covariance integral of g*theta = f - lambda.
-    I2's normal is substream 1, so the density needs whole blocks: a
-    sample time inside a block, other than the last, raises
-    :class:`ContractError`.  Within a block theta is evaluated from the
-    frozen block-start price only, which is what makes the density
-    increment measurable at the block start.
+    With ``density`` the result is ``(values, rho)``, with rho the
+    Girsanov density dQ/dP at the last sample time.
     """
-    if density and measure != "P":
-        raise ContractError(f"the density is sampled under P, not {measure}")
-    n = hi - lo
-    s = np.full(n, float(s_start)) if np.isscalar(s_start) else np.array(s_start, dtype=float)
-    sb = np.full(n, float(s_block)) if np.isscalar(s_block) else np.array(s_block, dtype=float)
-    log_rho = np.zeros(n) if density else None
-    out = np.empty((n, len(sample_times)))
-    tol = 1e-12 * max(market.T, 1.0)
-
-    prev = t_start
-    k_cur = block_index(t_start, market.h)
-    substep = 0
-    out_col = 0
-    for t, wanted in _knots(market, t_start, sample_times):
-        k = block_index(prev, market.h)
-        if k != k_cur:
-            k_cur = k
-            substep = 0
-        if density and substep:
-            raise ContractError(f"the density needs whole blocks; {prev} is inside block {k}")
-        # refresh the frozen block state at each boundary
-        if abs(prev - k * market.h) <= tol and prev > t_start + tol:
-            sb = s.copy()
-        g2, f_int, lam_int, *theta_sq = block_integrals_vec(
-            market, sb, prev, t, quad_n, with_f=measure != "Q", with_theta=density
-        )
-        z = rng.normals(seed, k, substep, lo, hi)
+    out = np.empty((hi - lo, len(sample_times)))
+    log_rho = np.zeros(hi - lo) if density else None
+    steps = exact_steps(
+        market, measure, seed, lo, hi, t_start, s_start, s_block, sample_times, quad_n,
+        density,
+    )
+    for col, step in enumerate(steps):
         if density:
-            z2 = rng.normals(seed, k, 1, lo, hi)
-            i1, i2 = _joint_increments(g2, f_int, lam_int, theta_sq[0], z, z2)
-            log_rho = log_rho - i2 - 0.5 * theta_sq[0]
-        else:
-            i1 = np.sqrt(g2) * z
-        drift = lam_int if measure == "Q" else f_int
-        s = s * np.exp(drift - 0.5 * g2 + i1)
-        substep += 1
-        if wanted:
-            out[:, out_col] = s
-            out_col += 1
-        prev = t
+            step, log_rho = step
+        out[:, col] = step
     return (out, np.exp(log_rho)) if density else out
 
 
@@ -434,9 +463,8 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
     dt_f = sfde.T / finest
 
     def chunk(lo, hi):
-        """(sum of gap^2, gap moments, sum of em, sum of split) per step count."""
+        """Yield gap, gap^2, em and split terminal values per step count."""
         dW_f = brownian_increments(seed, lo, hi, finest, dt_f)
-        out = []
         for steps in steps_list:
             factor = finest // steps
             dW = dW_f if factor == 1 else _pairwise_sum(
@@ -448,21 +476,13 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
             sp_T = split_values_vec(sfde, dt, dW)[1][:, -1].copy()
             with np.errstate(over="ignore", invalid="ignore"):
                 gap = em_T - sp_T
-                out.append(
-                    (float((gap * gap).sum()), moments(gap), float(em_T.sum()), float(sp_T.sum()))
-                )
-        return out
+                gap_sq = gap * gap
+            yield from (gap, gap_sq, em_T, sp_T)
 
-    per_chunk = map_chunks(chunk, n_paths, workers, CONVERGENCE_CHUNK)
+    merged = reduce_moments(chunk, n_paths, workers, CONVERGENCE_CHUNK)
     results = []
-    for steps, parts in zip(steps_list, zip(*per_chunk)):
-        # An explicit fold in chunk order: sum() compensates from Python 3.12.
-        gap_sq = em = sp = 0.0
-        for part_gap_sq, _, part_em, part_sp in parts:
-            gap_sq += part_gap_sq
-            em += part_em
-            sp += part_sp
-        _, diff, m2 = merge_moments([gap for _, gap, _, _ in parts])
+    for i, steps in enumerate(steps_list):
+        (_, diff, m2), (_, gap_sq, _), (_, em, _), (_, sp, _) = merged[4 * i : 4 * i + 4]
         results.append(
             {
                 "steps": steps,

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
-from .model import block_index, discount_factor, floor_block, is_positive
+from .model import block_index, discount_factor, is_positive
 from .parallel import accumulate_joint_moments, accumulate_moments
 from .paths import exact_values_vec
 from .quadrature import DEFAULT_N, block_integrals_vec
@@ -59,15 +59,16 @@ def norm_cdf(x):
 
 
 def final_block_start(market):
-    """Start time of the block containing maturity.
+    """Start time k*h of the block containing maturity, as in
+    ``block_schedule(T, h)[-2]``.
 
     When maturity falls exactly on a boundary the final block is the one
     of positive length ending at T.
     """
-    fb = floor_block(market.T, market.h)
-    if market.T - fb <= 1e-12 * max(market.T, 1.0):
-        fb = max(fb - market.h, 0.0)
-    return fb
+    k = block_index(market.T, market.h)
+    if market.T - k * market.h <= 1e-12 * max(market.T, 1.0):
+        k = max(k - 1, 0)
+    return k * market.h
 
 
 def _final_block_variance(market, s_block, t, quad_n=DEFAULT_N):

@@ -143,7 +143,7 @@ def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False, with_f
     """
     _check_single_block(market, a, b)
     f, g, rate = market.f, market.g, market.rate
-    g2 = _block_integral(lambda u, s: g.vec(u, s) ** 2, g.compiled.uses_t, s_k, a, b, n)
+    g2 = _block_integral(lambda u, s: np.square(g.vec(u, s)), g.compiled.uses_t, s_k, a, b, n)
     f_int = None
     if with_f or with_theta:
         f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b, n)

@@ -453,6 +453,7 @@ def test_check_on_invalid_market_output_is_unchanged(tmp_path, capsys, changes, 
     ["hedge", "--config", CONSTANT, "--strike", "100", "--ladder", ","],
     ["convergence", "--config", FIXED, "--steps", "a"],
     ["convergence", "--config", FIXED, "--steps", "64,1.5"],
+    ["convergence", "--config", FIXED, "--steps", "128,192"],  # 128 does not divide 192
 ])
 def test_bad_count_lists_are_usage_errors(capsys, argv):
     _fails_with_one_error_line(capsys, argv + ["--paths", "10"])
@@ -704,6 +705,19 @@ def test_hedge_on_a_zero_variance_final_block_is_usage_error(tmp_path, capsys):
         ])
     assert [str(w.message) for w in caught] == []
     assert "final-block variance" in line
+
+
+def test_hedge_on_a_final_block_shorter_than_the_knot_tolerance(tmp_path, capsys):
+    # the final block [1, 1 + 2e-12] puts rebalances closer together than
+    # the 1e-12 * max(T, 1) within which a sample time snaps onto a block edge
+    config = _config(tmp_path, h=0.25, T=1.000000000002)
+    code, out = _run(capsys, ["hedge", "--config", config, "--strike", "100",
+                              "--ladder", "4,16", "--paths", "1000"])
+    assert (code, out) == (cli.EXIT_OK, (
+        "n_rebalance,mean_error,rmse,n_paths\n"
+        "4,-1.2449117319574508e-08,4.6149602450846715e-06,1000\n"
+        "16,-7.7494558581508902e-08,2.3972170224761348e-06,1000\n"
+    ))
 
 
 @pytest.mark.parametrize("scheme", ["em", "split"])

@@ -40,6 +40,26 @@ def test_syntax_error_offset():
     assert exc.value.offset == 4
 
 
+@pytest.mark.parametrize("source, offset", [("s @ 2", 2), ("min(s t)", 6), ("s)", 1)])
+def test_parse_error_offsets(source, offset):
+    # an unknown character, a missing argument separator, trailing input
+    with pytest.raises(ParseError) as exc:
+        parse(source)
+    assert exc.value.offset == offset
+
+
+def test_trailing_whitespace_parses():
+    assert structurally_equal(parse("s + 1  "), parse("s + 1"))
+
+
+@pytest.mark.parametrize("source, inner", [("2*(s)", "(s)"), ("1 + (log(s))", "(log(s))")])
+def test_parentheses_widen_the_span(source, inner):
+    node = parse(source).right
+    start, end = node.span
+    assert source[start:end] == inner
+    assert structurally_equal(node, parse(inner[1:-1]))
+
+
 def test_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier 'x'"):
         parse("2*x")

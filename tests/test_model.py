@@ -231,6 +231,7 @@ def test_validate_matches_full_grid_reference(f_expr, g_expr, g_min):
         ("1/(t - 0.25)", "0.05 + 0.1*s/(1+s)"),  # g crosses g_min
         ("0.08", "0.001"),  # constant g below g_min everywhere
         ("0.08", "0.1 + 0.1*s/(1+s)"),  # valid
+        ("0.08", "0.2 + s*1e306"),  # overflows to inf without an EvalError
     ],
 )
 def test_validate_matches_full_grid_reference_examples(f_expr, g_expr):
@@ -281,6 +282,26 @@ def test_market_from_config_roundtrip(tmp_path):
         market_from_config(load_config(path))
     with pytest.raises(ConfigError, match="not found"):
         load_config(tmp_path / "nope.json")
+
+
+@pytest.mark.parametrize(
+    "rate, whole, tail",
+    [
+        # 0.05*0.3 + 0.02*0.3, and the last rate held from 0.6 to T = 0.9
+        ({"kind": "piecewise", "times": [0.0, 0.3, 0.6], "rates": [0.05, 0.02]}, 0.027, 0.004),
+        # the trapezoid over [0, 0.4], and the last sample held to T
+        ({"kind": "samples", "times": [0.0, 0.4], "rates": [0.01, 0.03]}, 0.023, 0.006),
+    ],
+)
+def test_market_from_config_reads_rate_curves(rate, whole, tail):
+    market = market_from_config({
+        "h": 0.25, "T": 0.9, "s0": 100.0, "f_expr": "0.08",
+        "g_expr": "0.1 + 0.1*s/(1+s)", "g_min": 0.05, "rate": rate,
+    })
+    assert market.rate.kind == rate["kind"]
+    assert market.rate.integral(0.0, 0.9) == pytest.approx(whole, rel=1e-12)
+    # [0.7, 0.9] lies past the curve's last time
+    assert market.rate.integral(0.7, 0.9) == pytest.approx(tail, rel=1e-12)
 
 
 def test_market_rejects_invalid_config():

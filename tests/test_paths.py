@@ -112,6 +112,15 @@ def test_sample_times_must_increase_up_to_maturity(times):
         exact_values_vec(_market(), "Q", 1, 0, 3, 0.0, 100.0, 100.0, times)
 
 
+def test_sample_time_just_below_an_edge_ends_the_block():
+    # 0.25 - 5e-13 replaces the edge 0.25, so block 1 starts there: its
+    # price freezes g and block 1's normals drive the step to 0.5
+    market = _market(g="0.1 + 0.3*s/(50+s)")
+    near = exact_values_vec(market, "Q", 3, 0, 100, 0.0, 100.0, 100.0, [0.25 - 5e-13, 0.5])
+    edge = exact_values_vec(market, "Q", 3, 0, 100, 0.0, 100.0, 100.0, [0.25, 0.5])
+    np.testing.assert_allclose(near, edge, rtol=1e-9)
+
+
 def _sfde(drift=None, g="0.2", phi0=1.0, T=1.0):
     return FixedDelaySfde(
         L=0.25, b=0.25, a=0.25,

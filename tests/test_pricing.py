@@ -99,6 +99,9 @@ def test_final_block_start_boundary_maturity():
     assert final_block_start(_market(h=0.4, T=1.0)) == pytest.approx(0.8)
     assert final_block_start(_market(h=0.25, T=1.0)) == pytest.approx(0.75)
     assert final_block_start(_market(h=0.25, T=0.9)) == pytest.approx(0.75)
+    # on a block edge the start is k*h, the second-last block_schedule time
+    assert final_block_start(_market(h=0.1, T=0.3)) == 0.2
+    assert final_block_start(_market(h=0.3, T=0.9)) == 0.6
 
 
 # --- closed form ----------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Every top-level function or class in delaybs is used by delaybs.
+"""Every top-level function or class in delaybs is used by delaybs,
+and every module-level import is read by its module.
 
 A helper that only tests call is a second copy of what the vectorised
 engines already do; these tests fail when one is added.
@@ -94,3 +95,24 @@ def test_allowed_names_are_still_defined_and_unused():
     }
     used = _used_names(trees) | _reexported(trees) | _traced()
     assert sorted(name for name in ALLOWED if name not in defined or name in used) == []
+
+
+def _imported(tree):
+    """Names bound by a module's top-level imports, except __future__ ones."""
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            yield from (alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            yield from (alias.asname or alias.name for alias in node.names)
+
+
+def test_every_module_level_import_is_read():
+    # __init__.py imports only to re-export
+    unread = sorted(
+        f"{module}:{name}"
+        for module, tree in _trees().items()
+        if module != "__init__.py"
+        for name in _imported(tree)
+        if name not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    )
+    assert not unread, f"module-level imports their module never reads: {unread}"
