@@ -30,53 +30,47 @@ from .quadrature import DEFAULT_N, block_integrals_vec
 
 
 class SegmentBuffer:
-    """History window of one or more paths on a uniform dt grid.
+    """Delay window of one or more paths on a uniform dt grid.
 
-    The layout is time-major: row ``n_hist + n`` holds the values of all
-    paths at time ``n * dt`` and the rows before it hold the initial
-    history, so lagged lookups are plain row shifts and each step reads
-    and writes contiguous rows.  The moving-average window is a running
-    sum: the first step sums the history rows once and every later step
-    adds the new row and subtracts the row that left the window.
+    A ring of ``n_hist + 2`` rows, one row per grid time holding all
+    paths, so each step reads and writes contiguous rows.  Step ``n``
+    reads the rows of times ``(n - n_hist) * dt`` to ``n * dt``, and a
+    moving-average window as long as the history also drops the row
+    before them from its running sum; step ``n`` then writes row
+    ``n + 1`` into that dropped row's slot.  The running sum starts from
+    the history rows at step 0 and every later step adds the new row and
+    subtracts the row that left the window.
     """
 
-    def __init__(self, phi, dt, n_steps, n_paths, n_hist):
-        self.dt = dt
+    def __init__(self, phi, dt, n_paths, n_hist):
         self.n_hist = n_hist
-        self.data = np.empty((n_hist + n_steps + 1, n_paths))
+        self.data = np.empty((n_hist + 2, n_paths))
         hist_times = (np.arange(-n_hist, 1)) * dt
         self.data[: n_hist + 1] = np.array([phi(t) for t in hist_times])[:, None]
         self._window_sum = None
         self._window_step = -1
 
-    def row(self, step):
-        return self.n_hist + step
-
     def value(self, step):
-        return self.data[self.row(step)]
+        return self.data[(self.n_hist + step) % len(self.data)]
 
     def lagged(self, step, lag_steps):
-        return self.data[self.row(step) - lag_steps]
+        return self.value(step - lag_steps)
 
     def window_mean(self, step, lag_steps):
         """Mean over rows step - lag_steps .. step; call once per step from 0."""
-        r = self.row(step)
         if step == 0:
+            r = self.n_hist
             self._window_sum = self.data[r - lag_steps : r + 1].sum(axis=0)
         elif step == self._window_step + 1:
-            self._window_sum += self.data[r]
-            self._window_sum -= self.data[r - lag_steps - 1]
+            self._window_sum += self.value(step)
+            self._window_sum -= self.value(step - lag_steps - 1)
         else:
             raise ContractError(f"window step {step} follows {self._window_step}")
         self._window_step = step
         return self._window_sum / (lag_steps + 1)
 
     def put(self, step, values):
-        self.data[self.row(step)] = values
-
-    def values(self):
-        """Values at grid times 0..T as a (paths, steps + 1) view."""
-        return self.data[self.n_hist :].T
+        self.value(step)[:] = values
 
 
 # ---------------------------------------------------------------------------
@@ -262,11 +256,15 @@ def brownian_increments(seed, lo, hi, n_steps, dt):
     Returns a (paths, steps) view of a time-major array, so the engines
     read each step's increments as one contiguous row.
     """
-    dW = np.empty((n_steps, hi - lo))
+    return _fill_increments(np.empty((n_steps, hi - lo)), seed, lo, hi, 0, dt).T
+
+
+def _fill_increments(out, seed, lo, hi, n0, dt):
+    """Fill the rows of out with the increments of steps n0, n0 + 1, ..."""
     sq = math.sqrt(dt)
-    for n in range(n_steps):
-        np.multiply(sq, rng.normals(seed, 0, n, lo, hi), out=dW[n])
-    return dW.T
+    for j, row in enumerate(out):
+        np.multiply(sq, rng.normals(seed, 0, n0 + j, lo, hi), out=row)
+    return out
 
 
 def _lag_steps(name, lag, dt):
@@ -301,109 +299,131 @@ def grid_steps(sfde, dt):
     return n_steps, m_b, m_a
 
 
-def _drift_values(sfde, buf, step, t, m_b, m_a):
-    d = sfde.drift
-    s_now = buf.value(step)
-    if d.kind == "segment-point":
-        return d.c * buf.lagged(step, m_b) + d.eps
-    if d.kind == "proportional-lagged":
-        lag = buf.lagged(step, m_a)
-        return d.c * lag / (1.0 + lag) * s_now
-    return d.c * buf.window_mean(step, m_a) * s_now
+class _Stepper:
+    """One fixed-delay scheme on the dt grid, advanced one step at a time.
+
+    ``step(dw)`` takes the increments of the next step, one per path, and
+    returns the new state.  ``s`` is the state at the current step ``n``,
+    a row of the segment buffer that later steps overwrite.  A state
+    that is not finite raises :class:`IntegrationFailure`, after which
+    the stepper must not be stepped again.
+    """
+
+    def __init__(self, sfde, dt, n_paths):
+        _, self.m_b, self.m_a = grid_steps(sfde, dt)
+        if sfde.L / dt > MAX_TIME_STEPS:
+            raise ContractError(
+                f"dt={dt} gives more than {MAX_TIME_STEPS} history steps over L={sfde.L}"
+            )
+        n_hist = max(self.m_b, self.m_a, int(math.ceil(sfde.L / dt - 1e-9)))
+        self.buf = SegmentBuffer(sfde.phi, dt, n_paths, n_hist)
+        self.sfde, self.dt, self.n = sfde, dt, 0
+
+    @property
+    def s(self):
+        return self.buf.value(self.n)
+
+    def step(self, dw):
+        n = self.n
+        # A state that overflows fails the finite check below; numpy need
+        # not also warn about it.
+        with np.errstate(all="ignore"):
+            s_next = self._advance(n, n * self.dt, dw)
+        if not np.isfinite(s_next).all():
+            raise IntegrationFailure(f"non-finite state at step {n + 1}", step_index=n + 1)
+        self.buf.put(n + 1, s_next)
+        self.n = n + 1
+        return s_next
+
+    def _drift(self, n):
+        d, buf = self.sfde.drift, self.buf
+        s_now = buf.value(n)
+        if d.kind == "segment-point":
+            return d.c * buf.lagged(n, self.m_b) + d.eps
+        if d.kind == "proportional-lagged":
+            lag = buf.lagged(n, self.m_a)
+            return d.c * lag / (1.0 + lag) * s_now
+        return d.c * buf.window_mean(n, self.m_a) * s_now
+
+    def _g_lag(self, n, t):
+        return self.sfde.g.vec(t, self.buf.lagged(n, self.m_b))
 
 
-def _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a):
-    if sfde.L / dt > MAX_TIME_STEPS:
-        raise ContractError(
-            f"dt={dt} gives more than {MAX_TIME_STEPS} history steps over L={sfde.L}"
-        )
-    n_hist = max(m_b, m_a, int(math.ceil(sfde.L / dt - 1e-9)))
-    return SegmentBuffer(sfde.phi, dt, n_steps, n_paths, n_hist)
+class EmStepper(_Stepper):
+    """Euler--Maruyama.
+
+    The scheme is not positivity preserving: values may cross zero for
+    coarse dt.  ``first_nonpos`` holds the first crossing step per path
+    (-1 where none) and the integration continues with the values as-is.
+    """
+
+    def __init__(self, sfde, dt, n_paths):
+        super().__init__(sfde, dt, n_paths)
+        self.first_nonpos = np.full(n_paths, -1, dtype=np.int64)
+
+    def _advance(self, n, t, dw):
+        s_n = self.buf.value(n)
+        s_next = s_n + self._drift(n) * self.dt + self._g_lag(n, t) * s_n * dw
+        crossed = (s_next <= 0.0) & (self.first_nonpos < 0)
+        self.first_nonpos[crossed] = n + 1
+        return s_next
+
+
+class SplitStepper(_Stepper):
+    """Splitting scheme.
+
+    Advances in blocks of length b.  Within a block the martingale
+    increments use the volatility of lagged prices (known from the
+    previous block); psi is the stochastic exponential of that
+    martingale and ``y`` solves the random delay ODE by explicit Euler.
+    Each block restarts psi, its martingale and its quadratic variation
+    as the scalars 1, 0 and 0, and y at the block-start price.
+    """
+
+    def _advance(self, n, t, dw):
+        if n % self.m_b == 0:
+            self.psi, self.m_acc, self.qv, self.y = 1.0, 0.0, 0.0, self.buf.value(n)
+        self.y = self.y + self.dt * self._drift(n) / self.psi
+        g_lag = self._g_lag(n, t)
+        self.m_acc = self.m_acc + g_lag * dw
+        self.qv = self.qv + g_lag * g_lag * self.dt
+        self.psi = np.exp(self.m_acc - 0.5 * self.qv)
+        return self.psi * self.y
+
+
+def _collect(stepper, sfde, dt, dW):
+    """(times, values, stepper) of one scheme over caller-made increments.
+
+    values is the (paths, steps + 1) view of a time-major array that
+    holds the state at every grid time.
+    """
+    dW = np.ascontiguousarray(dW.T)  # (steps, paths); free for engine-made dW
+    n_steps, n_paths = dW.shape
+    if n_steps != grid_steps(sfde, dt)[0]:
+        raise ContractError("dW step count does not match the grid")
+    stepper = stepper(sfde, dt, n_paths)
+    out = np.empty((n_steps + 1, n_paths))
+    out[0] = stepper.s
+    for n, dw in enumerate(dW):
+        out[n + 1] = stepper.step(dw)
+    return np.arange(n_steps + 1) * dt, out.T, stepper
 
 
 def em_values_vec(sfde, dt, dW):
     """Euler--Maruyama on the dt grid; returns (times, values, first_nonpos).
 
-    The scheme is not positivity preserving: values may cross zero for
-    coarse dt.  The first crossing step per path is reported and the
-    integration continues with the values as-is.
+    See :class:`EmStepper`.
     """
-    dW = np.ascontiguousarray(dW.T)  # (steps, paths); free for engine-made dW
-    n_steps, n_paths = dW.shape
-    grid_n, m_b, m_a = grid_steps(sfde, dt)
-    if n_steps != grid_n:
-        raise ContractError("dW step count does not match the grid")
-    buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
-    first_nonpos = np.full(n_paths, -1, dtype=np.int64)
-    # A state that overflows fails the finite check below; numpy need
-    # not also warn about it.
-    with np.errstate(all="ignore"):
-        for n in range(n_steps):
-            t = n * dt
-            s_n = buf.value(n)
-            drift = _drift_values(sfde, buf, n, t, m_b, m_a)
-            g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-            s_next = s_n + drift * dt + g_lag * s_n * dW[n]
-            if not np.all(np.isfinite(s_next)):
-                raise IntegrationFailure(
-                    f"non-finite state at step {n + 1}", step_index=n + 1
-                )
-            crossed = (s_next <= 0.0) & (first_nonpos < 0)
-            first_nonpos[crossed] = n + 1
-            buf.put(n + 1, s_next)
-    times = np.arange(n_steps + 1) * dt
-    return times, buf.values(), first_nonpos
+    times, values, em = _collect(EmStepper, sfde, dt, dW)
+    return times, values, em.first_nonpos
 
 
-def split_values_vec(sfde, dt, dW, record_y=False):
-    """Splitting scheme on the dt grid; returns (times, values[, y]).
+def split_values_vec(sfde, dt, dW):
+    """Splitting scheme on the dt grid; returns (times, values).
 
-    Advances in blocks of length b.  Within a block the martingale
-    increments use the volatility of lagged prices (known from the
-    previous block); psi is the stochastic exponential of that
-    martingale and y solves the random delay ODE by explicit Euler.
+    See :class:`SplitStepper`.
     """
-    dW = np.ascontiguousarray(dW.T)  # (steps, paths); free for engine-made dW
-    n_steps, n_paths = dW.shape
-    grid_n, m_b, m_a = grid_steps(sfde, dt)
-    if n_steps != grid_n:
-        raise ContractError("dW step count does not match the grid")
-    buf = _make_buffer(sfde, dt, n_steps, n_paths, m_b, m_a)
-    psi = np.ones(n_paths)
-    y = buf.value(0)
-    m_acc = np.zeros(n_paths)
-    qv = np.zeros(n_paths)
-    y_hist = np.empty((n_steps + 1, n_paths)) if record_y else None
-    if record_y:
-        y_hist[0] = y
-    # As in em_values_vec, the finite check reports an overflow.
-    with np.errstate(all="ignore"):
-        for n in range(n_steps):
-            t = n * dt
-            if n % m_b == 0 and n > 0:
-                # new block: restart the exponential at the current price
-                psi.fill(1.0)
-                m_acc.fill(0.0)
-                qv.fill(0.0)
-                y = buf.value(n)
-            fval = _drift_values(sfde, buf, n, t, m_b, m_a)
-            y = y + dt * fval / psi
-            g_lag = sfde.g.vec(t, buf.lagged(n, m_b))
-            m_acc = m_acc + g_lag * dW[n]
-            qv = qv + g_lag * g_lag * dt
-            psi = np.exp(m_acc - 0.5 * qv)
-            s_next = psi * y
-            if not np.all(np.isfinite(s_next)):
-                raise IntegrationFailure(
-                    f"non-finite state at step {n + 1}", step_index=n + 1
-                )
-            buf.put(n + 1, s_next)
-            if record_y:
-                y_hist[n + 1] = y
-    times = np.arange(n_steps + 1) * dt
-    if record_y:
-        return times, buf.values(), y_hist.T
-    return times, buf.values()
+    return _collect(SplitStepper, sfde, dt, dW)[:2]
 
 
 def _pairwise_sum(x):
@@ -435,9 +455,10 @@ def _pairwise_sum(x):
     return out
 
 
-# Paths per convergence chunk.  A chunk holds the finest increments and
-# one em/split buffer at a time, so its memory grows with the finest
-# step count; 16,384 paths keep 512 steps near 240 MB.
+# Paths per convergence chunk.  A chunk holds the segment buffers of
+# every scheme and step count at once, each about L/dt rows, so its
+# memory grows with the sum of L/dt over the step counts: at L = 0.25
+# and 128, 256 and 512 steps, 16,384 paths allocate at most 63 MB.
 CONVERGENCE_CHUNK = 16384
 
 
@@ -445,7 +466,12 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
     """Compare the two fixed-delay schemes on shared Brownian paths.
 
     Increments are generated on the finest grid and aggregated for the
-    coarser ones, so every resolution sees the same Brownian path.
+    coarser ones, so every resolution sees the same Brownian path.  They
+    are drawn one slab at a time, a slab being the fewest fine steps that
+    hold a whole number of steps of every resolution, and every scheme
+    at every resolution advances through each slab before the next is
+    drawn.  A failure is raised as if the step counts ran one after
+    another, smallest first and EM before splitting.
     Returns one dict per step count with the RMS terminal gap between
     schemes and the paired statistics of the terminal difference.
     """
@@ -460,24 +486,45 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
     for steps in steps_list:
         if finest % steps != 0:
             raise ContractError("step counts must divide the finest resolution")
+    rng.check_seed(seed)
     dt_f = sfde.T / finest
+    slab = math.lcm(*(finest // steps for steps in steps_list))
 
     def chunk(lo, hi):
         """Yield gap, gap^2, em and split terminal values per step count."""
-        dW_f = brownian_increments(seed, lo, hi, finest, dt_f)
-        for steps in steps_list:
-            factor = finest // steps
-            dW = dW_f if factor == 1 else _pairwise_sum(
-                dW_f.T.reshape(steps, factor, hi - lo)
-            ).T
-            dt = sfde.T / steps
-            # copy the terminal rows so each buffer is freed before the next
-            em_T = em_values_vec(sfde, dt, dW)[1][:, -1].copy()
-            sp_T = split_values_vec(sfde, dt, dW)[1][:, -1].copy()
+        steppers, failure = [], None
+        try:
+            for steps in steps_list:
+                for stepper in (EmStepper, SplitStepper):
+                    steppers.append((stepper(sfde, sfde.T / steps, hi - lo), finest // steps))
+        except ContractError as exc:
+            failure = exc
+        # in the order of a run that takes the step counts one at a time; a
+        # failure drops the steppers after it, which that run never reaches
+        live = list(steppers)
+        fine = np.empty((slab, hi - lo))
+        for n0 in range(0, finest, slab):
+            if not live:
+                break
+            _fill_increments(fine, seed, lo, hi, n0, dt_f)
+            coarse = {
+                f: fine if f == 1 else _pairwise_sum(fine.reshape(slab // f, f, hi - lo))
+                for f in {f for _, f in live}
+            }
+            for i, (stepper, f) in enumerate(live):
+                try:
+                    for dw in coarse[f]:
+                        stepper.step(dw)
+                except IntegrationFailure as exc:
+                    failure, live = exc, live[:i]
+                    break
+        if failure is not None:
+            raise failure
+        for (em, _), (sp, _) in zip(steppers[::2], steppers[1::2]):
             with np.errstate(over="ignore", invalid="ignore"):
-                gap = em_T - sp_T
+                gap = em.s - sp.s
                 gap_sq = gap * gap
-            yield from (gap, gap_sq, em_T, sp_T)
+            yield from (gap, gap_sq, em.s, sp.s)
 
     merged = reduce_moments(chunk, n_paths, workers, CONVERGENCE_CHUNK)
     results = []

@@ -494,16 +494,76 @@ _PROPORTIONAL_OUT = _CONVERGENCE_HEADER + (
 )
 
 
-@pytest.mark.parametrize("changes, expected", [
-    ({}, _SEGMENT_POINT_OUT),
+# `convergence` stdout as printed while every step count ran over the
+# whole finest increment grid in turn, one full path buffer per scheme.
+_MOVING_AVERAGE_OUT = _CONVERGENCE_HEADER + (
+    "64,0.015625,0.0042847776138927127,1.1179293745939454,1.1180087748252465,7.8215545777433619e-05\n"
+    "128,0.0078125,0.0029950540354657337,1.1180579418552106,1.1181303127991578,5.4665989188378655e-05\n"
+    "256,0.00390625,0.0021397296229796353,1.1180988458134065,1.1181913046273011,3.9029451389046253e-05\n"
+)
+_FACTOR_3_OUT = _CONVERGENCE_HEADER + (
+    "8,0.125,0.011120284002649718,1.1205369513153234,1.1208521589012312,0.00020294610161105444\n"
+    "24,0.041666666666666664,0.0062960035847054426,1.1210914919300252,1.1211747247011381,0.00011493872779940426\n"
+)
+_FACTOR_16_OUT = _CONVERGENCE_HEADER + (
+    "16,0.0625,0.0078698423002989491,1.1181550499192339,1.1182616985208071,0.00014366981114968336\n"
+    "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
+)
+_FACTOR_256_OUT = _CONVERGENCE_HEADER + (
+    "4,0.25,0.016886493651233184,1.1175012831079223,1.1175015974281648,0.000308303782944864\n"
+    "1024,0.0009765625,0.00099614662767359935,1.1184857457042747,1.1185220539879392,1.8174981085389736e-05\n"
+)
+_TWO_CHUNKS_OUT = _CONVERGENCE_HEADER + (
+    "32,0.03125,0.0055594693049753254,1.1130121794408043,1.1129555756206657,4.2636973019495728e-05\n"
+    "64,0.015625,0.0039444646266717873,1.1130526906168958,1.113022848133236,3.0251796852062703e-05\n"
+)
+_GOLDEN_ARGV = ["--steps", "64,128,256", "--paths", "3000", "--seed", "7"]
+
+
+@pytest.mark.parametrize("changes, expected, argv", [
+    ({}, _SEGMENT_POINT_OUT, _GOLDEN_ARGV),
     ({"a": 0.125, "drift": {"kind": "proportional-lagged", "c": 0.3},
-      "g_expr": "0.2 + 0.1*s/(1+s)"}, _PROPORTIONAL_OUT),
+      "g_expr": "0.2 + 0.1*s/(1+s)"}, _PROPORTIONAL_OUT, _GOLDEN_ARGV),
+    ({"a": 0.125, "drift": {"kind": "moving-average", "c": 0.1}}, _MOVING_AVERAGE_OUT,
+     _GOLDEN_ARGV),
+    # coarse steps of 3 fine steps, of 16 (the 8-lane pairwise sum) and of
+    # 256 (its recursive halves)
+    ({}, _FACTOR_3_OUT, ["--steps", "8,24", "--paths", "3000", "--seed", "7"]),
+    ({}, _FACTOR_16_OUT, ["--steps", "16,256", "--paths", "3000", "--seed", "7"]),
+    ({}, _FACTOR_256_OUT, ["--steps", "4,1024", "--paths", "3000", "--seed", "7"]),
+    # two CONVERGENCE_CHUNK chunks on two workers
+    ({}, _TWO_CHUNKS_OUT,
+     ["--steps", "32,64", "--paths", "17000", "--seed", "7", "--workers", "2"]),
 ])
-def test_convergence_output_is_unchanged(tmp_path, capsys, changes, expected):
+def test_convergence_output_is_unchanged(tmp_path, capsys, changes, expected, argv):
+    assert paths.CONVERGENCE_CHUNK < 17000
     config = _config(tmp_path, base=FIXED, **changes)
-    code, out = _run(capsys, ["convergence", "--config", config, "--steps", "64,128,256",
-                              "--paths", "3000", "--seed", "7"])
+    code, out = _run(capsys, ["convergence", "--config", config, *argv])
     assert (code, out) == (cli.EXIT_OK, expected)
+
+
+# g overflows at t = 0.125, which only the 8-step grid samples, and again
+# at t = 0.5, which both grids sample.  Run one after another, the 4-step
+# EM fails first, at its step 3; the 8-step grid fails earlier in time.
+_OVERFLOW_G = ("0.2 + 1e-3*exp(1e6*max(0, 1e-3 - abs(t - 0.125)))"
+               " + 1e-3*exp(1e6*max(0, 1e-3 - abs(t - 0.5)))")
+
+
+@pytest.mark.parametrize("steps, workers, err", [
+    ("4,8", "1", "numerical failure: non-finite state at step 3\n"),
+    ("4,8,16", "2", "numerical failure: non-finite state at step 3\n"),
+    ("8,16", "1", "numerical failure: non-finite state at step 2\n"),
+])
+def test_convergence_reports_the_first_failure_in_step_order(tmp_path, capsys, steps,
+                                                             workers, err):
+    config = _config(tmp_path, base=FIXED, g_expr=_OVERFLOW_G)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["convergence", "--config", config, "--steps", steps,
+                         "--paths", "50", "--workers", workers])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (cli.EXIT_NUMERICAL, "", err)
+    assert [str(w.message) for w in caught] == []
 
 
 @pytest.mark.parametrize("method", ["closed", "classical"])

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,9 +16,11 @@ from delaybs import (
     VariableDelayMarket,
 )
 from delaybs import paths, rng
-from delaybs.errors import ContractError
+from delaybs.errors import ContractError, IntegrationFailure
+from delaybs.model import load_config, sfde_from_config
 from delaybs.paths import (
     SegmentBuffer,
+    SplitStepper,
     brownian_increments,
     em_values_vec,
     exact_values_vec,
@@ -144,6 +148,17 @@ def _delay_ode_reference(c, eps, phi0, b, T, n):
     return s[-1]
 
 
+def _split_with_y(sfde, dt, dW):
+    """Splitting values and the delay-ODE solution y at every grid time,
+    each (paths, steps + 1), stepped from the (paths, steps) increments."""
+    split = SplitStepper(sfde, dt, dW.shape[0])
+    values, y = [split.s.copy()], [split.s.copy()]
+    for dw in np.ascontiguousarray(dW.T):
+        values.append(split.step(dw).copy())
+        y.append(split.y)
+    return np.array(values).T, np.array(y).T
+
+
 def test_em_zero_vol_matches_delay_ode():
     sfde = _sfde(g="0")
     dW = np.zeros((1, 256))
@@ -173,7 +188,7 @@ def test_split_zero_drift_is_stochastic_exponential():
     sfde = _sfde(drift=DriftFunctional("proportional-lagged", c=0.0))
     dt = 1.0 / 64.0
     dW = brownian_increments(4, 0, 100, 64, dt)
-    times, vals, y = split_values_vec(sfde, dt, dW, record_y=True)
+    vals, y = _split_with_y(sfde, dt, dW)
     # y is frozen at the block-start price within each block...
     m_b = round(0.25 / dt)
     for start in range(0, 64, m_b):
@@ -191,7 +206,7 @@ def test_split_y_monotone_within_blocks():
     sfde = _sfde()
     dt = 1.0 / 64.0
     dW = brownian_increments(5, 0, 500, 64, dt)
-    _, _, y = split_values_vec(sfde, dt, dW, record_y=True)
+    _, y = _split_with_y(sfde, dt, dW)
     m_b = round(0.25 / dt)
     for start in range(0, 64, m_b):
         # skip the restart column: y jumps to the block-start price there
@@ -237,25 +252,57 @@ def test_scheme_agreement_shrinks_with_dt():
     assert results[0]["rms_gap"] / results[1]["rms_gap"] >= 1.3
 
 
+def test_convergence_raises_the_first_failure_in_step_order():
+    # g overflows at t = 0.125, on the 8-step grid only, and at t = 0.5 on
+    # both: stepped together the 8-step EM fails first, at its step 2, but
+    # run one after another the 4-step EM fails first, at its step 3
+    g = ("0.2 + 1e-3*exp(1e6*max(0, 1e-3 - abs(t - 0.125)))"
+         " + 1e-3*exp(1e6*max(0, 1e-3 - abs(t - 0.5)))")
+    with pytest.raises(IntegrationFailure) as info:
+        fixed_delay_convergence(_sfde(g=g), [8, 4], 50, 1)
+    assert (str(info.value), info.value.step_index) == ("non-finite state at step 3", 3)
+
+
+def test_convergence_memory_grows_with_the_delay_window():
+    # the segment buffers hold L/dt rows each, the increments one slab
+    config = Path(__file__).parent.parent / "configs" / "fixed_delay.json"
+    sfde = sfde_from_config(load_config(config))
+    tracemalloc.start()
+    try:
+        fixed_delay_convergence(sfde, [128, 256, 512], 8192, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+
+
 def test_se_diff_survives_a_large_mean_gap(monkeypatch):
     # Terminal gaps of mean 1e8 and spread 1e-3, over eleven chunks:
     # E[x^2] - mean^2 cancels to noise here.
-    gaps = []
+    ems = []
 
-    def em(sfde, dt, dW):
-        gap = 1e8 + 1e-3 * dW.sum(axis=1)
-        gaps.append(gap)
-        return None, gap[:, None], None
+    class Em:
+        def __init__(self, sfde, dt, n_paths):
+            self.w = np.zeros(n_paths)
+            ems.append(self)
 
-    def split(sfde, dt, dW):
-        return None, np.zeros((dW.shape[0], 1))
+        def step(self, dw):
+            self.w = self.w + dw
+            self.s = 1e8 + 1e-3 * self.w
 
-    monkeypatch.setattr(paths, "em_values_vec", em)
-    monkeypatch.setattr(paths, "split_values_vec", split)
+    class Split:
+        def __init__(self, sfde, dt, n_paths):
+            self.s = np.zeros(n_paths)
+
+        def step(self, dw):
+            pass
+
+    monkeypatch.setattr(paths, "EmStepper", Em)
+    monkeypatch.setattr(paths, "SplitStepper", Split)
     monkeypatch.setattr(paths, "CONVERGENCE_CHUNK", 99)
     n = 1000
     (result,) = fixed_delay_convergence(_sfde(), [4], n, 5)
-    x = np.concatenate(gaps)
+    x = np.concatenate([em.s for em in ems])
     var = np.var(x)
     assert result["se_diff"] == pytest.approx(math.sqrt(var / n), rel=1e-6)
     naive = max(float((x * x).sum()) / n - (float(x.sum()) / n) ** 2, 0.0)
@@ -270,11 +317,21 @@ def test_moving_average_drift_runs():
 
 
 class _FullWindowBuffer(SegmentBuffer):
-    """Reference buffer: the O(lag) window mean recomputed at every step."""
+    """Reference buffer: the O(lag) window mean recomputed at every step
+    from the full history."""
+
+    def __init__(self, phi, dt, n_paths, n_hist):
+        super().__init__(phi, dt, n_paths, n_hist)
+        self.history = [row.copy() for row in self.data[: n_hist + 1]]
+
+    def put(self, step, values):
+        super().put(step, values)
+        assert len(self.history) == self.n_hist + step
+        self.history.append(np.array(values))
 
     def window_mean(self, step, lag_steps):
-        r = self.row(step)
-        return self.data[r - lag_steps : r + 1].mean(axis=0)
+        r = self.n_hist + step
+        return np.array(self.history[r - lag_steps : r + 1]).mean(axis=0)
 
 
 @settings(max_examples=40, deadline=None)
@@ -298,16 +355,16 @@ def test_running_window_matches_full_window_mean(lag, m_b, n_steps, phi_values, 
     )
     dW = brownian_increments(lag, 0, 50, n_steps, dt)
     em = em_values_vec(sfde, dt, dW)[1]
-    split, y = split_values_vec(sfde, dt, dW, record_y=True)[1:]
+    split, y = _split_with_y(sfde, dt, dW)
     with mock.patch.object(paths, "SegmentBuffer", _FullWindowBuffer):
         em_ref = em_values_vec(sfde, dt, dW)[1]
-        split_ref, y_ref = split_values_vec(sfde, dt, dW, record_y=True)[1:]
+        split_ref, y_ref = _split_with_y(sfde, dt, dW)
     for got, ref in ((em, em_ref), (split, split_ref), (y, y_ref)):
         np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_window_mean_steps_in_order():
-    buf = SegmentBuffer(lambda t: 1.0, 0.25, 4, 3, 2)
+    buf = SegmentBuffer(lambda t: 1.0, 0.25, 3, 2)
     buf.window_mean(0, 2)
     with pytest.raises(ContractError, match="window step"):
         buf.window_mean(2, 2)
@@ -321,13 +378,15 @@ def test_engine_shapes_and_caller_made_increments(kind):
     assert dW.shape == (7, 32)
     times, em, first_nonpos = em_values_vec(sfde, dt, dW)
     assert times.shape == (33,) and em.shape == (7, 33) and first_nonpos.shape == (7,)
-    _, split, y = split_values_vec(sfde, dt, dW, record_y=True)
+    _, split = split_values_vec(sfde, dt, dW)
+    stepped, y = _split_with_y(sfde, dt, dW)
     assert split.shape == (7, 33) and y.shape == (7, 33)
+    assert np.array_equal(stepped, split)
     # a caller's C-ordered (paths, steps) array gives the same bits
     own = np.array(dW, order="C")
     assert own.flags.c_contiguous and not dW.flags.c_contiguous
     assert np.array_equal(em_values_vec(sfde, dt, own)[1], em)
-    assert np.array_equal(split_values_vec(sfde, dt, own, record_y=True)[2], y)
+    assert np.array_equal(_split_with_y(sfde, dt, own)[1], y)
 
 
 @pytest.mark.parametrize("factor", list(range(1, 41)) + [64, 128, 129, 200, 512])
