@@ -8,6 +8,7 @@ across worker counts.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 
@@ -51,52 +52,103 @@ def accumulate_joint_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     with the bits :func:`accumulate_moments` gives for that statistic
     alone.
     """
-    out = []
-    for _, total, m2 in reduce_moments(fn, n, workers, chunk_size):
-        mean = total / n
-        var = m2 / (n - 1) if n > 1 else 0.0
-        se = (var / n) ** 0.5
-        if not (math.isfinite(mean) and math.isfinite(se)):
-            raise NumericalError(
-                f"Monte Carlo mean {mean} or standard error {se} is not finite"
-            )
-        out.append((mean, se, n))
-    return out
+    return [
+        _estimate(total / n, m2, n - 1, n)
+        for _, total, m2 in reduce_moments(fn, n, workers, chunk_size)
+    ]
+
+
+def accumulate_controlled_moments(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
+    """Mean and standard error of Y with a control variate X of known mean.
+
+    fn(lo, hi) returns the chunk's per-path values (y, x) of Y and of X,
+    whose exact mean is ``control_mean`` (mu).  The estimate is
+    Ybar - beta * (Xbar - mu) with beta = S_xy / S_xx, and its variance is
+    the residual variance (S_yy - beta * S_xy) / (n - 2) over n, where the
+    S are the co-moments :func:`reduce_moments` merges (Glasserman 2004,
+    section 4.1).  With n <= 2 no residual degree of freedom is left, and
+    with S_xx = 0 X carries no information: then beta = 0, and the result
+    has the bits :func:`accumulate_moments` gives for y.  Returns
+    (mean, standard_error, n); a mean or standard error that is not finite
+    raises :class:`NumericalError`.
+    """
+    [(_, (sum_y, sum_x), (s_yy, s_xx, s_xy))] = reduce_moments(
+        lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size
+    )
+    if n <= 2 or s_xx == 0.0:
+        return _estimate(sum_y / n, s_yy, n - 1, n)
+    beta = s_xy / s_xx
+    # the residual sum is >= 0; rounding may take it just below
+    residual = max(s_yy - beta * s_xy, 0.0)
+    return _estimate(sum_y / n - beta * (sum_x / n - control_mean), residual, n - 2, n)
+
+
+def _estimate(mean, ss, dof, n):
+    """(mean, standard_error, n) from a sum of squares over dof degrees of freedom."""
+    var = ss / dof if dof > 0 else 0.0
+    se = (var / n) ** 0.5
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise NumericalError(
+            f"Monte Carlo mean {mean} or standard error {se} is not finite"
+        )
+    return mean, se, n
 
 
 def reduce_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     """(count, sum, M2) over all n paths of each statistic fn returns.
 
-    fn(lo, hi) returns an iterable of 1-d arrays, one per statistic, each
-    reduced to its :func:`moments` as it comes, so a generator can free
-    one before it makes the next.  Each chunk's moments are merged in
-    chunk order by the pairwise update of Chan, Golub & LeVeque (1979),
-    so the variance does not cancel when the mean is large next to the
-    spread, and every result has the same bits at any worker count.
+    fn(lo, hi) returns an iterable of statistics, each reduced to its
+    :func:`moments` as it comes, so a generator can free one before it
+    makes the next.  A statistic is a 1-d array, or a pair (y, x) of
+    arrays whose cross co-moment is wanted too.  Each chunk's moments are
+    merged in chunk order by the pairwise update of Chan, Golub & LeVeque
+    (1979), extended to co-moments as in Pebay (SAND2008-6212), so the
+    variance does not cancel when the mean is large next to the spread,
+    and every result has the same bits at any worker count.
     """
     if n < 1:
         raise ContractError(f"need at least one path, got {n}")
     per_chunk = map_chunks(
         lambda lo, hi: [moments(values) for values in fn(lo, hi)], n, workers, chunk_size
     )
-    merged = []
-    for partials in zip(*per_chunk):
-        count, total, m2 = partials[0]
-        for c, s, q in partials[1:]:
-            delta = s / c - total / count
-            m2 += q + delta * delta * (count * c / (count + c))
-            count += c
-            total += s
-        merged.append((count, total, m2))
-    return merged
+    return [functools.reduce(_merge, partials) for partials in zip(*per_chunk)]
+
+
+def _merge(a, b):
+    """The moments of two disjoint sets of paths pooled, a's first."""
+    (count, total, m2), (c, s, q) = a, b
+    w = count * c / (count + c)
+    if isinstance(total, tuple):  # a (y, x) pair
+        dy, dx = s[0] / c - total[0] / count, s[1] / c - total[1] / count
+        return count + c, (total[0] + s[0], total[1] + s[1]), (
+            m2[0] + (q[0] + dy * dy * w),
+            m2[1] + (q[1] + dx * dx * w),
+            m2[2] + (q[2] + dy * dx * w),
+        )
+    delta = s / c - total / count
+    return count + c, total + s, m2 + (q + delta * delta * w)
 
 
 def moments(values):
     """(count, sum, M2) of a 1-d array, M2 taken about its own mean.
 
-    Overflow gives an infinite or NaN sum, reported by the caller.
+    For a pair (y, x) of arrays the sum is (sum_y, sum_x) and M2 is
+    (S_yy, S_xx, S_xy), the co-moments about the pair's own means; S_yy
+    has the bits of the M2 of y alone.  Overflow gives an infinite or NaN
+    sum, reported by the caller.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(values.sum())
-        dev = values - total / len(values)
-        return len(values), total, float((dev * dev).sum())
+        if not isinstance(values, tuple):
+            total, dev = _centred(values)
+            return len(values), total, float((dev * dev).sum())
+        (sum_y, dy), (sum_x, dx) = map(_centred, values)
+        prod = dy * dy
+        s_yy = float(prod.sum())
+        s_xx = float(np.multiply(dx, dx, out=prod).sum())
+        s_xy = float(np.multiply(dy, dx, out=prod).sum())
+        return len(dx), (sum_y, sum_x), (s_yy, s_xx, s_xy)
+
+
+def _centred(values):
+    total = float(values.sum())
+    return total, values - total / len(values)

@@ -5,7 +5,10 @@ Four routes:
 * ``price_closed`` — the closed form valid once the final block's
   volatility is known (valuation time at or after the final block start);
 * ``price_semi`` — simulate the block-start state to the final block
-  boundary, then apply the conditional-expectation kernel ``_h_value_vec``;
+  boundary t*, then apply the conditional-expectation kernel
+  ``_h_value_vec``, with the discounted block-start price as a control
+  variate: its Q-mean is known exactly, because the discounted price is
+  a Q-martingale and the exact sampler draws S(t*) without bias;
 * ``price_mc`` — direct discounted-payoff Monte Carlo under Q;
 * ``price_classical`` — the constant-coefficient Black-Scholes reference,
   an independent code path used as an oracle.
@@ -21,7 +24,7 @@ from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, is_positive
-from .parallel import accumulate_joint_moments, accumulate_moments
+from .parallel import accumulate_controlled_moments, accumulate_joint_moments
 from .paths import exact_values_vec
 from .quadrature import DEFAULT_N, block_integrals_vec
 
@@ -147,10 +150,20 @@ def _h_value_vec(x, v, strike, rate_integral_0T):
 
 
 def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
-    """Semi-analytic pricer: simulate to the final block boundary, then
+    """Semi-analytic pricer: simulate to the final block boundary t*, then
     integrate the last block in closed form.  Conditioning on the final
     block state removes the within-block noise, so the standard error is
-    below the direct Monte Carlo estimator's."""
+    below the direct Monte Carlo estimator's.
+
+    The mean of the per-path values Y is controlled by X = e^{-R(0,t*)}
+    S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t): the estimate is
+    Ybar - beta * (Xbar - mu), with beta = S_xy / S_xx fitted on the same
+    paths, and its standard error comes from the residual variance over
+    n - 2 degrees of freedom.  With two paths or fewer, or with no spread
+    in X, beta is 0 and the estimate is the plain mean of Y.  Estimating
+    beta adds a bias of order 1/n.  See
+    :func:`parallel.accumulate_controlled_moments`.
+    """
     if market.T <= market.h:
         raise ContractError("semi-analytic route needs T > h; use price_closed")
     t_star = final_block_start(market)
@@ -187,9 +200,10 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
             [t_star], quad_n,
         )[:, 0]
         v = block_integrals_vec(market, s_star, t_star, market.T, quad_n)[0]
-        return _h_value_vec(s_star * disc_to_star, v, option.strike, R_T)
+        x = s_star * disc_to_star
+        return _h_value_vec(x, v, option.strike, R_T), x
 
-    mean, se, _ = accumulate_moments(chunk, n_paths, workers)
+    mean, se, _ = accumulate_controlled_moments(chunk, state.s_t / grow_t, n_paths, workers)
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
     )

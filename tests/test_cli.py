@@ -98,7 +98,7 @@ def test_missing_config_is_usage_error(capsys):
 
 
 def test_invalid_expression_is_usage_error(tmp_path, capsys):
-    cfg = json.loads(open(CONSTANT).read())
+    cfg = json.loads(Path(CONSTANT).read_text())
     cfg["g_expr"] = "0.2 +* s"
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(cfg))
@@ -179,7 +179,7 @@ def test_check_passes_on_valid_market(capsys):
 
 
 def test_check_flags_invalid_market(tmp_path, capsys):
-    cfg = json.loads(open(CONSTANT).read())
+    cfg = json.loads(Path(CONSTANT).read_text())
     cfg["g_expr"] = "0.001"  # below g_min everywhere
     bad = tmp_path / "thin.json"
     bad.write_text(json.dumps(cfg))
@@ -192,7 +192,7 @@ def test_check_flags_invalid_market(tmp_path, capsys):
 
 
 def test_check_without_skip_rejects_invalid_market(tmp_path, capsys):
-    cfg = json.loads(open(CONSTANT).read())
+    cfg = json.loads(Path(CONSTANT).read_text())
     cfg["g_expr"] = "0.001"
     bad = tmp_path / "thin.json"
     bad.write_text(json.dumps(cfg))
@@ -272,7 +272,7 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,0.99946330771295688,0.00056052745093490976,pass\n"
      "martingale_mean,100.06220400188792,0.07431659882534293,pass\n"
-     "semi_vs_mc,-0.09886841669082358,0.071638745462067568,pass\n"
+     "semi_vs_mc,-0.047120760425833907,0.056276448674460765,pass\n"
      "importance_vs_mc,0.018818760032024429,0.070360806475220486,pass\n"
      "put_parity,-0.053202653005218536,0.062709436946935385,pass\n"),
     # three chunks, the last one partial
@@ -281,7 +281,7 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,1.000445097086891,0.00038518909561710785,pass\n"
      "martingale_mean,99.95363220544273,0.050976251777526918,pass\n"
-     "semi_vs_mc,0.045347170385847235,0.049273399630594766,pass\n"
+     "semi_vs_mc,0.0095650475011410663,0.038506250804748586,pass\n"
      "importance_vs_mc,-0.029863437145564831,0.047995497812677174,pass\n"
      "put_parity,0.0060502783279252625,0.042934313669239624,pass\n"),
 ]
@@ -292,6 +292,29 @@ _CHECK_GOLDEN = [
 def test_check_output_is_unchanged(capsys, argv, expected, workers):
     code, out = _run(capsys, ["check", "--config", STATE, *argv, "--workers", workers])
     assert (code, out) == (cli.EXIT_OK, expected)
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_semi_output_independent_of_worker_count(capsys, workers):
+    # three chunks, the last one partial: the co-moments merge in chunk order
+    code, out = _run(capsys, ["price", "--config", STATE, "--method", "semi", "--strike", "100",
+                              "--paths", "140000", "--seed", "5", "--workers", workers])
+    assert (code, out) == (
+        cli.EXIT_OK,
+        "method,value,std_error,n_paths\nsemi,9.7668205573190328,0.011552176873016145,140000\n",
+    )
+
+
+@pytest.mark.parametrize("paths, row", [
+    # no residual degree of freedom: the plain mean and its standard error
+    ("1", "semi,13.703332644813528,0,1"),
+    ("2", "semi,27.591329478420086,13.887996833606557,2"),
+    ("3", "semi,7.1700758787258536,1.2758133981941133,3"),
+])
+def test_semi_on_the_fewest_paths(capsys, paths, row):
+    code, out = _run(capsys, ["price", "--config", STATE, "--method", "semi", "--strike", "100",
+                              "--paths", paths])
+    assert (code, out) == (cli.EXIT_OK, f"method,value,std_error,n_paths\n{row}\n")
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -331,7 +354,7 @@ def test_extreme_log_moneyness_warns_nothing(capsys, argv, expected):
 
 
 def _config(tmp_path, base=CONSTANT, **changes):
-    cfg = json.loads(open(base).read())
+    cfg = json.loads(Path(base).read_text())
     cfg.update(changes)
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -966,7 +989,7 @@ _WILD_NUMBER = st.sampled_from([
 
 def _base_config(base):
     path, changes = _CONFIG_BASES[base]
-    cfg = json.loads(open(path).read())
+    cfg = json.loads(Path(path).read_text())
     cfg.update(copy.deepcopy(changes))  # _write_config writes into nested objects
     return cfg
 
@@ -1147,7 +1170,7 @@ _Q_COMMANDS = (
 
 def _q_stdout(directory, f_expr):
     """Exit code and stdout of each Q command with the drift set to f_expr."""
-    cfg = json.loads(open(STATE).read())
+    cfg = json.loads(Path(STATE).read_text())
     cfg["f_expr"] = f_expr
     path = Path(directory) / "cfg.json"
     path.write_text(json.dumps(cfg))
@@ -1176,7 +1199,7 @@ _DRIFT = st.one_of(
 def test_q_measure_output_does_not_depend_on_the_drift(f_expr):
     # Under the martingale measure the drift f drops out, bit for bit.
     with tempfile.TemporaryDirectory() as directory:
-        shipped = _q_stdout(directory, json.loads(open(STATE).read())["f_expr"])
+        shipped = _q_stdout(directory, json.loads(Path(STATE).read_text())["f_expr"])
         assert all(code == cli.EXIT_OK for code, _ in shipped)
         assert _q_stdout(directory, f_expr) == shipped
 

@@ -301,6 +301,27 @@ def test_deterministic_reduction_across_workers():
     assert results[0].std_error == results[1].std_error == results[2].std_error
 
 
+STRIKE_LADDER = 60.0 + 2.5 * np.arange(33)  # 60 to 140
+# Rounding in a 2^16-term sum of prices below 50 moves a second difference
+# by about 1e-13 at most; deep in the money the exact one is 0.
+CONVEXITY_ROUNDING = 1e-12
+
+
+@pytest.mark.parametrize("route", ["closed", "semi", "mc"])
+def test_call_prices_fall_and_are_convex_in_the_strike(state_market, route):
+    # One seed for every strike: common random numbers
+    if route == "closed":
+        prices = [price_closed(state_market, OptionSpec(k), MarketState(0.8, 100.0)).value
+                  for k in STRIKE_LADDER]
+    else:
+        pricer = price_semi if route == "semi" else price_mc
+        prices = [pricer(state_market, OptionSpec(k), MarketState(0.0, 100.0), 1 << 16, 12345).value
+                  for k in STRIKE_LADDER]
+    first = np.diff(prices)
+    assert np.all(first <= 0.0), first.max()  # exact for mc: every payoff falls with K
+    assert np.diff(first).min() >= -CONVEXITY_ROUNDING
+
+
 # --- scale equivariance ---------------------------------------------------
 
 
