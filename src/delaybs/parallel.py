@@ -41,21 +41,8 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     Returns (mean, standard_error, n); a mean or standard error that is
     not finite raises :class:`NumericalError`.
     """
-    return accumulate_joint_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)[0]
-
-
-def accumulate_joint_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
-    """:func:`accumulate_moments` of several statistics from one pass.
-
-    fn(lo, hi) returns a sequence of 1-d arrays, one per statistic;
-    returns a list with one (mean, standard_error, n) per statistic, each
-    with the bits :func:`accumulate_moments` gives for that statistic
-    alone.
-    """
-    return [
-        _estimate(total / n, m2, n - 1, n)
-        for _, total, m2 in reduce_moments(fn, n, workers, chunk_size)
-    ]
+    [(_, total, m2)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)
+    return _estimate(total / n, m2, n - 1, n)
 
 
 def accumulate_controlled_moments(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
@@ -68,19 +55,36 @@ def accumulate_controlled_moments(fn, control_mean, n, workers=1, chunk_size=CHU
     S are the co-moments :func:`reduce_moments` merges (Glasserman 2004,
     section 4.1).  With n <= 2 no residual degree of freedom is left, and
     with S_xx = 0 X carries no information: then beta = 0, and the result
-    has the bits :func:`accumulate_moments` gives for y.  Returns
+    has the bits :func:`accumulate_moments` gives for y.  A residual sum
+    below 1e-12 * S_yy is rounding, not spread, and counts as 0: a Y
+    linear in X is then exact, with standard error 0.  Returns
     (mean, standard_error, n); a mean or standard error that is not finite
     raises :class:`NumericalError`.
+    """
+    return accumulate_controlled_pair(fn, control_mean, n, workers, chunk_size)[0]
+
+
+def accumulate_controlled_pair(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
+    """:func:`accumulate_controlled_moments` of Y, and X's plain estimate.
+
+    Returns two (mean, standard_error, n) from the one reduction: the
+    controlled estimate of Y's mean, and X's sample mean with the bits
+    :func:`accumulate_moments` gives for x alone.
     """
     [(_, (sum_y, sum_x), (s_yy, s_xx, s_xy))] = reduce_moments(
         lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size
     )
     if n <= 2 or s_xx == 0.0:
-        return _estimate(sum_y / n, s_yy, n - 1, n)
-    beta = s_xy / s_xx
-    # the residual sum is >= 0; rounding may take it just below
-    residual = max(s_yy - beta * s_xy, 0.0)
-    return _estimate(sum_y / n - beta * (sum_x / n - control_mean), residual, n - 2, n)
+        controlled = _estimate(sum_y / n, s_yy, n - 1, n)
+    else:
+        beta = s_xy / s_xx
+        # Rounding leaves about eps * S_yy in the residual sum, of either
+        # sign: below 1e-12 * S_yy Y is linear in X on every path.
+        residual = s_yy - beta * s_xy
+        if residual <= 1e-12 * s_yy:
+            residual = 0.0
+        controlled = _estimate(sum_y / n - beta * (sum_x / n - control_mean), residual, n - 2, n)
+    return controlled, _estimate(sum_x / n, s_xx, n - 1, n)
 
 
 def _estimate(mean, ss, dof, n):

@@ -9,7 +9,8 @@ Four routes:
   ``_h_value_vec``, with the discounted block-start price as a control
   variate: its Q-mean is known exactly, because the discounted price is
   a Q-martingale and the exact sampler draws S(t*) without bias;
-* ``price_mc`` — direct discounted-payoff Monte Carlo under Q;
+* ``price_mc`` — direct discounted-payoff Monte Carlo under Q, with the
+  discounted terminal price as a control variate on the same grounds;
 * ``price_classical`` — the constant-coefficient Black-Scholes reference,
   an independent code path used as an oracle.
 """
@@ -24,7 +25,7 @@ from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, is_positive
-from .parallel import accumulate_controlled_moments, accumulate_joint_moments
+from .parallel import accumulate_controlled_moments, accumulate_controlled_pair
 from .paths import exact_values_vec
 from .quadrature import DEFAULT_N, block_integrals_vec
 
@@ -210,18 +211,23 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
 
 
 def price_mc(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
-    """Direct Q-measure Monte Carlo: discounted expected payoff."""
-    return price_mc_joint(market, option, state, (), n_paths, seed, workers, quad_n)[0]
+    """Direct Q-measure Monte Carlo: the discounted payoff's mean, with the
+    discounted terminal price as a control variate."""
+    return price_mc_joint(market, option, state, n_paths, seed, workers, quad_n)[0]
 
 
-def price_mc_joint(market, option, state, statistics, n_paths, seed, workers=1,
-                   quad_n=DEFAULT_N):
-    """:func:`price_mc` and further statistics of the same terminal prices.
+def price_mc_joint(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+    """:func:`price_mc` and the plain mean of its control, from one
+    simulation of the terminal prices S(T).
 
-    Each of ``statistics`` maps the terminal prices S(T) of a chunk to
-    per-path values.  Returns the price_mc result and a list with one
-    (mean, standard_error, n) per statistic, from one simulation of the
-    paths.
+    The payoff's mean is controlled by X = e^{-R(t,T)} S(T), whose Q-mean
+    is S(t) exactly (the discounted price is a Q-martingale and the exact
+    sampler draws S(T) without bias): the price is
+    disc * (Ybar - beta * (Xbar - S(t))), with beta and the standard
+    error from :func:`parallel.accumulate_controlled_moments`.  Y shares
+    no code with :func:`price_semi`'s conditional kernel, so the two still
+    check each other.  Returns the price_mc result and X's uncontrolled
+    (mean, standard_error, n), the martingale check's statistic.
     """
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
@@ -232,13 +238,13 @@ def price_mc_joint(market, option, state, statistics, n_paths, seed, workers=1,
             market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block,
             [market.T], quad_n,
         )[:, 0]
-        return [option.payoff(s_T)] + [stat(s_T) for stat in statistics]
+        return option.payoff(s_T), disc * s_T
 
-    (mean, se, _), *extra = accumulate_joint_moments(chunk, n_paths, workers)
+    (mean, se, _), discounted = accumulate_controlled_pair(chunk, state.s_t, n_paths, workers)
     result = PricingResult(
         value=disc * mean, std_error=disc * se, n_paths=n_paths, method="mc"
     )
-    return result, extra
+    return result, discounted
 
 
 def price_classical(s, strike, rate_integral, total_variance):

@@ -263,8 +263,9 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
     assert (code, out) == (cli.EXIT_OK, expected)
 
 
-# `check` stdout as it was printed when martingale_mean and the call
-# price each simulated the same Q paths.
+# `check` stdout: density_mean and martingale_mean as they were printed
+# when martingale_mean and the call price each simulated the same Q paths,
+# the cross-estimator rows as the controlled mc and importance prices give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -272,18 +273,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,0.99946330771295688,0.00056052745093490976,pass\n"
      "martingale_mean,100.06220400188792,0.07431659882534293,pass\n"
-     "semi_vs_mc,-0.047120760425833907,0.056276448674460765,pass\n"
-     "importance_vs_mc,0.018818760032024429,0.070360806475220486,pass\n"
-     "put_parity,-0.053202653005218536,0.062709436946935385,pass\n"),
+     "semi_vs_mc,-0.0056729568989037915,0.026738474763925268,pass\n"
+     "importance_vs_mc,0.042964363278461093,0.027266508104040136,pass\n"
+     "put_parity,0.020299798125552826,0.029387122780620299,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.000445097086891,0.00038518909561710785,pass\n"
      "martingale_mean,99.95363220544273,0.050976251777526918,pass\n"
-     "semi_vs_mc,0.0095650475011410663,0.038506250804748586,pass\n"
-     "importance_vs_mc,-0.029863437145564831,0.047995497812677174,pass\n"
-     "put_parity,0.0060502783279252625,0.042934313669239624,pass\n"),
+     "semi_vs_mc,-0.021223396795818417,0.018357914600982628,pass\n"
+     "importance_vs_mc,-0.017569459100561957,0.018716148772630791,pass\n"
+     "put_parity,-0.03574758210861706,0.020171752054085008,pass\n"),
 ]
 
 
@@ -318,6 +319,29 @@ def test_semi_on_the_fewest_paths(capsys, paths, row):
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
+def test_mc_output_independent_of_worker_count(capsys, workers):
+    # three chunks, the last one partial: the control's co-moments merge in chunk order
+    code, out = _run(capsys, ["price", "--config", STATE, "--method", "mc", "--strike", "100",
+                              "--paths", "140000", "--seed", "5", "--workers", workers])
+    assert (code, out) == (
+        cli.EXIT_OK,
+        "method,value,std_error,n_paths\nmc,9.785267281534999,0.014264015380231995,140000\n",
+    )
+
+
+@pytest.mark.parametrize("paths, row", [
+    # no residual degree of freedom: the plain mean and its standard error
+    ("1", "mc,0,0,1"),
+    ("2", "mc,13.901688564668309,13.901688564668309,2"),
+    ("3", "mc,8.5057135880633936,3.3685441487257033,3"),
+])
+def test_mc_on_the_fewest_paths(capsys, paths, row):
+    code, out = _run(capsys, ["price", "--config", STATE, "--method", "mc", "--strike", "100",
+                              "--paths", paths])
+    assert (code, out) == (cli.EXIT_OK, f"method,value,std_error,n_paths\n{row}\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_hedge_output_independent_of_worker_count(capsys, workers):
     # 70,000 paths are two CHUNK_SIZE chunks
     code, out = _run(capsys, ["hedge", "--config", STATE, "--strike", "100", "--paths", "70000",
@@ -339,6 +363,9 @@ def test_convergence_output_independent_of_worker_count(capsys, monkeypatch, wor
      "n_rebalance,mean_error,rmse,n_paths\n4,0,0,3\n16,0,0,3\n64,0,0,3\n"),
     (["price", "--config", STATE, "--method", "semi", "--t", "0.75", "--spot", "5e-324",
       "--strike", "100"], "method,value,std_error,n_paths\nsemi,0,0,0\n"),
+    # the payoff S(T) - K is linear in the control: exact, with SE 0
+    (["price", "--config", STATE, "--method", "mc", "--strike", "1e-320", "--paths", "3"],
+     "method,value,std_error,n_paths\nmc,100,0,3\n"),
 ])
 def test_extreme_log_moneyness_warns_nothing(capsys, argv, expected):
     # x / K overflows to inf or underflows to 0 here

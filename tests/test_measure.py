@@ -7,7 +7,7 @@ import pytest
 from delaybs import OptionSpec
 from delaybs.errors import ContractError
 from delaybs.measure import density_mean_check, importance_price
-from delaybs.model import block_schedule
+from delaybs.model import block_schedule, discount_factor
 from delaybs.paths import _joint_increments, exact_values_vec
 from delaybs.pricing import MarketState, price_mc
 from delaybs.quadrature import block_integrals_vec
@@ -166,9 +166,16 @@ def test_importance_vs_mc_state_dependent(state_market, atm_option):
 
 
 def test_importance_zero_strike_recovers_spot(state_market):
-    option = OptionSpec(1e-9, "call")
-    imp = importance_price(state_market, option, 200_000, 7)
-    assert abs(imp.value - state_market.s0) <= 3.0 * imp.std_error
+    strike = 1e-9
+    imp = importance_price(state_market, OptionSpec(strike, "call"), 200_000, 7)
+    # rho * (S(T) - K) is linear in the control rho * S(T): the price is exact
+    disc = discount_factor(state_market.rate, 0.0, state_market.T)
+    assert abs(imp.value - (state_market.s0 - strike * disc)) <= 1e-12 * state_market.s0
+    assert imp.std_error <= 1e-12 * state_market.s0
+    # the uncontrolled weighted discounted price keeps the martingale test
+    s_T, rho = _p_terminal(state_market, 7, 0, 200_000)
+    raw = rho * disc * s_T
+    assert abs(raw.mean() - state_market.s0) <= 3.0 * raw.std(ddof=1) / math.sqrt(raw.size)
 
 
 def test_rho_positive_on_every_path(state_market):

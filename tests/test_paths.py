@@ -27,6 +27,7 @@ from delaybs.paths import (
     fixed_delay_convergence,
     split_values_vec,
 )
+from delaybs.quadrature import block_integrals_vec
 
 
 def _market(g="0.2", f="0.08", rate=0.05, h=0.25, T=1.0):
@@ -123,6 +124,37 @@ def test_sample_time_just_below_an_edge_ends_the_block():
     near = exact_values_vec(market, "Q", 3, 0, 100, 0.0, 100.0, 100.0, [0.25 - 5e-13, 0.5])
     edge = exact_values_vec(market, "Q", 3, 0, 100, 0.0, 100.0, 100.0, [0.25, 0.5])
     np.testing.assert_allclose(near, edge, rtol=1e-9)
+
+
+def _block_law_readings(market, n_paths, seed):
+    """Each block's Q log-increment standardised by its Gaussian law given
+    the block-start price; returns the mean, variance - 1, third moment
+    and neighbour correlation of the standardised increments, each in
+    units of its SE.
+
+    The paths are also sampled at every block's midpoint: a sampler that
+    froze the coefficients at a sample time inside a block would skew the
+    block's increment.
+    """
+    h = market.h
+    n_blocks = round(market.T / h)
+    times = [0.5 * j * h for j in range(1, 2 * n_blocks + 1)]
+    sampled = exact_values_vec(market, "Q", seed, 0, n_paths, 0.0, market.s0, market.s0, times)
+    prices = np.column_stack([np.full(n_paths, market.s0), sampled[:, 1::2]])
+    z = np.empty((n_paths, n_blocks))
+    for k in range(n_blocks):
+        v, _, lam = block_integrals_vec(market, prices[:, k], k * h, (k + 1) * h)
+        z[:, k] = (np.log(prices[:, k + 1] / prices[:, k]) - lam + 0.5 * v) / np.sqrt(v)
+    stats = ((z, 0.0), (z * z, 1.0), (z ** 3, 0.0), (z[:, :-1] * z[:, 1:], 0.0))
+    return [(x.mean() - centre) / (x.std(ddof=1) / math.sqrt(x.size)) for x, centre in stats]
+
+
+def test_block_log_increments_are_gaussian_given_the_block_price():
+    # g moves from 0.45 at s = 50 to 0.15 at s = 200, so a law taken at any
+    # price but the block start's is visibly wrong (the shipped
+    # 0.1 + 0.1*s/(1+s) moves by 0.74% over that range)
+    readings = _block_law_readings(_market(g="0.05 + 20/s"), 1 << 16, 3)
+    assert all(abs(r) <= 3.0 for r in readings), readings
 
 
 def _sfde(drift=None, g="0.2", phi0=1.0, T=1.0):

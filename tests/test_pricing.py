@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from delaybs import CoefficientExpr, OptionSpec, RateCurve, VariableDelayMarket
 from delaybs.errors import ContractError, DomainError
+from delaybs.model import discount_factor
 from delaybs.pricing import (
     MarketState,
     beta_pm,
@@ -17,6 +18,7 @@ from delaybs.pricing import (
     price_classical,
     price_closed,
     price_mc,
+    price_mc_joint,
     price_semi,
     put_price,
 )
@@ -278,8 +280,30 @@ def test_semi_rejects_late_valuation():
 def test_mc_zero_strike_martingale():
     market = _market(g="0.1 + 0.1*s/(1+s)", h=0.25, T=0.9)
     state = MarketState(0.0, 100.0)
-    mc = price_mc(market, OptionSpec(1e-9), state, 200_000, 5)
-    assert abs(mc.value - 100.0) <= 3.0 * mc.std_error
+    strike = 1e-9
+    mc, (raw, raw_se, _) = price_mc_joint(market, OptionSpec(strike), state, 200_000, 5)
+    # S(T) - K is linear in the control e^{-R} S(T): the price is exact
+    exact = 100.0 - strike * discount_factor(market.rate, 0.0, market.T)
+    assert abs(mc.value - exact) <= 1e-12 * 100.0
+    assert mc.std_error <= 1e-12 * 100.0
+    # the uncontrolled discounted terminal price keeps the martingale test
+    assert abs(raw - 100.0) <= 3.0 * raw_se
+
+
+@pytest.mark.parametrize("n", [3, 1000, 140_000])
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+def test_mc_put_call_parity_is_exact_at_a_shared_seed(strike, n):
+    # The put's payoff is the call's less S(T) - K, which is linear in the
+    # control, so the fitted betas differ by a constant and the residuals
+    # agree: the controlled prices obey parity at any path count.
+    market = _market(g="0.1 + 0.1*s/(1+s)", h=0.25, T=0.9)
+    state = MarketState(0.0, 100.0)
+    put = OptionSpec(strike, "put")
+    call_mc = price_mc(market, OptionSpec(strike), state, n, 17)
+    put_mc = price_mc(market, put, state, n, 17)
+    parity = put_price(call_mc.value, state, put, market)
+    assert abs(put_mc.value - parity) <= 1e-12 * state.s_t
+    assert put_mc.std_error == pytest.approx(call_mc.std_error, rel=1e-12, abs=1e-12 * state.s_t)
 
 
 def test_mc_agrees_with_closed_in_final_block():
