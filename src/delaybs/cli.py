@@ -31,8 +31,8 @@ from .model import (
     validate_market,
     validation_error,
 )
-from .parallel import map_chunks
-from .quadrature import DEFAULT_N, integrate
+from .parallel import finite, map_chunks
+from .quadrature import integrate
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -63,7 +63,6 @@ def _add_common(p):
                    help="random seed, an integer in [0, 2**64)")
     p.add_argument("--paths", type=int, default=100_000)
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--quad-n", type=int, default=DEFAULT_N, dest="quad_n")
 
 
 @functools.cache
@@ -162,23 +161,19 @@ def cmd_price(args):
     spot = args.spot if args.spot is not None else market.s0
     state = pricing.MarketState(args.t, spot)
     if args.method == "closed":
-        result = pricing.price_closed(market, option, state, args.quad_n)
+        result = pricing.price_closed(market, option, state)
     elif args.method == "classical":
         # The oracle's own Simpson rule over [t, T], independent of the
         # block integral the closed form uses.
         R = market.rate.integral(args.t, market.T)
-        v = integrate(lambda u: market.g(u, state.s_block) ** 2, args.t, market.T, args.quad_n)
+        v = integrate(lambda u: market.g(u, state.s_block) ** 2, args.t, market.T)
         call = pricing.price_classical(spot, args.strike, R, v)
         value = call if args.kind == "call" else pricing.put_price(call, state, option, market)
         result = pricing.PricingResult(value=value, method="classical")
     elif args.method == "semi":
-        result = pricing.price_semi(
-            market, option, state, args.paths, args.seed, args.workers, args.quad_n
-        )
+        result = pricing.price_semi(market, option, state, args.paths, args.seed, args.workers)
     else:
-        result = pricing.price_mc(
-            market, option, state, args.paths, args.seed, args.workers, args.quad_n
-        )
+        result = pricing.price_mc(market, option, state, args.paths, args.seed, args.workers)
     print("method,value,std_error,n_paths")
     print(f"{result.method},{_fmt(result.value)},{_fmt(result.std_error)},{result.n_paths}")
     return EXIT_OK
@@ -194,8 +189,7 @@ def cmd_simulate(args):
 
         def chunk(lo, hi):
             return times, paths.exact_values_vec(
-                market, args.measure, args.seed, lo, hi, 0.0, market.s0, market.s0,
-                times, args.quad_n,
+                market, args.measure, args.seed, lo, hi, 0.0, market.s0, market.s0, times
             )
     else:
         sfde = _model(args, "sfde")
@@ -224,10 +218,7 @@ def cmd_hedge(args):
     option = OptionSpec(args.strike, "call")
     ladder = _counts(args.ladder, "--ladder")
     reports = [
-        hedging.replicate(
-            market, option, n_rebalance, args.paths, args.seed, args.workers,
-            quad_n=args.quad_n,
-        )
+        hedging.replicate(market, option, n_rebalance, args.paths, args.seed, args.workers)
         for n_rebalance in ladder
     ]
     print("n_rebalance,mean_error,rmse,n_paths")
@@ -255,16 +246,15 @@ def cmd_check(args):
     state = pricing.MarketState(0.0, market.s0)
 
     if not violations:
-        mean, se = measure.density_mean_check(
-            market, args.paths, args.seed, args.workers, args.quad_n
-        )
+        mean, se = measure.density_mean_check(market, args.paths, args.seed, args.workers)
         rows.append(("density_mean", mean, se, abs(mean - 1.0) <= 3.0 * se))
 
         # One simulation of the Q paths gives the call price and its
         # control's plain mean, the discounted terminal price.
-        mc, (mart_mean, mart_se, _) = pricing.price_mc_joint(
-            market, option, state, args.paths, args.seed, args.workers, args.quad_n
+        mc, martingale = pricing.price_mc_joint(
+            market, option, state, args.paths, args.seed, args.workers
         )
+        mart_mean, mart_se, _ = finite(martingale)
         rows.append(
             ("martingale_mean", mart_mean, mart_se,
              abs(mart_mean - market.s0) <= 3.0 * mart_se)
@@ -276,18 +266,12 @@ def cmd_check(args):
             comb = math.hypot(mc.std_error, other.std_error)
             return name, value, comb, abs(value) <= 3.0 * comb + 1e-12 * market.s0
 
-        semi = pricing.price_semi(
-            market, option, state, args.paths, seed(1), args.workers, args.quad_n
-        )
+        semi = pricing.price_semi(market, option, state, args.paths, seed(1), args.workers)
         rows.append(versus_mc("semi_vs_mc", semi.value - mc.value, semi))
-        imp = measure.importance_price(
-            market, option, args.paths, seed(2), args.workers, args.quad_n
-        )
+        imp = measure.importance_price(market, option, args.paths, seed(2), args.workers)
         rows.append(versus_mc("importance_vs_mc", imp.value - mc.value, imp))
         put = OptionSpec(strike, "put")
-        put_mc = pricing.price_mc(
-            market, put, state, args.paths, seed(3), args.workers, args.quad_n
-        )
+        put_mc = pricing.price_mc(market, put, state, args.paths, seed(3), args.workers)
         parity = pricing.put_price(mc.value, state, option, market)
         rows.append(versus_mc("put_parity", put_mc.value - parity, put_mc))
 

@@ -30,7 +30,6 @@ from .model import MAX_TIME_STEPS, discount_factor
 from .parallel import reduce_moments
 from .paths import exact_steps
 from .pricing import (
-    DEFAULT_N,
     MarketState,
     _final_block_variance,
     final_block_start,
@@ -63,11 +62,11 @@ class _Rebalance:
     discount: float
 
 
-def _plan(market, s_star, grid, quad_n=DEFAULT_N):
+def _plan(market, s_star, grid):
     """One _Rebalance per interval [t_i, t_{i+1}] of grid."""
     plan = []
     for t_i, t_next in zip(grid[:-1], grid[1:]):
-        v, _, lam = block_integrals_vec(market, s_star, t_i, market.T, quad_n)
+        v, _, lam = block_integrals_vec(market, s_star, t_i, market.T)
         plan.append(_Rebalance(
             t=t_i, lam=lam, half_v=0.5 * v, sq=np.sqrt(v),
             discount=discount_factor(market.rate, t_i, t_next),
@@ -98,7 +97,6 @@ def replicate(
     seed,
     workers=1,
     s_star=None,
-    quad_n=DEFAULT_N,
     identity_tol=None,
 ):
     """Discrete replication over the final block.
@@ -123,10 +121,10 @@ def replicate(
     if s_star is None:
         s_star = market.s0
     # Every hedge weight divides by the root of a final-block variance.
-    _final_block_variance(market, s_star, t_star, quad_n)
+    _final_block_variance(market, s_star, t_star)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
-    v0 = price_closed(market, option, MarketState(t_star, float(s_star)), quad_n).value
-    plan = _plan(market, s_star, grid, quad_n)
+    v0 = price_closed(market, option, MarketState(t_star, float(s_star))).value
+    plan = _plan(market, s_star, grid)
     strike = option.strike
 
     def chunk(lo, hi):
@@ -135,21 +133,15 @@ def replicate(
         s = np.full(n, float(s_star))
         wealth = np.full(n, v0)
         held = np.empty(n)
-        steps = exact_steps(
-            market, "Q", seed, lo, hi, t_star, s_star, s_star, grid[1:], quad_n
-        )
+        steps = exact_steps(market, "Q", seed, lo, hi, t_star, s_star, s_star, grid[1:])
         for step, s_next in zip(plan, steps):
             pi_s, bond_value = _weights(s, strike, step, identity_tol is not None)
             if identity_tol is not None:
                 vals = pi_s * s + bond_value
-                ref = np.array(
-                    [
-                        price_closed(
-                            market, option, MarketState(step.t, si, s_star), quad_n
-                        ).value
-                        for si in s[: min(n, 64)]
-                    ]
-                )
+                ref = np.array([
+                    price_closed(market, option, MarketState(step.t, si, s_star)).value
+                    for si in s[: min(n, 64)]
+                ])
                 gap = np.max(np.abs(vals[: ref.size] - ref))
                 if gap > identity_tol:
                     raise ContractError(

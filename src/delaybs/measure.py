@@ -11,12 +11,11 @@ martingale measure fixes.
 from __future__ import annotations
 
 from .model import discount_factor
-from .parallel import accumulate_controlled_moments, accumulate_moments
+from .parallel import accumulate_controlled_pair, accumulate_moments
 from .paths import exact_values_vec
-from .quadrature import DEFAULT_N
 
 
-def density_mean_check(market, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+def density_mean_check(market, n_paths, seed, workers=1):
     """Sample mean and standard error of rho_T over full P-paths.
 
     The mean should be 1 within Monte Carlo error; it is exactly 1 with
@@ -25,7 +24,7 @@ def density_mean_check(market, n_paths, seed, workers=1, quad_n=DEFAULT_N):
 
     def chunk(lo, hi):
         return exact_values_vec(
-            market, "P", seed, lo, hi, 0.0, market.s0, market.s0, [market.T], quad_n,
+            market, "P", seed, lo, hi, 0.0, market.s0, market.s0, [market.T],
             density=True,
         )[1]
 
@@ -33,14 +32,14 @@ def density_mean_check(market, n_paths, seed, workers=1, quad_n=DEFAULT_N):
     return mean, se
 
 
-def importance_price(market, option, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+def importance_price(market, option, n_paths, seed, workers=1):
     """Price at time 0 by P-simulation weighted with the Girsanov density.
 
     Estimates discount * E_P[rho_T * payoff(S(T))], with rho_T * S(T) as
     a control variate: its P-mean is E_Q[S(T)] = s0 * e^{R(0,T)} exactly,
     because the discounted price is a Q-martingale.  The estimate is
     Ybar - beta * (Xbar - mu), as in
-    :func:`delaybs.parallel.accumulate_controlled_moments`; it agrees with
+    :func:`delaybs.parallel.accumulate_controlled_pair`; it agrees with
     the direct Q estimator within combined Monte Carlo error, and equals
     it when f coincides with the riskless rate (rho_T = 1).
     """
@@ -50,13 +49,13 @@ def importance_price(market, option, n_paths, seed, workers=1, quad_n=DEFAULT_N)
 
     def chunk(lo, hi):
         values, rho = exact_values_vec(
-            market, "P", seed, lo, hi, 0.0, market.s0, market.s0, [market.T], quad_n,
+            market, "P", seed, lo, hi, 0.0, market.s0, market.s0, [market.T],
             density=True,
         )
         s_T = values[:, 0]
         return rho * option.payoff(s_T), rho * s_T
 
-    mean, se, _ = accumulate_controlled_moments(chunk, market.s0 / disc, n_paths, workers)
+    (mean, se, _), _ = accumulate_controlled_pair(chunk, market.s0 / disc, n_paths, workers)
     return PricingResult(
         value=disc * mean, std_error=disc * se, n_paths=n_paths, method="importance"
     )

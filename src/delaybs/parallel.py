@@ -38,15 +38,15 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
     chunk; the chunks' moments are combined by :func:`reduce_moments`.
-    Returns (mean, standard_error, n); a mean or standard error that is
-    not finite raises :class:`NumericalError`.
+    Returns (mean, standard_error, n), checked by :func:`finite`.
     """
     [(_, total, m2)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)
-    return _estimate(total / n, m2, n - 1, n)
+    return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_moments(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
-    """Mean and standard error of Y with a control variate X of known mean.
+def accumulate_controlled_pair(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
+    """Mean and standard error of Y with a control variate X of known mean,
+    and X's plain estimate, from one reduction.
 
     fn(lo, hi) returns the chunk's per-path values (y, x) of Y and of X,
     whose exact mean is ``control_mean`` (mu).  The estimate is
@@ -57,19 +57,12 @@ def accumulate_controlled_moments(fn, control_mean, n, workers=1, chunk_size=CHU
     with S_xx = 0 X carries no information: then beta = 0, and the result
     has the bits :func:`accumulate_moments` gives for y.  A residual sum
     below 1e-12 * S_yy is rounding, not spread, and counts as 0: a Y
-    linear in X is then exact, with standard error 0.  Returns
-    (mean, standard_error, n); a mean or standard error that is not finite
-    raises :class:`NumericalError`.
-    """
-    return accumulate_controlled_pair(fn, control_mean, n, workers, chunk_size)[0]
+    linear in X is then exact, with standard error 0.
 
-
-def accumulate_controlled_pair(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
-    """:func:`accumulate_controlled_moments` of Y, and X's plain estimate.
-
-    Returns two (mean, standard_error, n) from the one reduction: the
-    controlled estimate of Y's mean, and X's sample mean with the bits
-    :func:`accumulate_moments` gives for x alone.
+    Returns two (mean, standard_error, n): the controlled estimate of Y's
+    mean, checked by :func:`finite`, and X's sample mean with the bits
+    :func:`accumulate_moments` gives for x alone, unchecked, so that a
+    control whose spread overflows fails only a caller that reads it.
     """
     [(_, (sum_y, sum_x), (s_yy, s_xx, s_xy))] = reduce_moments(
         lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size
@@ -84,18 +77,24 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, chunk_size=CHUNK_
         if residual <= 1e-12 * s_yy:
             residual = 0.0
         controlled = _estimate(sum_y / n - beta * (sum_x / n - control_mean), residual, n - 2, n)
-    return controlled, _estimate(sum_x / n, s_xx, n - 1, n)
+    return finite(controlled), _estimate(sum_x / n, s_xx, n - 1, n)
 
 
 def _estimate(mean, ss, dof, n):
     """(mean, standard_error, n) from a sum of squares over dof degrees of freedom."""
     var = ss / dof if dof > 0 else 0.0
-    se = (var / n) ** 0.5
+    return mean, (var / n) ** 0.5, n
+
+
+def finite(estimate):
+    """The (mean, standard_error, n) estimate, or :class:`NumericalError`
+    if its mean or standard error is not finite."""
+    mean, se, _ = estimate
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise NumericalError(
             f"Monte Carlo mean {mean} or standard error {se} is not finite"
         )
-    return mean, se, n
+    return estimate
 
 
 def reduce_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):

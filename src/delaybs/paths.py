@@ -26,7 +26,7 @@ from . import rng
 from .errors import ContractError, IntegrationFailure, NumericalError
 from .model import MAX_TIME_STEPS, block_index, is_positive
 from .parallel import reduce_moments
-from .quadrature import DEFAULT_N, block_integrals_vec
+from .quadrature import block_integrals_vec
 
 
 class SegmentBuffer:
@@ -152,7 +152,6 @@ def exact_steps(
     s_start,
     s_block,
     sample_times,
-    quad_n=DEFAULT_N,
     density=False,
 ):
     """Exact-scheme prices at each of sample_times for stream ids lo..hi-1.
@@ -190,7 +189,7 @@ def exact_steps(
         if density and substep:
             raise ContractError(f"the density needs whole blocks; {prev} is inside block {k}")
         g2, f_int, lam_int, *theta_sq = block_integrals_vec(
-            market, sb, prev, t, quad_n, with_f=measure != "Q", with_theta=density
+            market, sb, prev, t, with_f=measure != "Q", with_theta=density
         )
         # z becomes I1, then the growth factor exp(drift - g2/2 + I1)
         z = rng.normals(seed, k, substep, lo, hi)
@@ -223,7 +222,6 @@ def exact_values_vec(
     s_start,
     s_block,
     sample_times,
-    quad_n=DEFAULT_N,
     density=False,
 ):
     """Exact-scheme values at sample_times for stream ids lo..hi-1, one
@@ -235,8 +233,7 @@ def exact_values_vec(
     out = np.empty((hi - lo, len(sample_times)))
     log_rho = np.zeros(hi - lo) if density else None
     steps = exact_steps(
-        market, measure, seed, lo, hi, t_start, s_start, s_block, sample_times, quad_n,
-        density,
+        market, measure, seed, lo, hi, t_start, s_start, s_block, sample_times, density
     )
     for col, step in enumerate(steps):
         if density:

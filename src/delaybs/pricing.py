@@ -25,9 +25,9 @@ from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, is_positive
-from .parallel import accumulate_controlled_moments, accumulate_controlled_pair
+from .parallel import accumulate_controlled_pair
 from .paths import exact_values_vec
-from .quadrature import DEFAULT_N, block_integrals_vec
+from .quadrature import block_integrals_vec
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,12 @@ def final_block_start(market):
     return k * market.h
 
 
-def _final_block_variance(market, s_block, t, quad_n=DEFAULT_N):
+def _final_block_variance(market, s_block, t):
     """Integral of g(u, s_block)^2 over [t, T], the n = 1 block integral.
 
     Raises :class:`DomainError` unless the variance is finite and positive.
     """
-    v = float(block_integrals_vec(market, s_block, t, market.T, quad_n)[0])
+    v = float(block_integrals_vec(market, s_block, t, market.T)[0])
     if not is_positive(v):
         raise DomainError(f"final-block variance must be finite and positive, got {v}")
     return v
@@ -105,7 +105,7 @@ def log_ratio_vec(x, y):
     return out
 
 
-def beta_pm(market, option, state, quad_n=DEFAULT_N):
+def beta_pm(market, option, state):
     """The two closed-form arguments; their difference is the total vol."""
     t_star = final_block_start(market)
     if state.t < t_star - 1e-12 * max(market.T, 1.0):
@@ -114,7 +114,7 @@ def beta_pm(market, option, state, quad_n=DEFAULT_N):
         )
     if state.t >= market.T:
         raise DomainError("zero remaining variance at expiry")
-    v = _final_block_variance(market, state.s_block, state.t, quad_n)
+    v = _final_block_variance(market, state.s_block, state.t)
     lam = market.rate.integral(state.t, market.T)
     log_m = _log_ratio(state.s_t, option.strike)
     sq = math.sqrt(v)
@@ -123,7 +123,7 @@ def beta_pm(market, option, state, quad_n=DEFAULT_N):
     return beta_plus, beta_minus
 
 
-def price_closed(market, option, state, quad_n=DEFAULT_N):
+def price_closed(market, option, state):
     """Closed-form call value in the final block; puts via parity.
 
     At maturity the value is the payoff; a valuation time past maturity
@@ -133,7 +133,7 @@ def price_closed(market, option, state, quad_n=DEFAULT_N):
         raise ContractError(f"valuation time {state.t} is past maturity {market.T}")
     if state.t >= market.T - 1e-15:
         return PricingResult(value=float(option.payoff(state.s_t)), method="closed")
-    bp, bm = beta_pm(market, option, state, quad_n)
+    bp, bm = beta_pm(market, option, state)
     disc = discount_factor(market.rate, state.t, market.T)
     call = state.s_t * norm_cdf(bp) - option.strike * norm_cdf(bm) * disc
     value = call if option.kind == "call" else put_price(call, state, option, market)
@@ -150,7 +150,7 @@ def _h_value_vec(x, v, strike, rate_integral_0T):
     return x * ndtr(alpha1) - strike * ndtr(alpha2) * math.exp(-rate_integral_0T)
 
 
-def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+def price_semi(market, option, state, n_paths, seed, workers=1):
     """Semi-analytic pricer: simulate to the final block boundary t*, then
     integrate the last block in closed form.  Conditioning on the final
     block state removes the within-block noise, so the standard error is
@@ -163,7 +163,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
     n - 2 degrees of freedom.  With two paths or fewer, or with no spread
     in X, beta is 0 and the estimate is the plain mean of Y.  Estimating
     beta adds a bias of order 1/n.  See
-    :func:`parallel.accumulate_controlled_moments`.
+    :func:`parallel.accumulate_controlled_pair`.
     """
     if market.T <= market.h:
         raise ContractError("semi-analytic route needs T > h; use price_closed")
@@ -173,9 +173,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
         raise ContractError(f"semi-analytic route needs t <= {t_star}; use price_closed")
     if option.kind == "put":
         call = price_semi(
-            market,
-            option.__class__(option.strike, "call"),
-            state, n_paths, seed, workers, quad_n,
+            market, option.__class__(option.strike, "call"), state, n_paths, seed, workers
         )
         return PricingResult(
             value=put_price(call.value, state, option, market),
@@ -188,7 +186,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
     if abs(state.t - t_star) <= tol:
         # degenerate expectation: the final block state is known
         x = state.s_t * math.exp(-market.rate.integral(0.0, t_star))
-        v = _final_block_variance(market, state.s_t, t_star, quad_n)
+        v = _final_block_variance(market, state.s_t, t_star)
         if not x > 0.0:
             raise DomainError("x and strike must be positive")
         h = _h_value_vec(np.array([x]), v, option.strike, R_T)
@@ -197,26 +195,25 @@ def price_semi(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N
 
     def chunk(lo, hi):
         s_star = exact_values_vec(
-            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block,
-            [t_star], quad_n,
+            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [t_star]
         )[:, 0]
-        v = block_integrals_vec(market, s_star, t_star, market.T, quad_n)[0]
+        v = block_integrals_vec(market, s_star, t_star, market.T)[0]
         x = s_star * disc_to_star
         return _h_value_vec(x, v, option.strike, R_T), x
 
-    mean, se, _ = accumulate_controlled_moments(chunk, state.s_t / grow_t, n_paths, workers)
+    (mean, se, _), _ = accumulate_controlled_pair(chunk, state.s_t / grow_t, n_paths, workers)
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
     )
 
 
-def price_mc(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+def price_mc(market, option, state, n_paths, seed, workers=1):
     """Direct Q-measure Monte Carlo: the discounted payoff's mean, with the
     discounted terminal price as a control variate."""
-    return price_mc_joint(market, option, state, n_paths, seed, workers, quad_n)[0]
+    return price_mc_joint(market, option, state, n_paths, seed, workers)[0]
 
 
-def price_mc_joint(market, option, state, n_paths, seed, workers=1, quad_n=DEFAULT_N):
+def price_mc_joint(market, option, state, n_paths, seed, workers=1):
     """:func:`price_mc` and the plain mean of its control, from one
     simulation of the terminal prices S(T).
 
@@ -224,10 +221,11 @@ def price_mc_joint(market, option, state, n_paths, seed, workers=1, quad_n=DEFAU
     is S(t) exactly (the discounted price is a Q-martingale and the exact
     sampler draws S(T) without bias): the price is
     disc * (Ybar - beta * (Xbar - S(t))), with beta and the standard
-    error from :func:`parallel.accumulate_controlled_moments`.  Y shares
+    error from :func:`parallel.accumulate_controlled_pair`.  Y shares
     no code with :func:`price_semi`'s conditional kernel, so the two still
     check each other.  Returns the price_mc result and X's uncontrolled
-    (mean, standard_error, n), the martingale check's statistic.
+    (mean, standard_error, n), the martingale check's statistic, which
+    is not checked for finiteness (see :func:`parallel.finite`).
     """
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
@@ -235,8 +233,7 @@ def price_mc_joint(market, option, state, n_paths, seed, workers=1, quad_n=DEFAU
 
     def chunk(lo, hi):
         s_T = exact_values_vec(
-            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block,
-            [market.T], quad_n,
+            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [market.T]
         )[:, 0]
         return option.payoff(s_T), disc * s_T
 

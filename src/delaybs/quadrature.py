@@ -1,11 +1,12 @@
 """Deterministic integration of time functions over sub-block intervals.
 
-Composite Simpson with a fixed, even subinterval count.  The count is
-deliberately not adaptive: a fixed rule keeps every Monte Carlo estimate
-bit-reproducible regardless of scheduling.  Rate-curve integrals are not
-computed here; they use the exact piecewise antiderivative on the curve
-itself (see :meth:`delaybs.model.RateCurve.integral`), which keeps
-discount factors exactly multiplicative.
+Composite Simpson with a fixed, even subinterval count; block integrals
+always take ``DEFAULT_N`` panels.  The count is deliberately not
+adaptive: a fixed rule keeps every Monte Carlo estimate bit-reproducible
+regardless of scheduling.  Rate-curve integrals are not computed here;
+they use the exact piecewise antiderivative on the curve itself (see
+:meth:`delaybs.model.RateCurve.integral`), which keeps discount factors
+exactly multiplicative.
 
 Block integrals follow the dependence of their integrand.  Within a
 block the coefficients are frozen at the block-start price ``s_k``, so
@@ -120,10 +121,10 @@ def block_moments(market, s_k, a, b, measure="Q", n=DEFAULT_N):
     return BlockMoments(m=drift - 0.5 * v, v=v, c=f_int - lam_int)
 
 
-def _block_integral(integrand, uses_t, s_k, a, b, n):
+def _block_integral(integrand, uses_t, s_k, a, b):
     """Integral over [a, b] of integrand(u, s_k), shaped like s_k."""
     if uses_t:
-        value = integrate_nodes(lambda u: integrand(u, s_k), a, b, n)
+        value = integrate_nodes(lambda u: integrand(u, s_k), a, b)
     else:
         value = (b - a) * integrand(a, s_k)
     if np.shape(value) != np.shape(s_k):
@@ -131,7 +132,7 @@ def _block_integral(integrand, uses_t, s_k, a, b, n):
     return value
 
 
-def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False, with_f=False):
+def block_integrals_vec(market, s_k, a, b, with_theta=False, with_f=False):
     """Per-path block integrals for a vector of block-start prices.
 
     Returns (g2_int, f_int, lam_int): the integrals of g(u, s_k)^2 and
@@ -143,10 +144,10 @@ def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False, with_f
     """
     _check_single_block(market, a, b)
     f, g, rate = market.f, market.g, market.rate
-    g2 = _block_integral(lambda u, s: np.square(g.vec(u, s)), g.compiled.uses_t, s_k, a, b, n)
+    g2 = _block_integral(lambda u, s: np.square(g.vec(u, s)), g.compiled.uses_t, s_k, a, b)
     f_int = None
     if with_f or with_theta:
-        f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b, n)
+        f_int = _block_integral(f.vec, f.compiled.uses_t, s_k, a, b)
     lam_int = rate.integral(a, b)
     if not with_theta:
         return g2, f_int, lam_int
@@ -156,4 +157,4 @@ def block_integrals_vec(market, s_k, a, b, n=DEFAULT_N, with_theta=False, with_f
         return th * th
 
     uses_t = f.compiled.uses_t or g.compiled.uses_t or rate.kind != "constant"
-    return g2, f_int, lam_int, _block_integral(theta2, uses_t, s_k, a, b, n)
+    return g2, f_int, lam_int, _block_integral(theta2, uses_t, s_k, a, b)

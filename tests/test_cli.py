@@ -806,6 +806,16 @@ def test_non_finite_statistics_are_numerical_failures(tmp_path, base, changes, a
     assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
 
 
+def test_a_put_worth_nothing_prices_although_its_control_overflows(capsys):
+    # S_xx of the discounted terminal price overflows at this spot; only
+    # the martingale check reads that control's own estimate
+    code = cli.main(["price", "--config", CONSTANT, "--method", "mc", "--kind", "put",
+                     "--strike", "100", "--spot", "1e156", "--paths", "3"])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (
+        cli.EXIT_OK, "method,value,std_error,n_paths\nmc,0,0,3\n", "")
+
+
 def test_hedge_on_a_zero_variance_final_block_is_usage_error(tmp_path, capsys):
     config = _config(tmp_path, T=5e-324)
     with warnings.catch_warnings(record=True) as caught:
@@ -895,7 +905,6 @@ _COMMON = {
         st.integers(-(10**40), 0).map(str), _NOT_A_NUMBER, _HUGE_FLOAT)),
     "--seed": (st.integers(0, 2**64 - 1).map(str), _WILD_INT),
     "--workers": (st.integers(1, 4).map(str), _WILD_INT),
-    "--quad-n": (_choice(2, 16, 64), _WILD_INT),
 }
 _OPTIONS = {
     "price": {
@@ -945,6 +954,28 @@ def _argv(draw):
     if command == "check" and draw(st.booleans()):
         argv.append("--skip-validation")
     return argv
+
+
+_SURFACE = {
+    "price": ["--method", "--strike", "--kind", "--t", "--spot"],
+    "simulate": ["--scheme", "--dt", "--measure"],
+    "hedge": ["--strike", "--ladder"],
+    "check": ["--strike", "--skip-validation"],
+    "convergence": ["--steps"],
+}
+
+
+def test_cli_surface_is_pinned(capsys):
+    # adding or removing a flag must show up here as a test change
+    [sub] = [a for a in cli.build_parser()._actions if a.choices and a.dest == "command"]
+    common = ["-h", "--help", "--config", "--seed", "--paths", "--workers"]
+    got = {name: [opt for action in parser._actions for opt in action.option_strings]
+           for name, parser in sub.choices.items()}
+    assert got == {name: common + flags for name, flags in _SURFACE.items()}
+    # the Simpson panel count is a constant of quadrature, not an option
+    code = cli.main(["price", "--config", CONSTANT, "--method", "closed", "--strike", "100",
+                     "--t", "0.8", "--quad-n", "64"])
+    assert (code, capsys.readouterr().out) == (cli.EXIT_CONFIG, "")
 
 
 # Inputs that once escaped main with a traceback.

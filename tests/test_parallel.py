@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from delaybs.errors import ContractError, NumericalError
-from delaybs.parallel import accumulate_controlled_moments, accumulate_moments, reduce_moments
+from delaybs.parallel import accumulate_controlled_pair, accumulate_moments, finite, reduce_moments
 
 
 def _payoff(lo, hi):
@@ -97,13 +97,13 @@ def test_pair_keeps_the_bits_of_each_statistic():
 def test_co_moment_merge_is_identical_across_worker_counts():
     results = {_co_moments(_pair_large_mean, 5000, w) for w in (1, 2, 4)}
     assert len(results) == 1
-    controlled = {accumulate_controlled_moments(_pair, 0.0, 5000, w, 512) for w in (1, 2, 4)}
+    controlled = {accumulate_controlled_pair(_pair, 0.0, 5000, w, 512)[0] for w in (1, 2, 4)}
     assert len(controlled) == 1
 
 
 def test_control_matches_the_regression_estimator():
     n, mu = 5000, 0.01
-    mean, se, count = accumulate_controlled_moments(_pair, mu, n, chunk_size=512)
+    mean, se, count = accumulate_controlled_pair(_pair, mu, n, chunk_size=512)[0]
     y, x = _pair(0, n)
     dy, dx = y - y.mean(), x - x.mean()
     beta = (dy @ dx) / (dx @ dx)
@@ -116,7 +116,7 @@ def test_control_matches_the_regression_estimator():
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_control_needs_a_residual_degree_of_freedom(n):
-    controlled = accumulate_controlled_moments(_pair, 5.0, n)
+    controlled = accumulate_controlled_pair(_pair, 5.0, n)[0]
     if n <= 2:  # a line fits n <= 2 points exactly: no control, no false 0
         assert controlled == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], n)
     else:
@@ -131,7 +131,7 @@ def test_control_without_spread_is_the_plain_mean():
         y, _ = _pair(lo, hi)
         return y, np.full(hi - lo, 3.0)
 
-    got = accumulate_controlled_moments(flat, 2.0, 5000, chunk_size=512)
+    got = accumulate_controlled_pair(flat, 2.0, 5000, chunk_size=512)[0]
     assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000, chunk_size=512)
 
 
@@ -140,4 +140,15 @@ def test_control_reports_non_finite_results():
         return np.full(hi - lo, 1e308), _pair(lo, hi)[1]
 
     with pytest.raises(NumericalError):
-        accumulate_controlled_moments(overflowing, 0.0, 100)
+        accumulate_controlled_pair(overflowing, 0.0, 100)[0]
+
+
+def test_an_overflowing_control_fails_only_its_reader():
+    def flat_payoff(lo, hi):  # S_xx overflows, Y has no spread at all
+        return np.zeros(hi - lo), 1e200 * (2.0 + _pair(lo, hi)[1])
+
+    controlled, plain = accumulate_controlled_pair(flat_payoff, 2e200, 5000, chunk_size=512)
+    assert controlled == (0.0, 0.0, 5000)
+    assert plain[1] == np.inf
+    with pytest.raises(NumericalError):
+        finite(plain)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket
 from delaybs.errors import ContractError
+from delaybs.model import block_schedule
 from delaybs.quadrature import (
     DEFAULT_N,
     block_integrals_vec,
@@ -80,10 +81,21 @@ def test_additivity(state_market):
 
 
 def test_refinement_converged(state_market, constant_market):
-    for market in (state_market, constant_market):
+    # Both shipped markets are polynomial in t, where Simpson is exact; the
+    # third is not, so it shows that the one fixed panel count is enough.
+    smooth = VariableDelayMarket(
+        0.4, 1.0, 100.0,
+        CoefficientExpr.parse("0.08*exp(-2*t)"),
+        CoefficientExpr.parse("(0.1 + 0.1*s/(1+s))*(1 + 0.5*tanh(4*t - 1))"),
+        RateCurve.constant(0.05), g_min=0.01,
+    )
+    blocks = [(m, 0.0, m.h) for m in (state_market, constant_market)]
+    edges = block_schedule(smooth.T, smooth.h)
+    blocks += [(smooth, a, b) for a, b in zip(edges[:-1], edges[1:])]
+    for market, a, b in blocks:
         for s_k in (50.0, 100.0, 200.0):
-            coarse = block_moments(market, s_k, 0.0, market.h, "P", n=64)
-            fine = block_moments(market, s_k, 0.0, market.h, "P", n=128)
+            coarse = block_moments(market, s_k, a, b, "P", n=64)
+            fine = block_moments(market, s_k, a, b, "P", n=128)
             assert abs(coarse.m - fine.m) < 1e-9
             assert abs(coarse.v - fine.v) < 1e-9
             assert abs(coarse.c - fine.c) < 1e-9
