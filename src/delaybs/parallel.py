@@ -44,40 +44,63 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_pair(fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE):
-    """Mean and standard error of Y with a control variate X of known mean,
-    and X's plain estimate, from one reduction.
+def accumulate_controlled_pair(
+    fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE, twin_mean=None
+):
+    """Mean and standard error of Y with controls of known mean, and the
+    first control's plain estimate, from one reduction.
 
-    fn(lo, hi) returns the chunk's per-path values (y, x) of Y and of X,
-    whose exact mean is ``control_mean`` (mu).  The estimate is
-    Ybar - beta * (Xbar - mu) with beta = S_xy / S_xx, and its variance is
-    the residual variance (S_yy - beta * S_xy) / (n - 2) over n, where the
-    S are the co-moments :func:`reduce_moments` merges (Glasserman 2004,
-    section 4.1).  With n <= 2 no residual degree of freedom is left, and
-    with S_xx = 0 X carries no information: then beta = 0, and the result
-    has the bits :func:`accumulate_moments` gives for y.  A residual sum
-    below 1e-12 * S_yy is rounding, not spread, and counts as 0: a Y
-    linear in X is then exact, with standard error 0.
+    fn(lo, hi) returns the chunk's per-path values (y, x) of Y and of a
+    control X whose exact mean is ``control_mean``, or (y, x, twin) with
+    a ``twin_mean``, the twin being a second control that approximates Y.
+    The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
+    section 4.1), the betas swept from the co-moments
+    :func:`reduce_moments` merges, X first.  A control enters only if it
+    leaves a residual degree of freedom and its residual spread after the
+    earlier controls exceeds 1e-12 of its own; the variance is Y's
+    residual sum over n - 1 - (controls entered), over n.  With none
+    entered the result has the bits :func:`accumulate_moments` gives for
+    y.  A residual sum below 1e-12 * S_yy is rounding and counts as 0: a
+    Y linear in the controls is exact, with standard error 0.  A twin
+    that the sample cannot tell from X (every path on one side of the
+    strike, say) enters at coefficient 1 instead, as the difference
+    estimator mean(Y - twin) + twin_mean, so a Y equal to its twin on
+    every path is exact at any strike.
 
     Returns two (mean, standard_error, n): the controlled estimate of Y's
     mean, checked by :func:`finite`, and X's sample mean with the bits
     :func:`accumulate_moments` gives for x alone, unchecked, so that a
     control whose spread overflows fails only a caller that reads it.
     """
-    [(_, (sum_y, sum_x), (s_yy, s_xx, s_xy))] = reduce_moments(
-        lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size
-    )
-    if n <= 2 or s_xx == 0.0:
-        controlled = _estimate(sum_y / n, s_yy, n - 1, n)
-    else:
-        beta = s_xy / s_xx
-        # Rounding leaves about eps * S_yy in the residual sum, of either
-        # sign: below 1e-12 * S_yy Y is linear in X on every path.
-        residual = s_yy - beta * s_xy
-        if residual <= 1e-12 * s_yy:
-            residual = 0.0
-        controlled = _estimate(sum_y / n - beta * (sum_x / n - control_mean), residual, n - 2, n)
-    return finite(controlled), _estimate(sum_x / n, s_xx, n - 1, n)
+    [(_, sums, flat)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)
+    controls = [(control_mean, 0.0)] + ([] if twin_mean is None else [(twin_mean, 1.0)])
+    m = len(sums)
+    s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
+    for value, (i, j) in zip(flat, _pairs(m)):
+        s[i][j] = s[j][i] = value
+    dev = [sums[0] / n] + [sums[j] / n - mu for j, (mu, _) in enumerate(controls, 1)]
+    entered = 0
+    for j, (_, fallback) in enumerate(controls, 1):
+        if n < entered + 3:  # entering would leave no residual degree of freedom
+            break
+        own = flat[j]
+        if s[j][j] > 1e-12 * own:
+            entered += 1
+            later = [0, *range(j + 1, m)]
+            for i in later:
+                beta = s[i][j] / s[j][j]
+                dev[i] -= beta * dev[j]
+                for k in later:
+                    s[i][k] -= beta * s[j][k]
+        elif fallback and math.isfinite(own):
+            dev[0] -= fallback * dev[j]
+    # Rounding leaves about eps * S_yy in the residual sum, of either
+    # sign: below 1e-12 * S_yy Y is linear in the controls on every path.
+    residual = s[0][0]
+    if entered and residual <= 1e-12 * flat[0]:
+        residual = 0.0
+    controlled = _estimate(dev[0], residual, n - 1 - entered, n)
+    return finite(controlled), _estimate(sums[1] / n, flat[1], n - 1, n)
 
 
 def _estimate(mean, ss, dof, n):
@@ -102,8 +125,8 @@ def reduce_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
     fn(lo, hi) returns an iterable of statistics, each reduced to its
     :func:`moments` as it comes, so a generator can free one before it
-    makes the next.  A statistic is a 1-d array, or a pair (y, x) of
-    arrays whose cross co-moment is wanted too.  Each chunk's moments are
+    makes the next.  A statistic is a 1-d array, or a tuple (y, x, ...)
+    of arrays whose cross co-moments are wanted too.  Each chunk's moments are
     merged in chunk order by the pairwise update of Chan, Golub & LeVeque
     (1979), extended to co-moments as in Pebay (SAND2008-6212), so the
     variance does not cancel when the mean is large next to the spread,
@@ -121,35 +144,41 @@ def _merge(a, b):
     """The moments of two disjoint sets of paths pooled, a's first."""
     (count, total, m2), (c, s, q) = a, b
     w = count * c / (count + c)
-    if isinstance(total, tuple):  # a (y, x) pair
-        dy, dx = s[0] / c - total[0] / count, s[1] / c - total[1] / count
-        return count + c, (total[0] + s[0], total[1] + s[1]), (
-            m2[0] + (q[0] + dy * dy * w),
-            m2[1] + (q[1] + dx * dx * w),
-            m2[2] + (q[2] + dy * dx * w),
+    if isinstance(total, tuple):  # a tuple of statistics
+        d = [si / c - ti / count for si, ti in zip(s, total)]
+        return count + c, tuple(ti + si for ti, si in zip(total, s)), tuple(
+            m + (qq + d[i] * d[j] * w) for m, qq, (i, j) in zip(m2, q, _pairs(len(d)))
         )
     delta = s / c - total / count
     return count + c, total + s, m2 + (q + delta * delta * w)
 
 
+@functools.cache
+def _pairs(m):
+    """Index pairs of the co-moments of m statistics: the m squares, then
+    the cross terms (i, j), i < j, row by row."""
+    return [(i, i) for i in range(m)] + [(i, j) for i in range(m) for j in range(i + 1, m)]
+
+
 def moments(values):
     """(count, sum, M2) of a 1-d array, M2 taken about its own mean.
 
-    For a pair (y, x) of arrays the sum is (sum_y, sum_x) and M2 is
-    (S_yy, S_xx, S_xy), the co-moments about the pair's own means; S_yy
-    has the bits of the M2 of y alone.  Overflow gives an infinite or NaN
-    sum, reported by the caller.
+    For a tuple (y, x, ...) of arrays the sum is the tuple of sums and M2
+    the co-moments about the statistics' own means, ordered as
+    :func:`_pairs`: (S_yy, S_xx, S_xy) for a pair.  Each square has the
+    bits of the M2 of its statistic alone.  Overflow gives an infinite
+    or NaN sum, reported by the caller.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(values, tuple):
             total, dev = _centred(values)
             return len(values), total, float((dev * dev).sum())
-        (sum_y, dy), (sum_x, dx) = map(_centred, values)
-        prod = dy * dy
-        s_yy = float(prod.sum())
-        s_xx = float(np.multiply(dx, dx, out=prod).sum())
-        s_xy = float(np.multiply(dy, dx, out=prod).sum())
-        return len(dx), (sum_y, sum_x), (s_yy, s_xx, s_xy)
+        sums, devs = zip(*map(_centred, values))
+        prod = np.empty_like(devs[0])  # one buffer for every product
+        m2 = tuple(
+            float(np.multiply(devs[i], devs[j], out=prod).sum()) for i, j in _pairs(len(devs))
+        )
+        return len(prod), sums, m2
 
 
 def _centred(values):

@@ -142,6 +142,17 @@ def _knots(market, t_start, sample_times):
     return out
 
 
+def twin_variances(market, t_start, s_block, sample_times):
+    """The Black-Scholes twin's variance over each knot :func:`exact_steps`
+    steps through: the integral of g(u, s_block)^2, with the coefficients
+    frozen once at the valuation-time block price ``s_block``."""
+    out, prev = [], t_start
+    for t, _, _ in _knots(market, t_start, sample_times):
+        out.append(float(block_integrals_vec(market, s_block, prev, t)[0]))
+        prev = t
+    return out
+
+
 def exact_steps(
     market,
     measure,
@@ -153,6 +164,7 @@ def exact_steps(
     s_block,
     sample_times,
     density=False,
+    twin=None,
 ):
     """Exact-scheme prices at each of sample_times for stream ids lo..hi-1.
 
@@ -177,11 +189,20 @@ def exact_steps(
     the last, raises :class:`ContractError`.  Within a block theta is
     evaluated from the frozen block-start price only, which is what makes
     the density increment measurable at the block start.
+
+    ``twin``, the knot variances from :func:`twin_variances`, appends to
+    each yield the log-growth log(S~/s_start) of the Black-Scholes twin:
+    the same normals z with g frozen once at ``s_block``, so each knot
+    adds sqrt(v~) z to W~ and S~ = s_start exp(Lambda - V~/2 + W~), Lambda
+    being the riskless rate integral under either measure.
     """
     if density and measure != "P":
         raise ContractError(f"the density is sampled under P, not {measure}")
     s, sb = float(s_start), float(s_block)
     log_rho = 0.0
+    if twin is not None:
+        twin_v = iter(twin)
+        w, twin_drift = 0.0, 0.0
     prev = t_start
     k = block_index(t_start, market.h)
     substep = 0
@@ -193,6 +214,10 @@ def exact_steps(
         )
         # z becomes I1, then the growth factor exp(drift - g2/2 + I1)
         z = rng.normals(seed, k, substep, lo, hi)
+        if twin is not None:
+            v = next(twin_v)
+            w += math.sqrt(v) * z
+            twin_drift += lam_int - 0.5 * v
         if density:
             z2 = rng.normals(seed, k, 1, lo, hi)
             z, i2 = _joint_increments(g2, f_int, lam_int, theta_sq[0], z, z2)
@@ -200,15 +225,18 @@ def exact_steps(
         else:
             z *= np.sqrt(g2)
         z += (lam_int if measure == "Q" else f_int) - 0.5 * g2
-        np.exp(z, out=z)
-        z *= s
+        # a price that overflows fails its caller's finite check
+        with np.errstate(over="ignore"):
+            np.exp(z, out=z)
+            z *= s
         s = z
         if edge:  # refresh the frozen block state
             k, substep, sb = k + 1, 0, s
         else:
             substep += 1
         if wanted:
-            yield (s, log_rho) if density else s
+            extras = ([log_rho] if density else []) + ([] if twin is None else [w + twin_drift])
+            yield (s, *extras) if extras else s
         prev = t
 
 
@@ -223,23 +251,28 @@ def exact_values_vec(
     s_block,
     sample_times,
     density=False,
+    twin=None,
 ):
     """Exact-scheme values at sample_times for stream ids lo..hi-1, one
     column per sample time, from :func:`exact_steps`.
 
-    With ``density`` the result is ``(values, rho)``, with rho the
-    Girsanov density dQ/dP at the last sample time.
+    With ``density`` or a ``twin`` the result is a tuple of the values and
+    rho, the Girsanov density dQ/dP, or the twin's log-growth, or both,
+    at the last sample time.
     """
     out = np.empty((hi - lo, len(sample_times)))
-    log_rho = np.zeros(hi - lo) if density else None
     steps = exact_steps(
-        market, measure, seed, lo, hi, t_start, s_start, s_block, sample_times, density
+        market, measure, seed, lo, hi, t_start, s_start, s_block, sample_times, density, twin
     )
+    tupled = density or twin is not None
+    extras = []
     for col, step in enumerate(steps):
-        if density:
-            step, log_rho = step
+        if tupled:
+            step, *extras = step
         out[:, col] = step
-    return (out, np.exp(log_rho)) if density else out
+    if density:
+        extras[0] = np.exp(extras[0])
+    return (out, *extras) if tupled else out
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,11 @@ Four routes:
   discounted terminal price as a control variate on the same grounds;
 * ``price_classical`` — the constant-coefficient Black-Scholes reference,
   an independent code path used as an oracle.
+
+Both Monte Carlo routes also control with the Black-Scholes twin of
+their paths (:func:`delaybs.paths.exact_steps`), whose option value is
+known in closed form; where g does not read s the twin is the price
+path itself, so their prices there are exact.
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ from scipy.special import ndtr
 from .errors import ContractError, DomainError
 from .model import block_index, discount_factor, is_positive
 from .parallel import accumulate_controlled_pair
-from .paths import exact_values_vec
+from .paths import exact_values_vec, twin_variances
 from .quadrature import block_integrals_vec
 
 
@@ -140,14 +145,27 @@ def price_closed(market, option, state):
     return PricingResult(value=value, method="closed")
 
 
-def _h_value_vec(x, v, strike, rate_integral_0T):
+def _h_value_vec(x, v, strike, rate_integral_0T, log_xk=None):
     """Conditional-expectation kernel mapping discounted block-start states
-    x, with final-block variance v, to their option value contributions."""
+    x, with final-block variance v, to their option value contributions.
+
+    ``log_xk`` is log(x / strike) where the caller has it already."""
     sq = np.sqrt(v)
-    log_m = log_ratio_vec(x, strike) + rate_integral_0T - 0.5 * v
-    alpha1 = (log_m + v) / sq
-    alpha2 = log_m / sq
-    return x * ndtr(alpha1) - strike * ndtr(alpha2) * math.exp(-rate_integral_0T)
+    if log_xk is None:
+        log_xk = log_ratio_vec(x, strike)
+    # x N(alpha1) - strike N(alpha2) e^{-R}, each step in place
+    log_m = log_xk + rate_integral_0T
+    log_m -= 0.5 * v
+    out = log_m + v
+    out /= sq
+    log_m /= sq  # alpha2
+    out = ndtr(out, out=out)
+    out *= x
+    leg = ndtr(log_m, out=log_m)
+    leg *= strike
+    leg *= math.exp(-rate_integral_0T)
+    out -= leg
+    return out
 
 
 def price_semi(market, option, state, n_paths, seed, workers=1):
@@ -157,13 +175,13 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     below the direct Monte Carlo estimator's.
 
     The mean of the per-path values Y is controlled by X = e^{-R(0,t*)}
-    S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t): the estimate is
-    Ybar - beta * (Xbar - mu), with beta = S_xy / S_xx fitted on the same
-    paths, and its standard error comes from the residual variance over
-    n - 2 degrees of freedom.  With two paths or fewer, or with no spread
-    in X, beta is 0 and the estimate is the plain mean of Y.  Estimating
-    beta adds a bias of order 1/n.  See
-    :func:`parallel.accumulate_controlled_pair`.
+    S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t), and by the kernel at the
+    twin's state and final-block variance, whose mean is the kernel at
+    e^{-R(0,t)} S(t) and the twin's variance over [t, T]: the estimate is
+    Ybar - sum_j beta_j (Xbar_j - mu_j), with the betas fitted on the same
+    paths as in :func:`parallel.accumulate_controlled_pair`.  With two
+    paths or fewer it is the plain mean of Y.  Estimating the betas adds
+    a bias of order 1/n.
     """
     if market.T <= market.h:
         raise ContractError("semi-analytic route needs T > h; use price_closed")
@@ -192,16 +210,33 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
         h = _h_value_vec(np.array([x]), v, option.strike, R_T)
         return PricingResult(value=grow_t * float(h[0]), method="semi")
     disc_to_star = math.exp(-market.rate.integral(0.0, t_star))
+    # The twin's final-block variance, and its total over [t, T]
+    twin_v = twin_variances(market, state.t, state.s_block, [t_star, market.T])
+    twin_mean = None
+    if twin_v[-1] > 0.0:
+        x_t = np.array([state.s_t / grow_t])
+        twin_mean = float(_h_value_vec(x_t, sum(twin_v), option.strike, R_T)[0])
+    log_x0k = _log_ratio(state.s_t, option.strike) - market.rate.integral(0.0, t_star)
 
     def chunk(lo, hi):
-        s_star = exact_values_vec(
-            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [t_star]
-        )[:, 0]
+        s_star, w = exact_values_vec(
+            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [t_star],
+            twin=twin_v[:-1],
+        )
+        s_star = s_star[:, 0]
         v = block_integrals_vec(market, s_star, t_star, market.T)[0]
         x = s_star * disc_to_star
-        return _h_value_vec(x, v, option.strike, R_T), x
+        y = _h_value_vec(x, v, option.strike, R_T)
+        if twin_mean is None:
+            return y, x
+        with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
+            x_twin = np.exp(w)
+            x_twin *= state.s_t * disc_to_star
+        return y, x, _h_value_vec(x_twin, twin_v[-1], option.strike, R_T, log_x0k + w)
 
-    (mean, se, _), _ = accumulate_controlled_pair(chunk, state.s_t / grow_t, n_paths, workers)
+    (mean, se, _), _ = accumulate_controlled_pair(
+        chunk, state.s_t / grow_t, n_paths, workers, twin_mean=twin_mean
+    )
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
     )
@@ -214,41 +249,74 @@ def price_mc(market, option, state, n_paths, seed, workers=1):
 
 
 def price_mc_joint(market, option, state, n_paths, seed, workers=1):
-    """:func:`price_mc` and the plain mean of its control, from one
+    """:func:`price_mc` and the plain mean of its first control, from one
     simulation of the terminal prices S(T).
 
     The payoff's mean is controlled by X = e^{-R(t,T)} S(T), whose Q-mean
     is S(t) exactly (the discounted price is a Q-martingale and the exact
-    sampler draws S(T) without bias): the price is
-    disc * (Ybar - beta * (Xbar - S(t))), with beta and the standard
-    error from :func:`parallel.accumulate_controlled_pair`.  Y shares
-    no code with :func:`price_semi`'s conditional kernel, so the two still
-    check each other.  Returns the price_mc result and X's uncontrolled
-    (mean, standard_error, n), the martingale check's statistic, which
-    is not checked for finiteness (see :func:`parallel.finite`).
+    sampler draws S(T) without bias), and by the twin's call payoff
+    (S~(T) - K)^+, also for puts, so that put-call parity holds exactly
+    at a shared seed; :func:`twin_call` gives its mean.  The price is
+    disc times the controlled mean of
+    :func:`parallel.accumulate_controlled_pair`.  Neither Y nor its mean
+    shares code with :func:`price_semi`'s conditional kernel, so the two
+    still check each other.  Returns the price_mc result and X's
+    uncontrolled (mean, standard_error, n), the martingale check's
+    statistic, which is not checked for finiteness (see
+    :func:`parallel.finite`).
     """
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
+    twin_v, twin_mean = twin_call(market, state, option.strike)
 
     def chunk(lo, hi):
-        s_T = exact_values_vec(
-            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [market.T]
-        )[:, 0]
-        return option.payoff(s_T), disc * s_T
+        s_T, w = exact_values_vec(
+            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [market.T],
+            twin=twin_v,
+        )
+        s_T = s_T[:, 0]
+        y, x = option.payoff(s_T), disc * s_T
+        if twin_mean is None:
+            return y, x
+        return y, x, twin_call_payoff(state.s_t, w, option.strike)
 
-    (mean, se, _), discounted = accumulate_controlled_pair(chunk, state.s_t, n_paths, workers)
+    (mean, se, _), discounted = accumulate_controlled_pair(
+        chunk, state.s_t, n_paths, workers, twin_mean=twin_mean
+    )
     result = PricingResult(
         value=disc * mean, std_error=disc * se, n_paths=n_paths, method="mc"
     )
     return result, discounted
 
 
+def twin_call(market, state, strike):
+    """The Black-Scholes twin's knot variances from ``state`` to T, and
+    its undiscounted call value E(S~(T) - K)^+, or None when the twin
+    has no variance over [t, T]."""
+    twin_v = twin_variances(market, state.t, state.s_block, [market.T])
+    if not sum(twin_v) > 0.0:
+        return twin_v, None
+    rate_integral = market.rate.integral(state.t, market.T)
+    call = price_classical(state.s_t, strike, rate_integral, sum(twin_v))
+    return twin_v, call / discount_factor(market.rate, state.t, market.T)
+
+
+def twin_call_payoff(s_t, log_growth, strike):
+    """(S~(T) - K)^+ per path for the twin s_t * exp(log_growth)."""
+    with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
+        out = np.exp(log_growth)
+        out *= s_t
+    out -= strike
+    return np.maximum(out, 0.0, out=out)
+
+
 def price_classical(s, strike, rate_integral, total_variance):
     """Constant-coefficient Black-Scholes call with aggregate inputs.
 
     Independent of the closed-form route above: no shared beta
-    computation, so the two can oracle each other.
+    computation, so the two can oracle each other.  It also gives the
+    mean of :func:`price_mc`'s twin control, through :func:`twin_call`.
     """
     if s <= 0.0 or strike <= 0.0:
         raise DomainError("spot and strike must be positive")

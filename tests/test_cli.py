@@ -265,7 +265,8 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 # `check` stdout: density_mean and martingale_mean as they were printed
 # when martingale_mean and the call price each simulated the same Q paths,
-# the cross-estimator rows as the controlled mc and importance prices give them.
+# the cross-estimator rows as the prices controlled by the discounted price
+# and the Black-Scholes twin give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -273,18 +274,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,0.99946330771295688,0.00056052745093490976,pass\n"
      "martingale_mean,100.06220400188792,0.07431659882534293,pass\n"
-     "semi_vs_mc,-0.0056729568989037915,0.026738474763925268,pass\n"
-     "importance_vs_mc,0.042964363278461093,0.027266508104040136,pass\n"
-     "put_parity,0.020299798125552826,0.029387122780620299,pass\n"),
+     "semi_vs_mc,-5.2636594066512998e-05,3.2463482328550652e-05,pass\n"
+     "importance_vs_mc,-0.0045453383154541172,0.0059925093552322612,pass\n"
+     "put_parity,-2.8021235618957974e-05,3.7376152085120711e-05,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.000445097086891,0.00038518909561710785,pass\n"
      "martingale_mean,99.95363220544273,0.050976251777526918,pass\n"
-     "semi_vs_mc,-0.021223396795818417,0.018357914600982628,pass\n"
-     "importance_vs_mc,-0.017569459100561957,0.018716148772630791,pass\n"
-     "put_parity,-0.03574758210861706,0.020171752054085008,pass\n"),
+     "semi_vs_mc,2.890648521258754e-05,2.256839419209294e-05,pass\n"
+     "importance_vs_mc,0.0017755751964898536,0.0041183161897579623,pass\n"
+     "put_parity,1.0440615563211963e-05,2.5948141321279738e-05,pass\n"),
 ]
 
 
@@ -302,7 +303,7 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7668205573190328,0.011552176873016145,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7625915212308669,1.303407684254871e-05,140000\n",
     )
 
 
@@ -325,7 +326,7 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.785267281534999,0.014264015380231995,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7625919545597171,1.8330346760717798e-05,140000\n",
     )
 
 
@@ -804,6 +805,20 @@ def test_non_finite_statistics_are_numerical_failures(tmp_path, base, changes, a
     assert (code, out) == (cli.EXIT_NUMERICAL, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: "), err
+
+
+@pytest.mark.parametrize("config", [CONSTANT, STATE])
+@pytest.mark.parametrize("method", ["mc", "semi"])
+def test_a_price_path_that_overflows_is_a_numerical_failure(config, method):
+    # S(t) * exp(increment) passes the largest double on the first step
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # a warning would print on stderr
+        code, out, err = _call(["price", "--config", config, "--method", method,
+                                "--strike", "80.5", "--spot", "1.7976931348623157e308",
+                                "--paths", "3"])
+    assert [str(w.message) for w in caught] == []
+    assert (code, out) == (cli.EXIT_NUMERICAL, "")
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1, err
 
 
 def test_a_put_worth_nothing_prices_although_its_control_overflows(capsys):

@@ -152,3 +152,43 @@ def test_an_overflowing_control_fails_only_its_reader():
     assert plain[1] == np.inf
     with pytest.raises(NumericalError):
         finite(plain)
+
+
+# --- the twin, a second control ------------------------------------------------
+
+
+def _triple(lo, hi):
+    ids = np.arange(lo, hi, dtype=float)
+    x, twin = np.cos(ids), np.sin(ids) ** 3
+    return 2.0 * x + twin + 0.1 * np.sin(5.0 * ids), x, twin
+
+
+def test_two_controls_match_the_regression_estimator():
+    n, mu, twin_mu = 5000, 0.01, -0.02
+    mean, se, _ = accumulate_controlled_pair(_triple, mu, n, chunk_size=512, twin_mean=twin_mu)[0]
+    y, x, twin = _triple(0, n)
+    design = np.column_stack([np.ones(n), x, twin])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    assert mean == pytest.approx(y.mean() - coef[1:] @ [x.mean() - mu, twin.mean() - twin_mu],
+                                 rel=1e-12)
+    assert se == pytest.approx(np.sqrt(resid @ resid / (n - 3) / n), rel=1e-9)
+
+
+def test_twin_needs_a_residual_degree_of_freedom():
+    # at three paths only the first control enters, as without the twin
+    one = accumulate_controlled_pair(lambda lo, hi: _triple(lo, hi)[:2], 5.0, 3)
+    assert accumulate_controlled_pair(_triple, 5.0, 3, twin_mean=7.0) == one
+
+
+@pytest.mark.parametrize("twin", ["flat", "collinear"])
+def test_a_twin_without_residual_spread_enters_at_coefficient_one(twin):
+    # the sample cannot fit the twin's coefficient; Y = twin + 3x is exact
+    def fn(lo, hi):
+        _, x, _ = _triple(lo, hi)
+        t = np.full(hi - lo, 0.5) if twin == "flat" else 4.0 * x - 1.0
+        return t + 3.0 * x, x, t
+
+    twin_mu = 0.75  # the twin's true mean, which the sample does not show
+    mean, se, _ = accumulate_controlled_pair(fn, 0.0, 5000, chunk_size=512, twin_mean=twin_mu)[0]
+    assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0

@@ -26,8 +26,17 @@ from delaybs.paths import (
     exact_values_vec,
     fixed_delay_convergence,
     split_values_vec,
+    twin_variances,
 )
-from delaybs.quadrature import block_integrals_vec
+from delaybs.pricing import (
+    MarketState,
+    _h_value_vec,
+    final_block_start,
+    price_classical,
+    twin_call,
+    twin_call_payoff,
+)
+from delaybs.quadrature import block_integrals_vec, integrate
 
 
 def _market(g="0.2", f="0.08", rate=0.05, h=0.25, T=1.0):
@@ -155,6 +164,73 @@ def test_block_log_increments_are_gaussian_given_the_block_price():
     # 0.1 + 0.1*s/(1+s) moves by 0.74% over that range)
     readings = _block_law_readings(_market(g="0.05 + 20/s"), 1 << 16, 3)
     assert all(abs(r) <= 3.0 for r in readings), readings
+
+
+# --- the Black-Scholes twin ---------------------------------------------------
+
+# (market, measure, t, s_t, s_block, seed): g = 0.05 + 20/s moves from 0.45 at
+# s = 50 to 0.15 at s = 200, so a twin frozen at any price but s_block, or
+# missing a knot, reads far off its closed-form mean
+_TWIN_CASES = {
+    "shipped_g": (_market(g="0.1 + 0.1*s/(1+s)", T=0.9), "Q", 0.0, 100.0, 100.0, 5),
+    "steep_g": (_market(g="0.05 + 20/s", T=0.9), "Q", 0.0, 100.0, 100.0, 6),
+    "inside_a_block": (_market(g="0.05 + 20/s", T=0.9), "Q", 0.3, 100.0, 80.0, 7),
+    "under_p": (_market(g="0.05 + 20/s", T=0.9), "P", 0.0, 100.0, 100.0, 8),
+}
+
+
+def _twin_variance(market, s_block, a, b):
+    """The twin's variance over [a, b], integrated in one piece."""
+    return integrate(lambda u: market.g(u, s_block) ** 2, a, b)
+
+
+def _se_units(x, mu):
+    return (x.mean() - mu) / (x.std(ddof=1) / math.sqrt(x.size))
+
+
+@pytest.mark.parametrize("case", [*_TWIN_CASES, "time_market"])
+def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
+    market, measure, t, s_t, s_block, seed = (
+        (time_market, "Q", 0.0, 100.0, 100.0, 9) if case == "time_market" else _TWIN_CASES[case]
+    )
+    strike, R = 100.0, market.rate.integral(t, market.T)
+    v = _twin_variance(market, s_block, t, market.T)
+    mu = price_classical(s_t, strike, R, v) * math.exp(R)
+    twin_v, twin_mean = twin_call(market, MarketState(t, s_t, s_block), strike)
+    assert twin_mean == pytest.approx(mu, rel=1e-9)
+    # the importance price reads the P twin beside the density, unweighted
+    *_, w = exact_values_vec(
+        market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
+        density=measure == "P", twin=twin_v,
+    )
+    assert abs(_se_units(twin_call_payoff(s_t, w, strike), mu)) <= 3.0
+
+
+@pytest.mark.parametrize("case", ["steep_g", "inside_a_block"])
+def test_twin_kernel_value_has_its_closed_form_mean(case):
+    # price_semi's twin control: the kernel at the twin's final-block state
+    market, _, t, s_t, s_block, seed = _TWIN_CASES[case]
+    t_star, strike = final_block_start(market), 100.0
+    twin_v = twin_variances(market, t, s_block, [t_star, market.T])
+    *_, w = exact_values_vec(
+        market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [t_star], twin=twin_v[:-1]
+    )
+    R, R_T = market.rate.integral(0.0, t_star), market.rate.integral(0.0, market.T)
+    v_final = _twin_variance(market, s_block, t_star, market.T)
+    values = _h_value_vec(s_t * math.exp(-R) * np.exp(w), v_final, strike, R_T)
+    x_t = np.array([s_t * math.exp(-market.rate.integral(0.0, t))])
+    mu = float(_h_value_vec(x_t, _twin_variance(market, s_block, t, market.T), strike, R_T)[0])
+    assert abs(_se_units(values, mu)) <= 3.0
+
+
+def test_twin_is_the_price_when_g_ignores_s(time_market):
+    market = VariableDelayMarket(
+        h=0.25, T=0.9, s0=100.0, f=time_market.f,
+        g=CoefficientExpr.parse("0.2 * (1 + 0.5*t)"), rate=time_market.rate, g_min=0.05,
+    )
+    twin_v = twin_variances(market, 0.3, 90.0, [0.6, 0.9])
+    values, w = exact_values_vec(market, "Q", 7, 0, 1000, 0.3, 100.0, 90.0, [0.6, 0.9], twin=twin_v)
+    assert values[:, -1] == pytest.approx(100.0 * np.exp(w), rel=1e-13)
 
 
 def _sfde(drift=None, g="0.2", phi0=1.0, T=1.0):

@@ -268,7 +268,7 @@ def test_semi_degenerate_at_block_start():
 def test_semi_constant_market_matches_classical():
     market = _market()
     semi = price_semi(market, OptionSpec(100.0), MarketState(0.0, 100.0), 200_000, 3)
-    assert abs(semi.value - 10.450584) <= 3.0 * semi.std_error
+    assert abs(semi.value - 10.45058357218555) <= 3.0 * semi.std_error + 1e-12 * 100.0
 
 
 def test_semi_rejects_late_valuation():
@@ -311,7 +311,35 @@ def test_mc_agrees_with_closed_in_final_block():
     state = MarketState(0.8, 100.0)
     mc = price_mc(market, OptionSpec(100.0), state, 200_000, 7)
     closed = price_closed(market, OptionSpec(100.0), state)
-    assert abs(mc.value - closed.value) <= 3.0 * mc.std_error
+    assert abs(mc.value - closed.value) <= 3.0 * mc.std_error + 1e-12 * state.s_t
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("strike", [1e-9, 40.0, 100.0, 140.0, 300.0])
+@pytest.mark.parametrize("t, s_t, s_block", [(0.0, 100.0, 100.0), (0.3, 104.0, 97.0)])
+def test_constant_coefficients_price_exactly(constant_market, strike, kind, t, s_t, s_block):
+    # The Black-Scholes twin is the price path itself, so Y is linear in
+    # the twin control on every path, deep in or out of the money too,
+    # where no path crosses the strike
+    market = constant_market
+    state, option = MarketState(t, s_t, s_block), OptionSpec(strike, kind)
+    call = price_classical(s_t, strike, 0.05 * (market.T - t), 0.04 * (market.T - t))
+    exact = call if kind == "call" else put_price(call, state, option, market)
+    for pricer, seed in ((price_mc, 7), (price_semi, 3)):
+        result = pricer(market, option, state, 4096, seed)
+        assert abs(result.value - exact) <= 1e-12 * market.s0, pricer
+        assert result.std_error == 0.0, pricer
+
+
+@pytest.mark.parametrize("kind", ["call", "put"])
+@pytest.mark.parametrize("strike", [60.0, 100.0, 140.0])
+def test_mc_in_the_final_block_is_the_closed_form(state_market, strike, kind):
+    # frozen at the block price, the twin is the model inside the last block
+    state, option = MarketState(0.8, 103.0, 98.0), OptionSpec(strike, kind)
+    mc = price_mc(state_market, option, state, 4096, 9)
+    closed = price_closed(state_market, option, state).value
+    assert abs(mc.value - closed) <= 1e-12 * state_market.s0
+    assert mc.std_error == 0.0
 
 
 def test_deterministic_reduction_across_workers():
