@@ -4,10 +4,11 @@ The closed-form hedge holds Phi(beta_plus) units of stock and carries
 the rest of the wealth as cash; the bond leg, -K Phi(beta_minus)
 e^{-lambda}, is fixed by the portfolio identity with the closed-form
 price and is formed explicitly only when that identity is asserted
-(``identity_tol``).  The discrete-rebalancing harness starts from the
-closed-form value at the final block boundary, rebalances on an equal
-grid, accrues the cash with exact discount factors, and reports the
-terminal replication error against the payoff.
+(``identity_tol``); both legs take the closed form's arguments from
+the kernel :func:`delaybs.pricing.bs_betas`.  The discrete-rebalancing
+harness starts from the closed-form value at the final block boundary,
+rebalances on an equal grid, accrues the cash with exact discount
+factors, and reports the terminal replication error against the payoff.
 
 The block price is the constant ``s_star``, so every rebalance's
 variance and rate integral are scalars, planned once per ``replicate``
@@ -32,11 +33,11 @@ from .paths import exact_steps
 from .pricing import (
     MarketState,
     _final_block_variance,
+    bs_betas,
     final_block_start,
-    log_ratio_vec,
+    log_ratio,
     price_closed,
 )
-from .quadrature import block_integrals_vec
 
 
 @dataclass(frozen=True)
@@ -57,19 +58,19 @@ class _Rebalance:
 
     t: float
     lam: float
-    half_v: float
-    sq: float
+    v: float
     discount: float
 
 
 def _plan(market, s_star, grid):
-    """One _Rebalance per interval [t_i, t_{i+1}] of grid."""
+    """One _Rebalance per interval [t_i, t_{i+1}] of grid; each variance
+    must be positive, as the hedge weights divide by its root."""
     plan = []
     for t_i, t_next in zip(grid[:-1], grid[1:]):
-        v, _, lam = block_integrals_vec(market, s_star, t_i, market.T)
+        v = _final_block_variance(market, s_star, t_i)
+        lam = market.rate.integral(t_i, market.T)
         plan.append(_Rebalance(
-            t=t_i, lam=lam, half_v=0.5 * v, sq=np.sqrt(v),
-            discount=discount_factor(market.rate, t_i, t_next),
+            t=t_i, lam=lam, v=v, discount=discount_factor(market.rate, t_i, t_next),
         ))
     return plan
 
@@ -81,11 +82,8 @@ def _weights(s, strike, step, with_bond):
     bond leg's value -K Phi(beta_minus) e^{-lam} when with_bond is set
     (None otherwise).
     """
-    bp = log_ratio_vec(s, strike)
-    bp += step.lam
-    bp += step.half_v
-    bp /= step.sq
-    bond_value = -strike * ndtr(bp - step.sq) * math.exp(-step.lam) if with_bond else None
+    bp, bm = bs_betas(log_ratio(s, strike), step.lam, step.v)
+    bond_value = -strike * ndtr(bm) * math.exp(-step.lam) if with_bond else None
     return ndtr(bp, out=bp), bond_value
 
 
@@ -120,8 +118,6 @@ def replicate(
     t_star = final_block_start(market)
     if s_star is None:
         s_star = market.s0
-    # Every hedge weight divides by the root of a final-block variance.
-    _final_block_variance(market, s_star, t_star)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
     v0 = price_closed(market, option, MarketState(t_star, float(s_star))).value
     plan = _plan(market, s_star, grid)

@@ -5,10 +5,11 @@ Four routes:
 * ``price_closed`` — the closed form valid once the final block's
   volatility is known (valuation time at or after the final block start);
 * ``price_semi`` — simulate the block-start state to the final block
-  boundary t*, then apply the conditional-expectation kernel
-  ``_h_value_vec``, with the discounted block-start price as a control
-  variate: its Q-mean is known exactly, because the discounted price is
-  a Q-martingale and the exact sampler draws S(t*) without bias;
+  boundary t*, then value the last block with the Black-Scholes kernel
+  (:func:`bs_betas`, :func:`bs_call`), with the discounted block-start
+  price as a control variate: its Q-mean is known exactly, because the
+  discounted price is a Q-martingale and the exact sampler draws S(t*)
+  without bias;
 * ``price_mc`` — direct discounted-payoff Monte Carlo under Q, with the
   discounted terminal price as a control variate on the same grounds;
 * ``price_classical`` — the constant-coefficient Black-Scholes reference,
@@ -91,23 +92,44 @@ def _final_block_variance(market, s_block, t):
     return v
 
 
-def _log_ratio(x, y):
-    """log(x / y) for positive x and y, also where x / y underflows to 0."""
-    ratio = x / y
-    if ratio > 0.0:
-        return math.log(ratio)
-    return math.log(x) - math.log(y)
-
-
-def log_ratio_vec(x, y):
-    """Elementwise log(x / y) for positive x and y, bit for bit, except
-    that it is log x - log y where x / y underflows to 0 or overflows."""
+def log_ratio(x, y):
+    """log(x / y) for positive x and y, a float or elementwise on an
+    array, except that it is log x - log y where x / y underflows to 0 or
+    overflows.  Floats take math.log, which can differ from numpy's log
+    in the last bit."""
+    if isinstance(x, float):
+        # float division never warns, so floats need no error state
+        ratio = x / y
+        return math.log(ratio) if 0.0 < ratio < math.inf else math.log(x) - math.log(y)
     with np.errstate(over="ignore", under="ignore", divide="ignore"):
         out = np.log(x / y)
         lost = np.isinf(out)
         if lost.any():
             out = np.where(lost, np.log(x) - np.log(y), out)
     return out
+
+
+def bs_betas(log_m, rate_integral, v):
+    """The Black-Scholes kernel's arguments (beta_plus, beta_minus) for
+    log-moneyness log_m, rate integral R and variance v: beta_minus =
+    (log_m + R - v/2) / sqrt(v) and beta_plus = beta_minus + sqrt(v).
+
+    log_m and v are floats or arrays and R is a float; each element of an
+    array result has the bits of the float case.
+    """
+    sq = np.sqrt(v)
+    beta_minus = log_m + rate_integral
+    beta_minus -= 0.5 * v
+    beta_plus = beta_minus + v
+    beta_plus /= sq
+    beta_minus /= sq
+    return beta_plus, beta_minus
+
+
+def bs_call(x, strike, rate_integral, beta_plus, beta_minus):
+    """The Black-Scholes call x N(beta_plus) - strike e^{-R} N(beta_minus),
+    for the arguments :func:`bs_betas` forms from log(x / strike)."""
+    return x * ndtr(beta_plus) - strike * ndtr(beta_minus) * math.exp(-rate_integral)
 
 
 def beta_pm(market, option, state):
@@ -121,11 +143,7 @@ def beta_pm(market, option, state):
         raise DomainError("zero remaining variance at expiry")
     v = _final_block_variance(market, state.s_block, state.t)
     lam = market.rate.integral(state.t, market.T)
-    log_m = _log_ratio(state.s_t, option.strike)
-    sq = math.sqrt(v)
-    beta_plus = (log_m + lam + 0.5 * v) / sq
-    beta_minus = beta_plus - sq
-    return beta_plus, beta_minus
+    return bs_betas(log_ratio(state.s_t, option.strike), lam, v)
 
 
 def price_closed(market, option, state):
@@ -139,33 +157,10 @@ def price_closed(market, option, state):
     if state.t >= market.T - 1e-15:
         return PricingResult(value=float(option.payoff(state.s_t)), method="closed")
     bp, bm = beta_pm(market, option, state)
-    disc = discount_factor(market.rate, state.t, market.T)
-    call = state.s_t * norm_cdf(bp) - option.strike * norm_cdf(bm) * disc
+    lam = market.rate.integral(state.t, market.T)
+    call = float(bs_call(state.s_t, option.strike, lam, bp, bm))
     value = call if option.kind == "call" else put_price(call, state, option, market)
     return PricingResult(value=value, method="closed")
-
-
-def _h_value_vec(x, v, strike, rate_integral_0T, log_xk=None):
-    """Conditional-expectation kernel mapping discounted block-start states
-    x, with final-block variance v, to their option value contributions.
-
-    ``log_xk`` is log(x / strike) where the caller has it already."""
-    sq = np.sqrt(v)
-    if log_xk is None:
-        log_xk = log_ratio_vec(x, strike)
-    # x N(alpha1) - strike N(alpha2) e^{-R}, each step in place
-    log_m = log_xk + rate_integral_0T
-    log_m -= 0.5 * v
-    out = log_m + v
-    out /= sq
-    log_m /= sq  # alpha2
-    out = ndtr(out, out=out)
-    out *= x
-    leg = ndtr(log_m, out=log_m)
-    leg *= strike
-    leg *= math.exp(-rate_integral_0T)
-    out -= leg
-    return out
 
 
 def price_semi(market, option, state, n_paths, seed, workers=1):
@@ -199,24 +194,24 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
             n_paths=call.n_paths,
             method="semi",
         )
-    grow_t = math.exp(market.rate.integral(0.0, state.t))
-    R_T = market.rate.integral(0.0, market.T)
+    disc_to_star = math.exp(-market.rate.integral(0.0, t_star))
     if abs(state.t - t_star) <= tol:
         # degenerate expectation: the final block state is known
-        x = state.s_t * math.exp(-market.rate.integral(0.0, t_star))
-        v = _final_block_variance(market, state.s_t, t_star)
-        if not x > 0.0:
-            raise DomainError("x and strike must be positive")
-        h = _h_value_vec(np.array([x]), v, option.strike, R_T)
-        return PricingResult(value=grow_t * float(h[0]), method="semi")
-    disc_to_star = math.exp(-market.rate.integral(0.0, t_star))
+        if not state.s_t * disc_to_star > 0.0:
+            raise DomainError("the discounted state at t* must be positive")
+        value = price_closed(market, option, MarketState(t_star, state.s_t)).value
+        return PricingResult(value=value, method="semi")
+    grow_t = math.exp(market.rate.integral(0.0, state.t))
+    R_T = market.rate.integral(0.0, market.T)
+    strike = option.strike
     # The twin's final-block variance, and its total over [t, T]
     twin_v = twin_variances(market, state.t, state.s_block, [t_star, market.T])
     twin_mean = None
     if twin_v[-1] > 0.0:
-        x_t = np.array([state.s_t / grow_t])
-        twin_mean = float(_h_value_vec(x_t, sum(twin_v), option.strike, R_T)[0])
-    log_x0k = _log_ratio(state.s_t, option.strike) - market.rate.integral(0.0, t_star)
+        x_t = state.s_t / grow_t
+        bp, bm = bs_betas(log_ratio(x_t, strike), R_T, sum(twin_v))
+        twin_mean = float(bs_call(x_t, strike, R_T, bp, bm))
+    log_x0k = log_ratio(state.s_t, strike) - market.rate.integral(0.0, t_star)
 
     def chunk(lo, hi):
         s_star, w = exact_values_vec(
@@ -225,14 +220,16 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
         )
         s_star = s_star[:, 0]
         v = block_integrals_vec(market, s_star, t_star, market.T)[0]
+        if (v <= 0.0).any():
+            raise DomainError("final-block variance must be positive")
         x = s_star * disc_to_star
-        y = _h_value_vec(x, v, option.strike, R_T)
+        y = bs_call(x, strike, R_T, *bs_betas(log_ratio(x, strike), R_T, v))
         if twin_mean is None:
             return y, x
         with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
             x_twin = np.exp(w)
             x_twin *= state.s_t * disc_to_star
-        return y, x, _h_value_vec(x_twin, twin_v[-1], option.strike, R_T, log_x0k + w)
+        return y, x, bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1]))
 
     (mean, se, _), _ = accumulate_controlled_pair(
         chunk, state.s_t / grow_t, n_paths, workers, twin_mean=twin_mean
@@ -259,7 +256,7 @@ def price_mc_joint(market, option, state, n_paths, seed, workers=1):
     at a shared seed; :func:`twin_call` gives its mean.  The price is
     disc times the controlled mean of
     :func:`parallel.accumulate_controlled_pair`.  Neither Y nor its mean
-    shares code with :func:`price_semi`'s conditional kernel, so the two
+    shares code with :func:`price_semi`'s Black-Scholes kernel, so the two
     still check each other.  Returns the price_mc result and X's
     uncontrolled (mean, standard_error, n), the martingale check's
     statistic, which is not checked for finiteness (see
@@ -323,7 +320,7 @@ def price_classical(s, strike, rate_integral, total_variance):
     if total_variance <= 0.0:
         raise DomainError("total variance must be positive")
     sigma = math.sqrt(total_variance)
-    d1 = (_log_ratio(s, strike) + rate_integral) / sigma + 0.5 * sigma
+    d1 = (log_ratio(s, strike) + rate_integral) / sigma + 0.5 * sigma
     d2 = d1 - sigma
     return s * norm_cdf(d1) - strike * math.exp(-rate_integral) * norm_cdf(d2)
 

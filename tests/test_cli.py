@@ -5,6 +5,7 @@ import json
 import math
 import os
 import platform
+import random
 import subprocess
 import sys
 import tempfile
@@ -61,6 +62,21 @@ def test_price_closed_matches_classical_final_block(capsys):
     v_closed = float(closed.strip().splitlines()[1].split(",")[1])
     v_classical = float(classical.strip().splitlines()[1].split(",")[1])
     assert v_closed == pytest.approx(v_classical, abs=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 11])
+def test_closed_quotes_match_classical_over_the_benchmark_grid(capsys, seed):
+    # the final_block benchmark's quote_vs_classical check: its quotes are
+    # 200 (strike, t, spot) draws per seed, here drawn the same way
+    r = random.Random(f"{seed}:quotes")
+    for _ in range(200):
+        strike, t, spot = r.uniform(80.0, 120.0), 0.75 + 0.15 * r.random(), r.uniform(85.0, 115.0)
+        values = []
+        for method in ("closed", "classical"):
+            _, out = _run(capsys, ["price", "--config", STATE, "--method", method, "--strike",
+                                   repr(strike), "--t", repr(t), "--spot", repr(spot)])
+            values.append(float(out.splitlines()[1].split(",")[1]))
+        assert abs(values[0] - values[1]) <= 1e-12 * strike, (strike, t, spot, values)
 
 
 def test_price_mc_reports_uncertainty(capsys):
@@ -222,12 +238,14 @@ def test_output_independent_of_worker_count(capsys):
     assert one == many
 
 
-# Outputs of two-or-more-chunk reductions as the single-threaded chunk
-# loops printed them, before `hedge` and `convergence` took --workers.
+# Outputs of two-or-more-chunk reductions: convergence as the
+# single-threaded chunk loop printed it before `convergence` took
+# --workers, hedge with its delta from the closed form's kernel,
+# `pricing.bs_betas`.
 _HEDGE_TWO_CHUNKS = (
     "n_rebalance,mean_error,rmse,n_paths\n"
-    "2,0.001691295321848233,1.7036307025371709,70000\n"
-    "4,-0.0038065305083352157,1.244220595270646,70000\n"
+    "2,0.0016912953218482273,1.7036307025371709,70000\n"
+    "4,-0.0038065305083352331,1.244220595270646,70000\n"
 )
 _CONVERGENCE_700_PATH_CHUNKS = (
     "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
@@ -236,22 +254,22 @@ _CONVERGENCE_700_PATH_CHUNKS = (
 )
 
 
-# `hedge` stdout as the rebalance loop printed it when it formed the bond
-# leg at every rebalance and re-planned the block integrals in every chunk.
+# `hedge` stdout with the delta from the closed form's kernel,
+# `pricing.bs_betas`.
 _HEDGE_GOLDEN = [
     # the final_block benchmark's hedge at workload seed 11
     (["--ladder", "4,16,64", "--paths", "16384", "--seed", "3991227610"],
      "n_rebalance,mean_error,rmse,n_paths\n"
-     "4,-0.0095465522599165673,1.2603092713425479,16384\n"
-     "16,-0.0053041902180608735,0.65232665148503011,16384\n"
-     "64,0.001033319465428312,0.32960715605823726,16384\n"),
+     "4,-0.0095465522599164979,1.2603092713425479,16384\n"
+     "16,-0.00530419021806089,0.65232665148503011,16384\n"
+     "64,0.0010333194654283382,0.32960715605823743,16384\n"),
     # three chunks, the last one partial, and an unsorted ladder
     (["--ladder", "64,3,16,5", "--paths", "140000", "--seed", "11"],
      "n_rebalance,mean_error,rmse,n_paths\n"
-     "64,1.2329344551966516e-06,0.33360330622379381,140000\n"
-     "3,0.0012733736549772371,1.4202873388848563,140000\n"
-     "16,-0.0008763254987827773,0.65015124758227105,140000\n"
-     "5,0.004567780584768073,1.1220171066342866,140000\n"),
+     "64,1.2329344552137681e-06,0.33360330622379381,140000\n"
+     "3,0.0012733736549772336,1.4202873388848563,140000\n"
+     "16,-0.00087632549878276136,0.65015124758227105,140000\n"
+     "5,0.0045677805847680712,1.1220171066342866,140000\n"),
 ]
 
 
@@ -850,8 +868,8 @@ def test_hedge_on_a_final_block_shorter_than_the_knot_tolerance(tmp_path, capsys
                               "--ladder", "4,16", "--paths", "1000"])
     assert (code, out) == (cli.EXIT_OK, (
         "n_rebalance,mean_error,rmse,n_paths\n"
-        "4,-1.2449117319574508e-08,4.6149602450846715e-06,1000\n"
-        "16,-7.7494558581508902e-08,2.3972170224761348e-06,1000\n"
+        "4,-1.2449117137497932e-08,4.614960244865024e-06,1000\n"
+        "16,-7.7494559208388775e-08,2.3972170225541927e-06,1000\n"
     ))
 
 

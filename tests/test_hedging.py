@@ -6,8 +6,16 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from delaybs import OptionSpec
 from delaybs.errors import ContractError
+from scipy.special import ndtr
+
 from delaybs.hedging import _plan, _weights, replicate
-from delaybs.pricing import MarketState, price_closed
+from delaybs.pricing import (
+    MarketState,
+    _final_block_variance,
+    bs_betas,
+    log_ratio,
+    price_closed,
+)
 
 
 def _bond(market, t):
@@ -77,6 +85,19 @@ def test_delta_monotone_in_spot(constant_market):
     ]
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
     assert all(0.0 <= d <= 1.0 for d in deltas)
+
+
+def test_hedge_weights_come_from_the_closed_form_kernel(state_market):
+    # delta and bond leg are Phi of the kernel's beta_plus and beta_minus at
+    # the closed form's own variance and rate integral, bit for bit
+    s_star, t, strike = 104.0, 0.8, 97.0
+    s = np.linspace(60.0, 160.0, 1001)
+    step = _plan(state_market, s_star, np.array([t, state_market.T]))[0]
+    lam = state_market.rate.integral(t, state_market.T)
+    bp, bm = bs_betas(log_ratio(s, strike), lam, _final_block_variance(state_market, s_star, t))
+    pi_s, bond_value = _weights(s, strike, step, with_bond=True)
+    assert np.array_equal(pi_s, ndtr(bp))
+    assert np.array_equal(bond_value, -strike * ndtr(bm) * math.exp(-lam))
 
 
 def test_hedge_rejects_puts(constant_market):

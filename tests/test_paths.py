@@ -30,8 +30,10 @@ from delaybs.paths import (
 )
 from delaybs.pricing import (
     MarketState,
-    _h_value_vec,
+    bs_betas,
+    bs_call,
     final_block_start,
+    log_ratio,
     price_classical,
     twin_call,
     twin_call_payoff,
@@ -217,9 +219,11 @@ def test_twin_kernel_value_has_its_closed_form_mean(case):
     )
     R, R_T = market.rate.integral(0.0, t_star), market.rate.integral(0.0, market.T)
     v_final = _twin_variance(market, s_block, t_star, market.T)
-    values = _h_value_vec(s_t * math.exp(-R) * np.exp(w), v_final, strike, R_T)
-    x_t = np.array([s_t * math.exp(-market.rate.integral(0.0, t))])
-    mu = float(_h_value_vec(x_t, _twin_variance(market, s_block, t, market.T), strike, R_T)[0])
+    x = s_t * math.exp(-R) * np.exp(w)
+    values = bs_call(x, strike, R_T, *bs_betas(log_ratio(x, strike), R_T, v_final))
+    x_t = s_t * math.exp(-market.rate.integral(0.0, t))
+    v_t = _twin_variance(market, s_block, t, market.T)
+    mu = float(bs_call(x_t, strike, R_T, *bs_betas(log_ratio(x_t, strike), R_T, v_t)))
     assert abs(_se_units(values, mu)) <= 3.0
 
 

@@ -8,12 +8,15 @@ from scipy.integrate import quad
 
 from delaybs import CoefficientExpr, OptionSpec, RateCurve, VariableDelayMarket
 from delaybs.errors import ContractError, DomainError
+from delaybs.measure import importance_price
 from delaybs.model import discount_factor
 from delaybs.pricing import (
     MarketState,
     beta_pm,
-    _h_value_vec,
+    bs_betas,
+    bs_call,
     final_block_start,
+    log_ratio,
     norm_cdf,
     price_classical,
     price_closed,
@@ -21,6 +24,7 @@ from delaybs.pricing import (
     price_mc_joint,
     price_semi,
     put_price,
+    _final_block_variance,
 )
 
 
@@ -211,8 +215,9 @@ def test_discount_shift_consistency():
 
 
 def _h_one(x, v, strike, rate_integral_0T):
-    """The vector kernel at one discounted block-start state."""
-    return float(_h_value_vec(np.array([x]), v, strike, rate_integral_0T)[0])
+    """The kernel at one discounted block-start state, as price_semi uses it."""
+    betas = bs_betas(log_ratio(x, strike), rate_integral_0T, v)
+    return float(bs_call(x, strike, rate_integral_0T, *betas))
 
 
 def test_h_value_centered_case():
@@ -251,6 +256,57 @@ def test_h_value_domain():
         price_semi(_market(g="0"), OptionSpec(1.0), MarketState(0.8, 1.0), 10, 1)
     with pytest.raises(DomainError, match="positive"):
         price_semi(_market(rate=1.0), OptionSpec(1.0), MarketState(0.8, 5e-324), 10, 1)
+
+
+def test_a_market_without_volatility_fails_typed_where_it_cannot_price():
+    # g = 0: no final-block variance for the kernel, no market price of
+    # risk for the density; the direct route prices the deterministic path
+    market, option, state = _market(g="0"), OptionSpec(90.0), MarketState(0.0, 100.0)
+    with pytest.raises(DomainError, match="variance"):
+        price_semi(market, option, state, 1000, 1)
+    with pytest.raises(DomainError, match="g != 0"):
+        importance_price(market, option, 1000, 1)
+    mc = price_mc(market, option, state, 1000, 1)
+    assert (mc.value, mc.std_error) == (14.389351794935697, 0.0)
+
+
+# --- one Black-Scholes kernel ---------------------------------------------
+
+
+def test_kernel_on_an_array_is_the_kernel_on_each_float():
+    rng = np.random.default_rng(21)
+    n = 2000
+    x = np.exp(rng.uniform(-3.0, 3.0, n))
+    log_m = rng.uniform(-3.0, 3.0, n)
+    v = np.exp(rng.uniform(-20.0, 1.0, n))
+    rate_integral = 0.037
+    bp, bm = bs_betas(log_m, rate_integral, v)
+    call = bs_call(x, 1.3, rate_integral, bp, bm)
+    for i in range(n):
+        bp_i, bm_i = bs_betas(float(log_m[i]), rate_integral, float(v[i]))
+        assert (bp_i, bm_i) == (bp[i], bm[i])
+        assert bs_call(float(x[i]), 1.3, rate_integral, bp_i, bm_i) == call[i]
+
+
+def test_closed_form_is_the_kernel_at_its_own_inputs():
+    market = _market(g="0.1 + 0.1*s/(1+s)", h=0.25, T=0.9)
+    for s_t, s_block, k, t in [(93.0, 101.0, 97.5, 0.75), (120.0, 80.0, 90.0, 0.8)]:
+        state, option = MarketState(t, s_t, s_block), OptionSpec(k)
+        lam = market.rate.integral(t, market.T)
+        v = _final_block_variance(market, s_block, t)
+        betas = bs_betas(log_ratio(s_t, k), lam, v)
+        assert beta_pm(market, option, state) == betas
+        assert price_closed(market, option, state).value == float(bs_call(s_t, k, lam, *betas))
+
+
+def test_log_ratio_falls_back_to_a_difference_of_logs():
+    tiny, huge = 5e-324, 1.7976931348623157e308
+    for x, y in [(tiny, 2.0), (huge, 0.5)]:
+        expected = math.log(x) - math.log(y)
+        assert log_ratio(x, y) == expected
+        assert log_ratio(np.array([x, 3.0]), y)[0] == pytest.approx(expected, rel=1e-15)
+    xs = np.exp(np.random.default_rng(5).uniform(-5.0, 5.0, 1000))
+    assert log_ratio(xs, 1.7) == pytest.approx([log_ratio(float(x), 1.7) for x in xs], rel=1e-15)
 
 
 # --- Monte Carlo routes ---------------------------------------------------
