@@ -1,14 +1,12 @@
 """Replication of a call in the final delay block.
 
-The closed-form hedge holds Phi(beta_plus) units of stock and carries
-the rest of the wealth as cash; the bond leg, -K Phi(beta_minus)
-e^{-lambda}, is fixed by the portfolio identity with the closed-form
-price and is formed explicitly only when that identity is asserted
-(``identity_tol``); both legs take the closed form's arguments from
-the kernel :func:`delaybs.pricing.bs_betas`.  The discrete-rebalancing
-harness starts from the closed-form value at the final block boundary,
-rebalances on an equal grid, accrues the cash with exact discount
-factors, and reports the terminal replication error against the payoff.
+The closed-form hedge holds Phi(beta_plus) units of stock, with
+beta_plus from the pricing kernel :func:`delaybs.pricing.bs_betas` at
+the closed form's variance and rate integral, and carries the rest of
+the wealth as cash.  The discrete-rebalancing harness starts from the
+closed-form value at the final block boundary, rebalances on an equal
+grid, accrues the cash with exact discount factors, and reports the
+terminal replication error against the payoff.
 
 The block price is the constant ``s_star``, so every rebalance's
 variance and rate integral are scalars, planned once per ``replicate``
@@ -56,7 +54,6 @@ class _Rebalance:
     fix the hedge; over [t, t_next] cash is divided by ``discount``.
     """
 
-    t: float
     lam: float
     v: float
     discount: float
@@ -69,22 +66,15 @@ def _plan(market, s_star, grid):
     for t_i, t_next in zip(grid[:-1], grid[1:]):
         v = _final_block_variance(market, s_star, t_i)
         lam = market.rate.integral(t_i, market.T)
-        plan.append(_Rebalance(
-            t=t_i, lam=lam, v=v, discount=discount_factor(market.rate, t_i, t_next),
-        ))
+        plan.append(_Rebalance(lam=lam, v=v, discount=discount_factor(market.rate, t_i, t_next)))
     return plan
 
 
-def _weights(s, strike, step, with_bond):
-    """Closed-form hedge at step.t for a vector of prices s.
-
-    Returns the stock delta Phi(beta_plus) in a fresh array, and the
-    bond leg's value -K Phi(beta_minus) e^{-lam} when with_bond is set
-    (None otherwise).
-    """
-    bp, bm = bs_betas(log_ratio(s, strike), step.lam, step.v)
-    bond_value = -strike * ndtr(bm) * math.exp(-step.lam) if with_bond else None
-    return ndtr(bp, out=bp), bond_value
+def _delta(s, strike, step):
+    """The closed-form stock delta Phi(beta_plus) at the rebalance step
+    for a vector of prices s, in a fresh array."""
+    bp, _ = bs_betas(log_ratio(s, strike), step.lam, step.v)
+    return ndtr(bp, out=bp)
 
 
 def replicate(
@@ -95,7 +85,6 @@ def replicate(
     seed,
     workers=1,
     s_star=None,
-    identity_tol=None,
 ):
     """Discrete replication over the final block.
 
@@ -103,9 +92,7 @@ def replicate(
     (default: the market's initial price).  Wealth starts at the
     closed-form value, rebalances to the closed-form hedge at each grid
     time, and the report gives the mean and RMS terminal error against
-    the call payoff.  When identity_tol is set, the portfolio identity
-    bond + delta * S = closed-form value is asserted at every rebalance,
-    with the delta the loop trades.
+    the call payoff.
     """
     if option.kind != "call":
         raise ContractError("replication is stated for calls")
@@ -131,27 +118,16 @@ def replicate(
         held = np.empty(n)
         steps = exact_steps(market, "Q", seed, lo, hi, t_star, s_star, s_star, grid[1:])
         for step, s_next in zip(plan, steps):
-            pi_s, bond_value = _weights(s, strike, step, identity_tol is not None)
-            if identity_tol is not None:
-                vals = pi_s * s + bond_value
-                ref = np.array([
-                    price_closed(market, option, MarketState(step.t, si, s_star)).value
-                    for si in s[: min(n, 64)]
-                ])
-                gap = np.max(np.abs(vals[: ref.size] - ref))
-                if gap > identity_tol:
-                    raise ContractError(
-                        f"portfolio identity violated by {gap} at t={step.t}"
-                    )
+            pi_s = _delta(s, strike, step)
             wealth -= np.multiply(pi_s, s, out=held)  # the cash
             s = s_next
             wealth /= step.discount
             wealth += np.multiply(pi_s, s, out=held)
         s -= strike
         wealth -= np.maximum(s, 0.0, out=s)  # the terminal error
-        return wealth, wealth * wealth
+        return (wealth,), (wealth * wealth,)
 
-    (_, err_sum, _), (_, err_sq, _) = reduce_moments(chunk, n_paths, workers)
+    (_, (err_sum,), _), (_, (err_sq,), _) = reduce_moments(chunk, n_paths, workers)
     mean = err_sum / n_paths
     rmse = math.sqrt(err_sq / n_paths)
     return ReplicationReport(

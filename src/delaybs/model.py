@@ -61,13 +61,18 @@ def block_index(t, h):
     return math.floor((t / h) * (1.0 + BOUNDARY_SNAP))
 
 
+def time_tolerance(T):
+    """Absolute tolerance for a time to count as a block boundary or as T."""
+    return BOUNDARY_SNAP * max(T, 1.0)
+
+
 def block_schedule(T, h):
     """Return [0, h, 2h, ..., T], strictly increasing, ending exactly at T."""
     if T <= 0.0 or h <= 0.0:
         raise DomainError("T and h must be positive")
     k_last = block_index(T, h)
     times = [k * h for k in range(k_last + 1)]
-    if T - times[-1] > BOUNDARY_SNAP * max(T, 1.0):
+    if T - times[-1] > time_tolerance(T):
         times.append(T)
     else:
         times[-1] = T

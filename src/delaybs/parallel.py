@@ -40,7 +40,7 @@ def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     chunk; the chunks' moments are combined by :func:`reduce_moments`.
     Returns (mean, standard_error, n), checked by :func:`finite`.
     """
-    [(_, total, m2)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)
+    [(_, (total,), (m2,))] = reduce_moments(lambda lo, hi: ((fn(lo, hi),),), n, workers, chunk_size)
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
@@ -125,8 +125,9 @@ def reduce_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
 
     fn(lo, hi) returns an iterable of statistics, each reduced to its
     :func:`moments` as it comes, so a generator can free one before it
-    makes the next.  A statistic is a 1-d array, or a tuple (y, x, ...)
-    of arrays whose cross co-moments are wanted too.  Each chunk's moments are
+    makes the next.  A statistic is a tuple (y, x, ...) of 1-d arrays,
+    whose cross co-moments come too; a single array is the 1-tuple
+    (y,), whose sum and M2 are 1-tuples.  Each chunk's moments are
     merged in chunk order by the pairwise update of Chan, Golub & LeVeque
     (1979), extended to co-moments as in Pebay (SAND2008-6212), so the
     variance does not cancel when the mean is large next to the spread,
@@ -144,13 +145,10 @@ def _merge(a, b):
     """The moments of two disjoint sets of paths pooled, a's first."""
     (count, total, m2), (c, s, q) = a, b
     w = count * c / (count + c)
-    if isinstance(total, tuple):  # a tuple of statistics
-        d = [si / c - ti / count for si, ti in zip(s, total)]
-        return count + c, tuple(ti + si for ti, si in zip(total, s)), tuple(
-            m + (qq + d[i] * d[j] * w) for m, qq, (i, j) in zip(m2, q, _pairs(len(d)))
-        )
-    delta = s / c - total / count
-    return count + c, total + s, m2 + (q + delta * delta * w)
+    d = [si / c - ti / count for si, ti in zip(s, total)]
+    return count + c, tuple(ti + si for ti, si in zip(total, s)), tuple(
+        m + (qq + d[i] * d[j] * w) for m, qq, (i, j) in zip(m2, q, _pairs(len(d)))
+    )
 
 
 @functools.cache
@@ -161,26 +159,19 @@ def _pairs(m):
 
 
 def moments(values):
-    """(count, sum, M2) of a 1-d array, M2 taken about its own mean.
+    """(count, sums, M2) of a tuple (y, x, ...) of 1-d arrays.
 
-    For a tuple (y, x, ...) of arrays the sum is the tuple of sums and M2
-    the co-moments about the statistics' own means, ordered as
-    :func:`_pairs`: (S_yy, S_xx, S_xy) for a pair.  Each square has the
+    The sums are the tuple of each array's sum and M2 the co-moments
+    about the statistics' own means, ordered as :func:`_pairs`: (S_yy,)
+    for one array, (S_yy, S_xx, S_xy) for a pair.  Each square has the
     bits of the M2 of its statistic alone.  Overflow gives an infinite
     or NaN sum, reported by the caller.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if not isinstance(values, tuple):
-            total, dev = _centred(values)
-            return len(values), total, float((dev * dev).sum())
-        sums, devs = zip(*map(_centred, values))
+        sums = tuple(float(v.sum()) for v in values)
+        devs = [v - total / len(v) for v, total in zip(values, sums)]
         prod = np.empty_like(devs[0])  # one buffer for every product
         m2 = tuple(
             float(np.multiply(devs[i], devs[j], out=prod).sum()) for i, j in _pairs(len(devs))
         )
         return len(prod), sums, m2
-
-
-def _centred(values):
-    total = float(values.sum())
-    return total, values - total / len(values)

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import rng
 from .errors import ContractError, IntegrationFailure, NumericalError
-from .model import MAX_TIME_STEPS, block_index, is_positive
+from .model import MAX_TIME_STEPS, block_index, is_positive, time_tolerance
 from .parallel import reduce_moments
 from .quadrature import block_integrals_vec
 
@@ -121,7 +121,7 @@ def _knots(market, t_start, sample_times):
     within tol of an edge replaces the edge.
     """
     h = market.h
-    tol = 1e-12 * max(market.T, 1.0)
+    tol = time_tolerance(market.T)
     out = []
     prev = t_start
     k = block_index(t_start, h) + 1
@@ -554,12 +554,14 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
             with np.errstate(over="ignore", invalid="ignore"):
                 gap = em.s - sp.s
                 gap_sq = gap * gap
-            yield from (gap, gap_sq, em.s, sp.s)
+            yield from ((gap,), (gap_sq,), (em.s,), (sp.s,))
 
     merged = reduce_moments(chunk, n_paths, workers, CONVERGENCE_CHUNK)
     results = []
     for i, steps in enumerate(steps_list):
-        (_, diff, m2), (_, gap_sq, _), (_, em, _), (_, sp, _) = merged[4 * i : 4 * i + 4]
+        (_, (diff,), (m2,)), (_, (gap_sq,), _), (_, (em,), _), (_, (sp,), _) = merged[
+            4 * i : 4 * i + 4
+        ]
         results.append(
             {
                 "steps": steps,

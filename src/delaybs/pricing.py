@@ -30,7 +30,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .errors import ContractError, DomainError
-from .model import block_index, discount_factor, is_positive
+from .model import block_index, discount_factor, is_positive, time_tolerance
 from .parallel import accumulate_controlled_pair
 from .paths import exact_values_vec, twin_variances
 from .quadrature import block_integrals_vec
@@ -76,7 +76,7 @@ def final_block_start(market):
     of positive length ending at T.
     """
     k = block_index(market.T, market.h)
-    if market.T - k * market.h <= 1e-12 * max(market.T, 1.0):
+    if market.T - k * market.h <= time_tolerance(market.T):
         k = max(k - 1, 0)
     return k * market.h
 
@@ -135,7 +135,7 @@ def bs_call(x, strike, rate_integral, beta_plus, beta_minus):
 def beta_pm(market, option, state):
     """The two closed-form arguments; their difference is the total vol."""
     t_star = final_block_start(market)
-    if state.t < t_star - 1e-12 * max(market.T, 1.0):
+    if state.t < t_star - time_tolerance(market.T):
         raise ContractError(
             f"closed form needs t >= {t_star}, got t={state.t}"
         )
@@ -152,7 +152,7 @@ def price_closed(market, option, state):
     At maturity the value is the payoff; a valuation time past maturity
     raises :class:`ContractError`.
     """
-    if state.t > market.T + 1e-12 * max(market.T, 1.0):
+    if state.t > market.T + time_tolerance(market.T):
         raise ContractError(f"valuation time {state.t} is past maturity {market.T}")
     if state.t >= market.T - 1e-15:
         return PricingResult(value=float(option.payoff(state.s_t)), method="closed")
@@ -181,7 +181,7 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     if market.T <= market.h:
         raise ContractError("semi-analytic route needs T > h; use price_closed")
     t_star = final_block_start(market)
-    tol = 1e-12 * max(market.T, 1.0)
+    tol = time_tolerance(market.T)
     if state.t > t_star + tol:
         raise ContractError(f"semi-analytic route needs t <= {t_star}; use price_closed")
     if option.kind == "put":

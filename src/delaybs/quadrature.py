@@ -67,11 +67,11 @@ def integrate(fn, a, b, n=DEFAULT_N):
     return total
 
 
-def integrate_nodes(values_fn, a, b, n=DEFAULT_N):
-    """Vectorized Simpson: values_fn(t) may return an array per node."""
+def integrate_nodes(values_fn, a, b):
+    """Vectorized Simpson on DEFAULT_N panels: values_fn(t) may return an array per node."""
     if a == b:
         return 0.0
-    xs, ws = simpson_weights(a, b, n)
+    xs, ws = simpson_weights(a, b, DEFAULT_N)
     total = 0.0
     for x, w in zip(xs, ws):
         total = total + w * values_fn(x)

@@ -8,35 +8,68 @@ from delaybs import OptionSpec
 from delaybs.errors import ContractError
 from scipy.special import ndtr
 
-from delaybs.hedging import _plan, _weights, replicate
+from delaybs.hedging import _delta, _plan, replicate
 from delaybs.pricing import (
-    MarketState,
     _final_block_variance,
     bs_betas,
+    final_block_start,
     log_ratio,
-    price_closed,
+    price_classical,
 )
+from delaybs.quadrature import integrate
 
 
-def _bond(market, t):
-    return math.exp(market.rate.integral(0.0, t))
+def _oracle(market, s_star, t):
+    """Rate integral and final-block variance over [t, T], the variance by
+    the strict scalar Simpson rule ``price --method classical`` uses."""
+    lam = market.rate.integral(t, market.T)
+    return lam, integrate(lambda u: market.g(u, s_star) ** 2, t, market.T)
 
 
-def _units(market, option, state):
-    """Stock units and bond units (of the bond worth _bond(t)) at one price,
-    from the rebalance the replication loop would plan at state.t."""
-    step = _plan(market, state.s_block, np.array([state.t, market.T]))[0]
-    pi_s, bond_value = _weights(np.array([state.s_t]), option.strike, step, with_bond=True)
-    return float(pi_s[0]), float(bond_value[0]) / _bond(market, state.t)
+def _cash(s, strike, lam, v):
+    """The oracle's cash leg -K Phi(beta_minus) e^{-lam}, beta_minus formed
+    here and not by the pricing kernel."""
+    beta_minus = (np.log(s / strike) + lam - 0.5 * v) / math.sqrt(v)
+    return -strike * ndtr(beta_minus) * math.exp(-lam)
+
+
+def portfolio_gap(market, s_star, strike, n_rebalance, s):
+    """Largest |delta * s + cash - price_classical| over every rebalance the
+    hedge plans for a ladder of n_rebalance steps, at the prices s."""
+    grid = np.linspace(final_block_start(market), market.T, n_rebalance + 1)
+    gap = 0.0
+    for t, step in zip(grid[:-1], _plan(market, s_star, grid)):
+        lam, v = _oracle(market, s_star, t)
+        value = _delta(s, strike, step) * s + _cash(s, strike, lam, v)
+        oracle = np.array([price_classical(float(x), strike, lam, v) for x in s])
+        gap = max(gap, float(np.max(np.abs(value - oracle))))
+    return gap
+
+
+def _units(market, s_star, strike, t, s):
+    """Stock units and the cash the hedge holds at one price and time: the
+    delta it trades and the rest of the oracle's value."""
+    step = _plan(market, s_star, np.array([t, market.T]))[0]
+    delta = float(_delta(np.array([s]), strike, step)[0])
+    return delta, price_classical(s, strike, *_oracle(market, s_star, t)) - delta * s
+
+
+@pytest.mark.parametrize("fixture", ["constant_market", "state_market", "time_market"])
+@pytest.mark.parametrize("n_rebalance", [4, 16, 64])
+def test_hedge_holds_the_oracle_portfolio_at_every_rebalance(request, fixture, n_rebalance):
+    # delta * S plus the cash leg is the independently integrated
+    # Black-Scholes value at every rebalance the loop trades
+    market = request.getfixturevalue(fixture)
+    for s_star in (70.0, 100.0, 140.0):
+        for strike in (80.0, 100.0, 125.0):
+            s = np.linspace(0.5 * strike, 2.0 * strike, 31)
+            assert portfolio_gap(market, s_star, strike, n_rebalance, s) <= 1e-12 * strike
 
 
 def test_portfolio_identity_hand_point(constant_market):
-    state = MarketState(0.8, 100.0)
-    option = OptionSpec(100.0)
-    pi_s, pi_xi = _units(constant_market, option, state)
-    value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
-    closed = price_closed(constant_market, option, state).value
-    assert value == pytest.approx(closed, abs=1e-12)
+    delta, cash = _units(constant_market, 100.0, 100.0, 0.8, 100.0)
+    lam, v = _oracle(constant_market, 100.0, 0.8)
+    assert cash == pytest.approx(float(_cash(100.0, 100.0, lam, v)), abs=1e-12)
 
 
 @given(
@@ -52,52 +85,41 @@ def test_portfolio_identity_hand_point(constant_market):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_portfolio_identity_randomized(constant_market, s, k, t):
-    state = MarketState(t, s)
-    option = OptionSpec(k)
-    pi_s, pi_xi = _units(constant_market, option, state)
-    value = pi_s * state.s_t + pi_xi * _bond(constant_market, state.t)
-    closed = price_closed(constant_market, option, state).value
-    assert value == pytest.approx(closed, abs=1e-12)
+    delta, cash = _units(constant_market, s, k, t, s)
+    lam, v = _oracle(constant_market, s, t)
+    assert cash == pytest.approx(float(_cash(s, k, lam, v)), abs=1e-12)
 
 
 def test_deep_in_the_money_limits(constant_market):
-    state = MarketState(0.8, 1e5)
-    option = OptionSpec(100.0)
-    pi_s, pi_xi = _units(constant_market, option, state)
-    assert pi_s == pytest.approx(1.0, abs=1e-12)
-    assert pi_xi == pytest.approx(
-        -100.0 * math.exp(-constant_market.rate.integral(0.0, 1.0)), rel=1e-12
+    delta, cash = _units(constant_market, 1e5, 100.0, 0.8, 1e5)
+    assert delta == pytest.approx(1.0, abs=1e-12)
+    assert cash == pytest.approx(
+        -100.0 * math.exp(-constant_market.rate.integral(0.8, 1.0)), rel=1e-12
     )
 
 
 def test_deep_out_of_the_money_limits(constant_market):
-    state = MarketState(0.8, 0.01)
-    pi_s, pi_xi = _units(constant_market, OptionSpec(100.0), state)
-    assert pi_s == pytest.approx(0.0, abs=1e-12)
-    assert pi_xi == pytest.approx(0.0, abs=1e-12)
+    delta, cash = _units(constant_market, 0.01, 100.0, 0.8, 0.01)
+    assert delta == pytest.approx(0.0, abs=1e-12)
+    assert cash == pytest.approx(0.0, abs=1e-12)
 
 
 def test_delta_monotone_in_spot(constant_market):
-    option = OptionSpec(100.0)
-    deltas = [
-        _units(constant_market, option, MarketState(0.85, s))[0]
-        for s in np.linspace(40.0, 250.0, 40)
-    ]
+    step = _plan(constant_market, 100.0, np.array([0.85, constant_market.T]))[0]
+    deltas = _delta(np.linspace(40.0, 250.0, 40), 100.0, step)
     assert all(b >= a for a, b in zip(deltas, deltas[1:]))
     assert all(0.0 <= d <= 1.0 for d in deltas)
 
 
 def test_hedge_weights_come_from_the_closed_form_kernel(state_market):
-    # delta and bond leg are Phi of the kernel's beta_plus and beta_minus at
-    # the closed form's own variance and rate integral, bit for bit
+    # the delta is Phi of the kernel's beta_plus at the closed form's own
+    # variance and rate integral, bit for bit
     s_star, t, strike = 104.0, 0.8, 97.0
     s = np.linspace(60.0, 160.0, 1001)
     step = _plan(state_market, s_star, np.array([t, state_market.T]))[0]
     lam = state_market.rate.integral(t, state_market.T)
-    bp, bm = bs_betas(log_ratio(s, strike), lam, _final_block_variance(state_market, s_star, t))
-    pi_s, bond_value = _weights(s, strike, step, with_bond=True)
-    assert np.array_equal(pi_s, ndtr(bp))
-    assert np.array_equal(bond_value, -strike * ndtr(bm) * math.exp(-lam))
+    bp, _ = bs_betas(log_ratio(s, strike), lam, _final_block_variance(state_market, s_star, t))
+    assert np.array_equal(_delta(s, strike, step), ndtr(bp))
 
 
 def test_hedge_rejects_puts(constant_market):
@@ -106,17 +128,9 @@ def test_hedge_rejects_puts(constant_market):
 
 
 def test_bond_leg_sign(constant_market):
-    pi_s, pi_xi = _units(constant_market, OptionSpec(100.0), MarketState(0.85, 110.0))
-    assert pi_s > 0.0
-    assert pi_xi < 0.0
-
-
-def test_replication_identity_holds_along_paths(constant_market):
-    # the asserted identity inside the rebalance loop must never trip
-    report = replicate(
-        constant_market, OptionSpec(100.0), 8, 2_000, 31, identity_tol=1e-10
-    )
-    assert report.n_paths == 2_000
+    delta, cash = _units(constant_market, 110.0, 100.0, 0.85, 110.0)
+    assert delta > 0.0
+    assert cash < 0.0
 
 
 def test_replication_error_shrinks_with_rebalancing(constant_market):
@@ -150,12 +164,3 @@ def test_replication_other_block_price(constant_market):
 def test_replication_needs_a_rebalance(constant_market, n_rebalance):
     with pytest.raises(ContractError, match="rebalance"):
         replicate(constant_market, OptionSpec(100.0), n_rebalance, 10, 1)
-
-
-def test_identity_check_leaves_the_report_unchanged(constant_market):
-    # the check reads the loop's delta; it must not change a single bit
-    option = OptionSpec(100.0)
-    for n in (1, 4, 16):
-        checked = replicate(constant_market, option, n, 3_000, 29, identity_tol=1e-12)
-        assert checked == replicate(constant_market, option, n, 3_000, 29)
-

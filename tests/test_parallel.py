@@ -90,7 +90,8 @@ def test_co_moments_survive_a_large_mean():
 def test_pair_keeps_the_bits_of_each_statistic():
     n = 5000
     count, (sum_y, sum_x), (s_yy, s_xx, _) = _co_moments(_pair, n)
-    [(_, ty, m_yy), (_, tx, m_xx)] = reduce_moments(_pair, n, chunk_size=512)
+    alone = reduce_moments(lambda lo, hi: [(v,) for v in _pair(lo, hi)], n, chunk_size=512)
+    [(_, (ty,), (m_yy,)), (_, (tx,), (m_xx,))] = alone
     assert (sum_y, s_yy, sum_x, s_xx) == (ty, m_yy, tx, m_xx)
 
 

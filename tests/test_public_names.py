@@ -1,8 +1,10 @@
 """Every top-level function or class in delaybs is used by delaybs,
-and every module-level import is read by its module.
+every defaulted parameter is passed by some call in delaybs, and every
+module-level import is read by its module.
 
 A helper that only tests call is a second copy of what the vectorised
-engines already do; these tests fail when one is added.
+engines already do, and a default no caller overrides is an option that
+only tests set; these tests fail when one is added.
 """
 
 import ast
@@ -17,6 +19,17 @@ TRACER = ROOT / "perfbench" / "tracer.py"
 ALLOWED = {
     "to_source": "acceptance criterion 10: the parser round-trips through the printer",
     "structurally_equal": "acceptance criterion 10: compares reparsed trees",
+}
+
+# Defaulted parameters no call under src/ passes, as "function(parameter)",
+# each with the reason it stays.
+ALLOWED_DEFAULTS = {
+    "main(argv)": "perfbench and in-process callers pass the arguments",
+    "block_moments(measure)": "the test reference for the block integrals",
+    "block_moments(n)": "the test reference for the block integrals",
+    "replicate(s_star)": "library hedges of a block that opened away from s0",
+    "accumulate_moments(chunk_size)": "a test seam: small chunks exercise the merge",
+    "accumulate_controlled_pair(chunk_size)": "a test seam: small chunks exercise the merge",
 }
 
 
@@ -95,6 +108,65 @@ def test_allowed_names_are_still_defined_and_unused():
     }
     used = _used_names(trees) | _reexported(trees) | _traced()
     assert sorted(name for name in ALLOWED if name not in defined or name in used) == []
+
+
+def _defaulted(trees):
+    """(name a call uses, parameter, index among a call's positional
+    arguments or None if keyword-only) for every defaulted parameter; a
+    method's call skips self, and ``__init__`` is called by its class name."""
+    methods = {
+        item: node.name if item.name == "__init__" else item.name
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        for item in node.body
+        if isinstance(item, ast.FunctionDef)
+    }
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args, skip = node.args, int(node in methods)
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for index, arg in enumerate(positional[first:], first - skip):
+                yield methods.get(node, node.name), arg.arg, index
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield methods.get(node, node.name), arg.arg, None
+
+
+def _passes(call, param, index):
+    """Whether call passes param: by keyword, through ** or *, or by position."""
+    if any(keyword.arg in (param, None) for keyword in call.keywords):
+        return True
+    starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+    return index is not None and (starred or len(call.args) > index)
+
+
+def _unpassed(trees):
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    return sorted(
+        f"{name}({param})"
+        for name, param, index in _defaulted(trees)
+        if not any(_passes(call, param, index) for call in calls.get(name, ()))
+    )
+
+
+def test_every_defaulted_parameter_is_passed_in_the_package():
+    # A default that no call overrides is an option with one value in
+    # use, such as a switch only tests turn on: make it a constant.
+    unpassed = [name for name in _unpassed(_trees()) if name not in ALLOWED_DEFAULTS]
+    assert not unpassed, f"defaulted parameters no call under src/ passes: {unpassed}"
+
+
+def test_allowed_defaults_are_still_defined_and_unpassed():
+    assert _unpassed(_trees()) == sorted(ALLOWED_DEFAULTS)
 
 
 def _imported(tree):
