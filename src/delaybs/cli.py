@@ -353,13 +353,10 @@ def main(argv=None):
     try:
         rng.check_seed(args.seed)
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (NumericalError, IntegrationFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ContractError, DelayBsError) as exc:
+    except DelayBsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

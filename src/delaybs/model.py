@@ -316,8 +316,8 @@ class FixedDelaySfde:
         _require_finite("L, b, a and T", (self.L, self.b, self.a, self.T))
         if not (0.0 < self.b <= self.L):
             raise ConfigError(f"need 0 < b <= L, got b={self.b}, L={self.L}")
-        if self.a <= 0.0:
-            raise ConfigError(f"a must be positive, got {self.a}")
+        if not (0.0 < self.a <= self.L):
+            raise ConfigError(f"need 0 < a <= L, got a={self.a}, L={self.L}")
         if self.T <= 0.0:
             raise ConfigError(f"T must be positive, got {self.T}")
         if self.phi.times[0] > -self.L + 1e-15:

@@ -53,9 +53,6 @@ class SegmentBuffer:
     def value(self, step):
         return self.data[(self.n_hist + step) % len(self.data)]
 
-    def lagged(self, step, lag_steps):
-        return self.value(step - lag_steps)
-
     def window_mean(self, step, lag_steps):
         """Mean over rows step - lag_steps .. step; call once per step from 0."""
         if step == 0:
@@ -297,14 +294,14 @@ def _fill_increments(out, seed, lo, hi, n0, dt):
     return out
 
 
-def _lag_steps(name, lag, dt):
-    if lag / dt > MAX_TIME_STEPS:
+def _steps(dt, name, length):
+    if length / dt > MAX_TIME_STEPS:
         raise ContractError(
-            f"dt={dt} gives more than {MAX_TIME_STEPS} steps to the {name} lag {lag}"
+            f"dt={dt} gives more than {MAX_TIME_STEPS} steps to the {name} {length}"
         )
-    m = round(lag / dt)
-    if m < 1 or abs(m * dt - lag) > 1e-9 * max(lag, 1.0):
-        raise ContractError(f"dt={dt} must divide the {name} lag {lag}")
+    m = round(length / dt)
+    if m < 1 or abs(m * dt - length) > 1e-9 * max(length, 1.0):
+        raise ContractError(f"dt={dt} must divide the {name} {length}")
     return m
 
 
@@ -317,15 +314,9 @@ def grid_steps(sfde, dt):
     """
     if not is_positive(dt):
         raise ContractError(f"dt must be positive, got {dt}")
-    if sfde.T / dt > MAX_TIME_STEPS:
-        raise ContractError(
-            f"dt={dt} gives more than {MAX_TIME_STEPS} steps to the horizon {sfde.T}"
-        )
-    n_steps = round(sfde.T / dt)
-    if abs(n_steps * dt - sfde.T) > 1e-9:
-        raise ContractError(f"dt={dt} must divide the horizon {sfde.T}")
-    m_b = _lag_steps("diffusion", sfde.b, dt)
-    m_a = _lag_steps("drift", sfde.a, dt) if sfde.drift.kind != "segment-point" else m_b
+    n_steps = _steps(dt, "horizon", sfde.T)
+    m_b = _steps(dt, "diffusion lag", sfde.b)
+    m_a = _steps(dt, "drift lag", sfde.a) if sfde.drift.kind != "segment-point" else m_b
     return n_steps, m_b, m_a
 
 
@@ -345,7 +336,8 @@ class _Stepper:
             raise ContractError(
                 f"dt={dt} gives more than {MAX_TIME_STEPS} history steps over L={sfde.L}"
             )
-        n_hist = max(self.m_b, self.m_a, int(math.ceil(sfde.L / dt - 1e-9)))
+        # a, b <= L, so the history rows cover both lags
+        n_hist = int(math.ceil(sfde.L / dt - 1e-9))
         self.buf = SegmentBuffer(sfde.phi, dt, n_paths, n_hist)
         self.sfde, self.dt, self.n = sfde, dt, 0
 
@@ -369,14 +361,14 @@ class _Stepper:
         d, buf = self.sfde.drift, self.buf
         s_now = buf.value(n)
         if d.kind == "segment-point":
-            return d.c * buf.lagged(n, self.m_b) + d.eps
+            return d.c * buf.value(n - self.m_b) + d.eps
         if d.kind == "proportional-lagged":
-            lag = buf.lagged(n, self.m_a)
+            lag = buf.value(n - self.m_a)
             return d.c * lag / (1.0 + lag) * s_now
         return d.c * buf.window_mean(n, self.m_a) * s_now
 
     def _g_lag(self, n, t):
-        return self.sfde.g.vec(t, self.buf.lagged(n, self.m_b))
+        return self.sfde.g.vec(t, self.buf.value(n - self.m_b))
 
 
 class EmStepper(_Stepper):
@@ -456,35 +448,6 @@ def split_values_vec(sfde, dt, dW):
     return _collect(SplitStepper, sfde, dt, dW)[:2]
 
 
-def _pairwise_sum(x):
-    """Sum of x over axis 1 in numpy's pairwise order for a contiguous row.
-
-    Coarse increments summed over the time axis of time-major blocks
-    then carry the same bits as ``row.sum()`` over each path's
-    contiguous run of fine increments: fewer than 8 terms are added in
-    order, up to 128 in 8 interleaved partial sums, and longer runs are
-    split in halves rounded to a multiple of 8.
-    """
-    k = x.shape[1]
-    if k > 128:
-        half = k // 2 - (k // 2) % 8
-        return _pairwise_sum(x[:, :half]) + _pairwise_sum(x[:, half:])
-    if k < 8:
-        out = x[:, 0].copy()
-        for i in range(1, k):
-            out += x[:, i]
-        return out
-    r = x[:, :8].copy()
-    tail = k - k % 8
-    for i in range(8, tail, 8):
-        r += x[:, i : i + 8]
-    out = (r[:, 0] + r[:, 1]) + (r[:, 2] + r[:, 3])
-    out += (r[:, 4] + r[:, 5]) + (r[:, 6] + r[:, 7])
-    for i in range(tail, k):
-        out += x[:, i]
-    return out
-
-
 # Paths per convergence chunk.  A chunk holds the segment buffers of
 # every scheme and step count at once, each about L/dt rows, so its
 # memory grows with the sum of L/dt over the step counts: at L = 0.25
@@ -538,7 +501,7 @@ def fixed_delay_convergence(sfde, steps_list, n_paths, seed, workers=1):
                 break
             _fill_increments(fine, seed, lo, hi, n0, dt_f)
             coarse = {
-                f: fine if f == 1 else _pairwise_sum(fine.reshape(slab // f, f, hi - lo))
+                f: fine if f == 1 else fine.reshape(slab // f, f, hi - lo).sum(axis=1)
                 for f in {f for _, f in live}
             }
             for i, (stepper, f) in enumerate(live):

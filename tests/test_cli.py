@@ -575,11 +575,11 @@ _FACTOR_3_OUT = _CONVERGENCE_HEADER + (
     "24,0.041666666666666664,0.0062960035847054426,1.1210914919300252,1.1211747247011381,0.00011493872779940426\n"
 )
 _FACTOR_16_OUT = _CONVERGENCE_HEADER + (
-    "16,0.0625,0.0078698423002989491,1.1181550499192339,1.1182616985208071,0.00014366981114968336\n"
+    "16,0.0625,0.0078698423002989508,1.1181550499192339,1.1182616985208071,0.00014366981114968342\n"
     "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
 )
 _FACTOR_256_OUT = _CONVERGENCE_HEADER + (
-    "4,0.25,0.016886493651233184,1.1175012831079223,1.1175015974281648,0.000308303782944864\n"
+    "4,0.25,0.016886493651233177,1.1175012831079223,1.1175015974281648,0.0003083037829448639\n"
     "1024,0.0009765625,0.00099614662767359935,1.1184857457042747,1.1185220539879392,1.8174981085389736e-05\n"
 )
 _TWO_CHUNKS_OUT = _CONVERGENCE_HEADER + (
@@ -595,8 +595,8 @@ _GOLDEN_ARGV = ["--steps", "64,128,256", "--paths", "3000", "--seed", "7"]
       "g_expr": "0.2 + 0.1*s/(1+s)"}, _PROPORTIONAL_OUT, _GOLDEN_ARGV),
     ({"a": 0.125, "drift": {"kind": "moving-average", "c": 0.1}}, _MOVING_AVERAGE_OUT,
      _GOLDEN_ARGV),
-    # coarse steps of 3 fine steps, of 16 (the 8-lane pairwise sum) and of
-    # 256 (its recursive halves)
+    # coarse steps of 3 fine steps, of 16 and of 256, each its fine
+    # increments added in time order
     ({}, _FACTOR_3_OUT, ["--steps", "8,24", "--paths", "3000", "--seed", "7"]),
     ({}, _FACTOR_16_OUT, ["--steps", "16,256", "--paths", "3000", "--seed", "7"]),
     ({}, _FACTOR_256_OUT, ["--steps", "4,1024", "--paths", "3000", "--seed", "7"]),
@@ -1175,6 +1175,14 @@ _CONFIG_REPROS = [
 def test_config_numbers_are_checked_at_the_boundary(tmp_path, capsys, base, wild, command):
     config = _write_config(tmp_path, base, wild)
     _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+
+
+@pytest.mark.parametrize("command", [_EM, _CONVERGENCE], ids=lambda c: c[0])
+def test_a_drift_lag_longer_than_the_history_is_a_usage_error(tmp_path, capsys, command):
+    # the moving-average window would read history before -L = -0.25
+    config = _write_config(tmp_path, "moving", {"a": 0.5})
+    line = _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+    assert line == "error: need 0 < a <= L, got a=0.5, L=0.25"
 
 
 # Config values of the wrong JSON type that once escaped main with a traceback.

@@ -350,12 +350,60 @@ def test_em_requires_dt_dividing_lag():
         em_values_vec(sfde, 0.3, np.zeros((1, 3)))
 
 
+_TINY = 0.25 / paths.MAX_TIME_STEPS  # 2^20 steps to 0.25, 2^22 to 1
+
+
+@pytest.mark.parametrize("lags, T, dt, message", [
+    ((0.25, 0.25, 0.25), 1.0, 0.3, "dt=0.3 must divide the horizon 1.0"),
+    ((0.25, 0.25, 0.25), 1.0, 1e-7, "dt=1e-07 gives more than 1048576 steps to the horizon 1.0"),
+    ((0.25, 0.25, 0.25), 1.0, 0.5, "dt=0.5 must divide the diffusion lag 0.25"),
+    ((1.0, 1.0, 0.25), 0.25, _TINY,
+     f"dt={_TINY} gives more than 1048576 steps to the diffusion lag 1.0"),
+    ((0.25, 0.25, 0.125), 1.0, 0.25, "dt=0.25 must divide the drift lag 0.125"),
+    ((1.0, 0.25, 1.0), 0.25, _TINY,
+     f"dt={_TINY} gives more than 1048576 steps to the drift lag 1.0"),
+])
+def test_grid_steps_names_the_length_dt_fails(lags, T, dt, message):
+    L, b, a = lags
+    sfde = FixedDelaySfde(
+        L=L, b=b, a=a, phi=InitialPath.constant(1.0, L),
+        drift=DriftFunctional("proportional-lagged", c=0.1),
+        g=CoefficientExpr.parse("0.2"), T=T,
+    )
+    with pytest.raises(ContractError) as caught:
+        paths.grid_steps(sfde, dt)
+    assert str(caught.value) == message
+
+
+def test_a_horizon_shorter_than_half_a_step_is_no_grid():
+    # round(T / dt) = 0 steps, within 1e-9 of T = 1e-10
+    sfde = _sfde(T=1e-10)
+    with pytest.raises(ContractError, match="dt=0.25 must divide the horizon 1e-10"):
+        paths.grid_steps(sfde, 0.25)
+
+
 def test_fixed_delay_determinism():
     sfde = _sfde()
     dt = 1.0 / 64.0
     a = split_values_vec(sfde, dt, brownian_increments(9, 4, 5, 64, dt))[1]
     b = split_values_vec(sfde, dt, brownian_increments(9, 4, 5, 64, dt))[1]
     assert np.array_equal(a, b)
+
+
+def test_coarse_steps_take_the_sum_of_their_fine_increments():
+    # 16 fine steps make one coarse step
+    sfde, n, seed = _sfde(), 5, 21
+    coarse, fine = fixed_delay_convergence(sfde, [16, 256], n, seed)
+    dW = brownian_increments(seed, 0, n, 256, sfde.T / 256)
+    for row, dw in ((coarse, dW.reshape(n, 16, 16).sum(axis=2)), (fine, dW)):
+        dt = sfde.T / row["steps"]
+        em = em_values_vec(sfde, dt, dw)[1][:, -1]
+        split = split_values_vec(sfde, dt, dw)[1][:, -1]
+        np.testing.assert_allclose(
+            [row["mean_em"], row["mean_split"], row["rms_gap"]],
+            [em.mean(), split.mean(), math.sqrt(np.mean((em - split) ** 2))],
+            rtol=1e-12, atol=0.0,
+        )
 
 
 def test_scheme_agreement_shrinks_with_dt():
@@ -499,11 +547,3 @@ def test_engine_shapes_and_caller_made_increments(kind):
     assert own.flags.c_contiguous and not dW.flags.c_contiguous
     assert np.array_equal(em_values_vec(sfde, dt, own)[1], em)
     assert np.array_equal(_split_with_y(sfde, dt, own)[1], y)
-
-
-@pytest.mark.parametrize("factor", list(range(1, 41)) + [64, 128, 129, 200, 512])
-def test_time_major_coarsening_matches_row_sums(factor):
-    fine = np.random.default_rng(factor).standard_normal((5, 3 * factor))
-    by_row = fine.reshape(5, 3, factor).sum(axis=2)
-    time_major = np.ascontiguousarray(fine.T).reshape(3, factor, 5)
-    assert np.array_equal(paths._pairwise_sum(time_major).T, by_row)
