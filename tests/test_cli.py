@@ -238,19 +238,17 @@ def test_output_independent_of_worker_count(capsys):
     assert one == many
 
 
-# Outputs of two-or-more-chunk reductions: convergence as the
-# single-threaded chunk loop printed it before `convergence` took
-# --workers, hedge with its delta from the closed form's kernel,
-# `pricing.bs_betas`.
+# Outputs of two-or-more-chunk reductions, hedge with its delta from the
+# closed form's kernel, `pricing.bs_betas`.
 _HEDGE_TWO_CHUNKS = (
     "n_rebalance,mean_error,rmse,n_paths\n"
-    "2,0.0016912953218482273,1.7036307025371709,70000\n"
-    "4,-0.0038065305083352331,1.244220595270646,70000\n"
+    "2,-0.0073311398689331064,1.7082358023128046,70000\n"
+    "4,0.0025059097318717747,1.2425446557933291,70000\n"
 )
 _CONVERGENCE_700_PATH_CHUNKS = (
     "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
-    "32,0.03125,0.0055357314559388911,1.1147223075176744,1.1147182094012358,0.00010106813866185025\n"
-    "64,0.015625,0.0039556543564024885,1.1147394395124817,1.1147862460468534,7.2214981215040801e-05\n"
+    "32,0.03125,0.0054007886965352463,1.1125984119045824,1.1124259550334352,9.8554176593751428e-05\n"
+    "64,0.015625,0.0038627082455992196,1.1125736111275328,1.1124913687261124,7.0507094626542775e-05\n"
 )
 
 
@@ -260,16 +258,16 @@ _HEDGE_GOLDEN = [
     # the final_block benchmark's hedge at workload seed 11
     (["--ladder", "4,16,64", "--paths", "16384", "--seed", "3991227610"],
      "n_rebalance,mean_error,rmse,n_paths\n"
-     "4,-0.0095465522599164979,1.2603092713425479,16384\n"
-     "16,-0.00530419021806089,0.65232665148503011,16384\n"
-     "64,0.0010333194654283382,0.32960715605823743,16384\n"),
+     "4,0.025527534171614109,1.236215194421441,16384\n"
+     "16,-0.0014753920169013213,0.64173167155822763,16384\n"
+     "64,0.0018925918959905074,0.33086425951087406,16384\n"),
     # three chunks, the last one partial, and an unsorted ladder
     (["--ladder", "64,3,16,5", "--paths", "140000", "--seed", "11"],
      "n_rebalance,mean_error,rmse,n_paths\n"
-     "64,1.2329344552137681e-06,0.33360330622379381,140000\n"
-     "3,0.0012733736549772336,1.4202873388848563,140000\n"
-     "16,-0.00087632549878276136,0.65015124758227105,140000\n"
-     "5,0.0045677805847680712,1.1220171066342866,140000\n"),
+     "64,-0.0002487221512314083,0.33237348245649984,140000\n"
+     "3,-0.00044328795340682029,1.4213566368227977,140000\n"
+     "16,-0.0010229480638702265,0.64903955169643923,140000\n"
+     "5,-0.0029873897279020806,1.1267184401843668,140000\n"),
 ]
 
 
@@ -281,29 +279,27 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
     assert (code, out) == (cli.EXIT_OK, expected)
 
 
-# `check` stdout: density_mean and martingale_mean as they were printed
-# when martingale_mean and the call price each simulated the same Q paths,
-# the cross-estimator rows as the prices controlled by the discounted price
-# and the Black-Scholes twin give them.
+# `check` stdout, the cross-estimator rows as the prices controlled by the
+# discounted price and the Black-Scholes twin give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
-     "density_mean,0.99946330771295688,0.00056052745093490976,pass\n"
-     "martingale_mean,100.06220400188792,0.07431659882534293,pass\n"
-     "semi_vs_mc,-5.2636594066512998e-05,3.2463482328550652e-05,pass\n"
-     "importance_vs_mc,-0.0045453383154541172,0.0059925093552322612,pass\n"
-     "put_parity,-2.8021235618957974e-05,3.7376152085120711e-05,pass\n"),
+     "density_mean,1.0000398523150613,0.00056136911434967462,pass\n"
+     "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
+     "semi_vs_mc,2.5723160710811044e-05,3.280356619515679e-05,pass\n"
+     "importance_vs_mc,-0.0045749312900795758,0.0060255846956203604,pass\n"
+     "put_parity,5.2483269549874478e-05,3.7677963949982714e-05,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
-     "density_mean,1.000445097086891,0.00038518909561710785,pass\n"
-     "martingale_mean,99.95363220544273,0.050976251777526918,pass\n"
-     "semi_vs_mc,2.890648521258754e-05,2.256839419209294e-05,pass\n"
-     "importance_vs_mc,0.0017755751964898536,0.0041183161897579623,pass\n"
-     "put_parity,1.0440615563211963e-05,2.5948141321279738e-05,pass\n"),
+     "density_mean,0.9998936443148515,0.00038545576576545554,pass\n"
+     "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
+     "semi_vs_mc,1.085025441049936e-05,2.2521771883274508e-05,pass\n"
+     "importance_vs_mc,-0.0057438564838889761,0.0041326561054110438,pass\n"
+     "put_parity,2.9365800822134247e-06,2.5852066980293608e-05,pass\n"),
 ]
 
 
@@ -321,16 +317,16 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7625915212308669,1.303407684254871e-05,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7626111314757367,1.3058413364373224e-05,140000\n",
     )
 
 
 @pytest.mark.parametrize("paths, row", [
     # no residual degree of freedom: the plain mean and its standard error
-    ("1", "semi,13.703332644813528,0,1"),
-    ("2", "semi,27.591329478420086,13.887996833606557,2"),
-    ("3", "semi,7.1700758787258536,1.2758133981941133,3"),
-])
+    ("1", "semi,17.586921660345439,0,1"),
+    ("2", "semi,13.450774074651903,4.1361475856935357,2"),
+    ("3", "semi,5.5826889355134943,0.20218380551550183,3"),
+], ids=["1", "2", "3"])
 def test_semi_on_the_fewest_paths(capsys, paths, row):
     code, out = _run(capsys, ["price", "--config", STATE, "--method", "semi", "--strike", "100",
                               "--paths", paths])
@@ -344,16 +340,18 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.7625919545597171,1.8330346760717798e-05,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7626053556165147,1.845516672112529e-05,140000\n",
     )
 
 
 @pytest.mark.parametrize("paths, row", [
     # no residual degree of freedom: the plain mean and its standard error
-    ("1", "mc,0,0,1"),
-    ("2", "mc,13.901688564668309,13.901688564668309,2"),
-    ("3", "mc,8.5057135880633936,3.3685441487257033,3"),
-])
+    ("1", "mc,28.18833858127741,0,1"),
+    ("2", "mc,22.37182833422191,5.8165102470554997,2"),
+    # every path ends above the strike, so the payoff S(T) - K is linear
+    # in the control: exact, with SE 0
+    ("3", "mc,4.4002518166900098,0,3"),
+], ids=["1", "2", "3"])
 def test_mc_on_the_fewest_paths(capsys, paths, row):
     code, out = _run(capsys, ["price", "--config", STATE, "--method", "mc", "--strike", "100",
                               "--paths", paths])
@@ -546,45 +544,39 @@ def test_check_accepts_the_largest_seed(capsys):
     assert out.startswith("check,estimate,std_error,status\n")
 
 
-# `convergence` stdout as printed while the engines stored paths
-# path-major and recomputed the moving-average window at every step;
-# se_diff as merged from per-chunk moments (one ulp off E[x^2] - mean^2
-# in the 128-step segment-point row).
+# `convergence` stdout, se_diff as merged from per-chunk moments.
 _CONVERGENCE_HEADER = "steps,dt,rms_gap,mean_em,mean_split,se_diff\n"
 _SEGMENT_POINT_OUT = _CONVERGENCE_HEADER + (
-    "64,0.015625,0.0039651778217344091,1.1183722635099111,1.1184390950285432,7.2383627766900828e-05\n"
-    "128,0.0078125,0.0027713657198350367,1.1184060278966215,1.1184706562605244,5.0584223916342372e-05\n"
-    "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
+    "64,0.015625,0.0039784267964507744,1.1099896126375752,1.1099401403500548,7.2630187175593168e-05\n"
+    "128,0.0078125,0.0027765932475511956,1.1099389741240386,1.1099753629955151,5.0689071512439337e-05\n"
+    "256,0.00390625,0.0019678638304679633,1.1099885197404968,1.1099929577437986,3.5928022301033781e-05\n"
 )
 _PROPORTIONAL_OUT = _CONVERGENCE_HEADER + (
-    "64,0.015625,0.0070495150942509006,1.1743868931938259,1.1744971885803697,0.00012869019386596434\n"
-    "128,0.0078125,0.0049277757204838598,1.174566936702014,1.1746707200059288,8.9948508561322205e-05\n"
-    "256,0.00390625,0.0035227322088300542,1.174620341703845,1.1747643919786774,6.4262201781579634e-05\n"
+    "64,0.015625,0.007089974763263009,1.163803264956135,1.1637099463337961,0.00012943342404293041\n"
+    "128,0.0078125,0.0049495657680069353,1.1638188157767899,1.1638748003065718,9.0360513175928003e-05\n"
+    "256,0.00390625,0.0035105575183810981,1.1639615271752715,1.1639684287610743,6.4093594214438882e-05\n"
 )
 
-
-# `convergence` stdout as printed while every step count ran over the
-# whole finest increment grid in turn, one full path buffer per scheme.
 _MOVING_AVERAGE_OUT = _CONVERGENCE_HEADER + (
-    "64,0.015625,0.0042847776138927127,1.1179293745939454,1.1180087748252465,7.8215545777433619e-05\n"
-    "128,0.0078125,0.0029950540354657337,1.1180579418552106,1.1181303127991578,5.4665989188378655e-05\n"
-    "256,0.00390625,0.0021397296229796353,1.1180988458134065,1.1181913046273011,3.9029451389046253e-05\n"
+    "64,0.015625,0.0043048731629492581,1.1094226189609664,1.1093784555054174,7.8591735227640658e-05\n"
+    "128,0.0078125,0.0030013129516998443,1.1094526627616068,1.1094937942253906,5.4791080894394459e-05\n"
+    "256,0.00390625,0.002129297318937959,1.1095472079115796,1.1095537250781471,3.8875290348224667e-05\n"
 )
 _FACTOR_3_OUT = _CONVERGENCE_HEADER + (
-    "8,0.125,0.011120284002649718,1.1205369513153234,1.1208521589012312,0.00020294610161105444\n"
-    "24,0.041666666666666664,0.0062960035847054426,1.1210914919300252,1.1211747247011381,0.00011493872779940426\n"
+    "8,0.125,0.01106866965170151,1.1126340685995721,1.1123342580038018,0.00020201118901780487\n"
+    "24,0.041666666666666664,0.0063505993272731862,1.1126901363694093,1.1126865975260314,0.00011594553217229515\n"
 )
 _FACTOR_16_OUT = _CONVERGENCE_HEADER + (
-    "16,0.0625,0.0078698423002989508,1.1181550499192339,1.1182616985208071,0.00014366981114968342\n"
-    "256,0.00390625,0.0019810894079543987,1.1184024004188278,1.1184865744859089,3.6136915422414007e-05\n"
+    "16,0.0625,0.0079133115634802183,1.1097651909513064,1.1097333137464431,0.0001444754693647793\n"
+    "256,0.00390625,0.0019678638304679633,1.1099885197404968,1.1099929577437986,3.5928022301033781e-05\n"
 )
 _FACTOR_256_OUT = _CONVERGENCE_HEADER + (
-    "4,0.25,0.016886493651233177,1.1175012831079223,1.1175015974281648,0.0003083037829448639\n"
-    "1024,0.0009765625,0.00099614662767359935,1.1184857457042747,1.1185220539879392,1.8174981085389736e-05\n"
+    "4,0.25,0.01694110667767772,1.1143670304520366,1.1145683935242747,0.00030927902632714227\n"
+    "1024,0.0009765625,0.00099684390924556564,1.1156181556639111,1.1156135174113149,1.819959950120547e-05\n"
 )
 _TWO_CHUNKS_OUT = _CONVERGENCE_HEADER + (
-    "32,0.03125,0.0055594693049753254,1.1130121794408043,1.1129555756206657,4.2636973019495728e-05\n"
-    "64,0.015625,0.0039444646266717873,1.1130526906168958,1.113022848133236,3.0251796852062703e-05\n"
+    "32,0.03125,0.0054861261667361631,1.1107603040568701,1.1106558625949643,4.2069041501394023e-05\n"
+    "64,0.015625,0.0038866863487396629,1.1107577778343083,1.1107238977713392,2.9808390957238127e-05\n"
 )
 _GOLDEN_ARGV = ["--steps", "64,128,256", "--paths", "3000", "--seed", "7"]
 
@@ -868,8 +860,8 @@ def test_hedge_on_a_final_block_shorter_than_the_knot_tolerance(tmp_path, capsys
                               "--ladder", "4,16", "--paths", "1000"])
     assert (code, out) == (cli.EXIT_OK, (
         "n_rebalance,mean_error,rmse,n_paths\n"
-        "4,-1.2449117137497932e-08,4.614960244865024e-06,1000\n"
-        "16,-7.7494559208388775e-08,2.3972170225541927e-06,1000\n"
+        "4,-1.9268352574352661e-07,4.5776381577869769e-06,1000\n"
+        "16,-3.9831213334454638e-08,2.3372003641960969e-06,1000\n"
     ))
 
 
