@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import functools
-import json
 import math
 import os
 import sys
@@ -41,6 +40,9 @@ EXIT_NUMERICAL = 3
 
 # Streams per engine call in `simulate`; bounds the em/split path buffers.
 SIMULATE_CHUNK = 1024
+
+# Most --workers threads: each holds one chunk, about 63 MB in `convergence`.
+MAX_WORKERS = 32
 
 # glibc's allocator policy for CLI runs, as (mallopt parameter, value):
 # M_MMAP_THRESHOLD (-3) at its 32 MiB ceiling keeps arrays up to that
@@ -71,7 +73,8 @@ def build_parser():
 
     Nothing changes the parser after it is built and ``parse_args``
     returns a fresh namespace on each call, so in-process callers of
-    :func:`main` share one.
+    :func:`main` share one.  Its ``subcommands`` map each name to that
+    subcommand's parser.
     """
     parser = argparse.ArgumentParser(
         prog="delaybs",
@@ -113,6 +116,7 @@ def build_parser():
     _add_common(p)
     p.add_argument("--steps", default="256,512",
                    help="comma-separated step counts (finest must be a multiple)")
+    parser.subcommands = sub.choices
     return parser
 
 
@@ -127,25 +131,33 @@ def _counts(text, flag):
     return counts
 
 
+class _Key(str):
+    """A parsed config's ``repr``, carrying the config as ``cfg``."""
+
+
 @functools.lru_cache(maxsize=16)
 def _build(kind, key):
-    """The model of one config, built from its canonical JSON ``key``.
+    """The model of ``key.cfg``.
 
-    Equal keys are equal parsed configs, so a cached model is the one a
-    fresh build would give.  A market comes with its validation
-    violations; a failed build raises and is not cached.
+    A repr of JSON values is exact (NaN and the infinities included) and
+    tells 1, 1.0 and true apart, so equal keys are equal parsed configs
+    and a cached model is the one a fresh build would give.  A market
+    comes with its validation violations; a failed build raises and is
+    not cached.
     """
-    cfg = json.loads(key)
     if kind == "sfde":
-        return sfde_from_config(cfg)
-    market = market_from_config(cfg, validate=False)
+        return sfde_from_config(key.cfg)
+    market = market_from_config(key.cfg, validate=False)
     return market, tuple(validate_market(market))
 
 
 def _model(args, kind):
     """The model of ``args.config``, re-read on every call and built once
     per distinct content."""
-    return _build(kind, json.dumps(load_config(args.config), sort_keys=True))
+    cfg = load_config(args.config)
+    key = _Key(repr(cfg))
+    key.cfg = cfg
+    return _build(kind, key)
 
 
 def _load_market(args):
@@ -306,7 +318,17 @@ _COMMANDS = {
 
 
 def _parse_args(parser, argv):
-    args = parser.parse_args(argv)
+    """``parser.parse_args(argv)``, byte for byte.  A leading subcommand
+    skips the top-level pass, which would only hand it the rest; what its
+    parser leaves over is reported as the top level would."""
+    argv = sys.argv[1:] if argv is None else argv
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is None:
+        args = parser.parse_args(argv)
+    else:
+        args, extras = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
     for name, value in vars(args).items():
         # argparse reads "--flag=--" as an empty list instead of a value
         if isinstance(value, list):
@@ -352,6 +374,8 @@ def main(argv=None):
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
         rng.check_seed(args.seed)
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ContractError(f"--workers must be in [1, {MAX_WORKERS}], got {args.workers}")
         return _COMMANDS[args.command](args)
     except (NumericalError, IntegrationFailure) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

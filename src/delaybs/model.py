@@ -525,10 +525,12 @@ def sfde_from_config(cfg):
 
 
 def load_config(path):
-    """Read a JSON config object, with a friendly error naming the path."""
+    """Read a JSON config object, with a friendly error naming the path.
+    Newlines are translated as in text mode, so error offsets are too."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        cfg = json.loads(text.replace("\r\n", "\n").replace("\r", "\n"))
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:

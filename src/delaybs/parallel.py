@@ -28,7 +28,7 @@ def map_chunks(fn, n, workers=1, chunk_size=CHUNK_SIZE):
     ranges = chunk_ranges(n, chunk_size)
     if workers <= 1 or len(ranges) <= 1:
         return [fn(lo, hi) for lo, hi in ranges]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=min(workers, len(ranges))) as pool:
         futures = [pool.submit(fn, lo, hi) for lo, hi in ranges]
         return [f.result() for f in futures]
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delaybs import cli, paths
+from delaybs import cli, parallel, paths
 from delaybs.model import (
     block_schedule,
     load_config,
@@ -537,6 +537,28 @@ def test_seed_outside_the_64_bit_range_is_a_usage_error(capsys, seed):
     assert "seed" in line
 
 
+class _NoPool:
+    def __init__(self, max_workers):
+        raise AssertionError(f"a pool of {max_workers} threads was started")
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", str(cli.MAX_WORKERS + 1), str(10**9)])
+def test_workers_outside_their_range_are_usage_errors(capsys, monkeypatch, workers):
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _NoPool)
+    line = _fails_with_one_error_line(capsys, [
+        "price", "--config", STATE, "--method", "mc", "--strike", "100",
+        "--paths", "200000", "--workers", workers,
+    ])
+    assert line == f"error: --workers must be in [1, {cli.MAX_WORKERS}], got {workers}"
+
+
+def test_the_most_workers_run_one_chunk_without_a_pool(capsys, monkeypatch):
+    argv = ["price", "--config", STATE, "--method", "mc", "--strike", "100", "--paths", "50"]
+    one = _run(capsys, argv)
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", _NoPool)
+    assert _run(capsys, [*argv, "--workers", str(cli.MAX_WORKERS)]) == one
+
+
 def test_check_accepts_the_largest_seed(capsys):
     code, out = _run(capsys, ["check", "--config", CONSTANT, "--paths", "500",
                               "--seed", str(2**64 - 1)])
@@ -714,6 +736,59 @@ def test_repeated_in_process_calls_match_a_fresh_parser(capsys):
     assert cli.build_parser() is cli.build_parser()
 
 
+def _top_level(argv):
+    """The oracle: every argument through the top-level parser, then the
+    "--flag=--" check."""
+    parser = cli.build_parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if isinstance(value, list):
+            parser.error(f"argument --{name.replace('_', '-')}: expected one argument")
+    return args
+
+
+def _parsed(parse, argv):
+    """(vars, stdout) of a parse, or (exit code, stdout, stderr) of its SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(parse(argv)), out.getvalue()
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+_QUOTE = ["--config", STATE, "--method", "closed", "--strike", "100"]
+_PARSE_CORPUS = [
+    ["price", *_QUOTE, "--t", "0.8", "--kind", "put", "--spot", "99"],
+    ["simulate", "--config", FIXED, "--scheme", "em", "--dt", "0.25", "--measure", "P"],
+    ["hedge", "--config", STATE, "--strike", "100", "--ladder", "4,16", "--workers", "2"],
+    ["check", "--config", STATE, "--paths", "500", "--skip-validation", "--seed", "7"],
+    ["convergence", "--config", FIXED, "--steps", "8,16"],
+    ["-h"], ["--help"], ["-h", "price"], ["price", "-h"], ["check", "--help"],
+    [],
+    ["quote", *_QUOTE],
+    ["--", "price", *_QUOTE],
+    ["price", "--", *_QUOTE],
+    ["price", "--conf", STATE, "--method", "closed", "--str", "100"],
+    ["price", *_QUOTE, "--bogus"],
+    ["price", *_QUOTE, "extra"],
+    ["price", *_QUOTE, "--bogus", "1", "extra"],
+    ["price", "--config", STATE, "--method", "closed", "--strike=--"],
+    ["price", *_QUOTE, "--t=--", "--spot=--"],
+    ["price", "--config", STATE, "--method", "bogus", "--strike", "100"],
+    ["price", "--config", STATE, "--method", "closed", "--strike", "x"],
+    ["price", "--config", STATE],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_CORPUS, ids=lambda argv: " ".join(
+    Path(arg).name if arg in (STATE, FIXED) else arg for arg in argv) or "empty")
+def test_parse_matches_the_top_level_parser(argv):
+    expected = _parsed(_top_level, argv)
+    assert _parsed(lambda a: cli._parse_args(cli.build_parser(), a), argv) == expected
+    assert len(expected) == 2 or expected[0] in (0, 2)
+
+
 # --- the model cache -----------------------------------------------------------
 
 
@@ -796,6 +871,46 @@ def test_market_is_validated_once_per_config(tmp_path, monkeypatch):
     assert warm == (cli.EXIT_CHECK_FAILED,
                     "check,estimate,std_error,status\nmarket_validation,8385,0,fail\n", "")
     assert warm == _cold(check)
+
+
+def test_warm_calls_read_the_config_once_and_build_once_per_content(tmp_path, monkeypatch):
+    loads, builds = [], []
+
+    def loading(path):
+        loads.append(path)
+        return load_config(path)
+
+    def building(cfg, validate=True):
+        builds.append(cfg)
+        return market_from_config(cfg, validate)
+
+    monkeypatch.setattr(cli, "load_config", loading)
+    monkeypatch.setattr(cli, "market_from_config", building)
+    cli._build.cache_clear()
+    copy_of_state = tmp_path / "copy.json"
+    copy_of_state.write_bytes(Path(STATE).read_bytes())
+    (tmp_path / "int").mkdir()
+    (tmp_path / "float").mkdir()
+    configs = [STATE, STATE, str(copy_of_state), _config(tmp_path / "int", T=1),
+               STATE, _config(tmp_path / "float", T=1.0)]
+    for n, config in enumerate(configs, 1):
+        code, out, _ = _call(["price", "--config", config, "--method", "closed",
+                              "--strike", "100", "--t", "0.8"])
+        assert code == cli.EXIT_OK and out
+        assert len(loads) == n
+    # one build for the shipped content, at either path, and one for each
+    # T: an integer and a float T are distinct configs that price alike
+    assert [cfg["T"] for cfg in builds] == [0.9, 1, 1.0]
+    assert [type(cfg["T"]) for cfg in builds] == [float, int, float]
+
+
+def test_a_config_value_of_another_type_is_not_a_cache_hit(tmp_path):
+    quote = ["price", "--method", "closed", "--strike", "100", "--t", "0.8"]
+    cli._build.cache_clear()
+    assert _call([*quote, "--config", _config(tmp_path, T=1)])[0] == cli.EXIT_OK
+    # true == 1 in Python, but it is not a JSON number
+    code, out, err = _call([*quote, "--config", _config(tmp_path, T=True)])
+    assert (code, out) == (cli.EXIT_CONFIG, "") and "'T'" in err
 
 
 # --- numerical failures --------------------------------------------------------
@@ -924,7 +1039,8 @@ _ALL_CONFIGS = _choice(CONSTANT, STATE, FIXED, _CONFIGS / "missing.json")
 # (well-formed values, wild values or None) for each flag.  --paths is always
 # given and stays small (its wild values are never positive), so every
 # command finishes in milliseconds and runs one chunk, which starts no
-# thread whatever --workers says; every other number is fuzzed freely.
+# thread; --workers outside [1, MAX_WORKERS] is a usage error before any
+# chunk runs, and every other number is fuzzed freely.
 _COMMON = {
     "--paths": (st.integers(1, 6).map(str), st.one_of(
         st.integers(-(10**40), 0).map(str), _NOT_A_NUMBER, _HUGE_FLOAT)),

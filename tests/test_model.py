@@ -284,6 +284,42 @@ def test_market_from_config_roundtrip(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
+# Each message as a text-mode read gives it: offsets count a CRLF or a
+# lone CR as one newline, and a BOM is not stripped.
+@pytest.mark.parametrize("content, message", [
+    (None, "config file not found: {path}"),
+    (b'{"h": "\xff"}', "config file {path} could not be read: 'utf-8' codec can't decode"
+                       " byte 0xff in position 7: invalid start byte"),
+    (b'\xef\xbb\xbf{"h": 1}', "config file {path} is not valid JSON: Unexpected UTF-8 BOM"
+                             " (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    (b'{\r\n  "h": 1,\r\n  "T" 2\r\n}\r\n', "config file {path} is not valid JSON:"
+                                         " Expecting ':' delimiter: line 3 column 7 (char 18)"),
+    (b'{\r  "h": 1,\r  "T" 2\r}\r', "config file {path} is not valid JSON:"
+                                 " Expecting ':' delimiter: line 3 column 7 (char 18)"),
+    (b"[1, 2]", "config file {path} must hold a JSON object, got list"),
+], ids=["missing", "not_utf8", "bom", "crlf", "cr", "array"])
+def test_load_config_error_messages(tmp_path, content, message):
+    path = tmp_path / "cfg.json"
+    if content is not None:
+        path.write_bytes(content)
+    with pytest.raises(ConfigError) as info:
+        load_config(str(path))
+    assert str(info.value) == message.format(path=path)
+
+
+def test_load_config_of_a_directory(tmp_path):
+    with pytest.raises(ConfigError) as info:
+        load_config(str(tmp_path))
+    assert str(info.value) == (
+        f"config file {tmp_path} could not be read: [Errno 21] Is a directory: '{tmp_path}'")
+
+
+def test_load_config_reads_crlf_files(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b'{\r\n  "h": 0.25,\r  "g_expr": "0.1\\r\\n"\r\n}')
+    assert load_config(str(path)) == {"h": 0.25, "g_expr": "0.1\r\n"}
+
+
 @pytest.mark.parametrize(
     "rate, whole, tail",
     [

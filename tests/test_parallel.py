@@ -1,6 +1,9 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
+from delaybs import parallel
 from delaybs.errors import ContractError, NumericalError
 from delaybs.parallel import accumulate_controlled_pair, accumulate_moments, finite, reduce_moments
 
@@ -193,3 +196,30 @@ def test_a_twin_without_residual_spread_enters_at_coefficient_one(twin):
     twin_mu = 0.75  # the twin's true mean, which the sample does not show
     mean, se, _ = accumulate_controlled_pair(fn, 0.0, 5000, chunk_size=512, twin_mean=twin_mu)[0]
     assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0
+
+
+@pytest.mark.parametrize("workers, n, size", [(10**9, 3 * 512, 3), (2, 5 * 512, 2), (4, 513, 2)])
+def test_the_pool_has_no_more_threads_than_chunks(monkeypatch, workers, n, size):
+    sizes = []
+
+    class InlinePool:
+        """Records its size and runs each task on the calling thread."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", InlinePool)
+    chunks = parallel.map_chunks(lambda lo, hi: (lo, hi), n, workers, chunk_size=512)
+    assert chunks == parallel.chunk_ranges(n, 512)
+    assert sizes == [size]
