@@ -39,7 +39,8 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # Streams per engine call in `simulate`; bounds the em/split path buffers.
-SIMULATE_CHUNK = 1024
+# One rng group, so no chunk redraws the prefix of a group it starts inside.
+SIMULATE_CHUNK = rng.GROUP
 
 # Most --workers threads: each holds one chunk, about 63 MB in `convergence`.
 MAX_WORKERS = 32

@@ -8,18 +8,17 @@ only variables are ``t`` and ``s``, the only functions are ``exp``,
 power, so ``-2^2 == -4``.
 
 Evaluation is pure: the same AST evaluated at the same point always
-returns the same bits.  ``compile_strict`` builds the strict scalar
-evaluator, a closure tree that raises :class:`EvalError` on any
-non-finite intermediate.
-``compile`` builds the numpy evaluator used by the quadrature and Monte
-Carlo engines: a closure with constant subtrees folded, which lets
-non-finite values flow through for the caller to check, and flags
-saying whether the expression depends on ``t`` and on ``s``.
+returns the same bits.  ``compile`` builds the one evaluator, numpy
+closures with constant subtrees folded and flags saying whether the
+expression depends on ``t`` and on ``s``.  Called plainly, it lets
+non-finite values flow through for the caller to check; checked, it also
+lists a fault mask for each division, power, ``exp``, ``log`` and
+``sqrt``, whose first true entry per element is the :class:`EvalError` a
+left-to-right walk stopping at the first bad operation would raise.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -37,7 +36,6 @@ __all__ = [
     "Bin",
     "Call",
     "parse",
-    "compile_strict",
     "compile",
     "Compiled",
     "to_source",
@@ -244,108 +242,12 @@ def parse(source):
     return node
 
 
-def compile_strict(ast):
-    """Compile ``ast`` into the strict scalar evaluator ``fn(t, s)``.
-
-    Each node becomes a closure that evaluates its children left to
-    right, then applies its own domain check and float operation, so the
-    first fault met raises the same :class:`EvalError`, with the same
-    span, that a recursive walk of the tree would.
-    """
-    if isinstance(ast, Lit):
-        value = ast.value
-        return lambda t, s: value
-    if isinstance(ast, Var):
-        if ast.name == "t":
-            return lambda t, s: float(t)
-        return lambda t, s: float(s)
-    if isinstance(ast, Neg):
-        x = compile_strict(ast.operand)
-        return lambda t, s: -x(t, s)
-    if isinstance(ast, Bin):
-        children, build = (ast.left, ast.right), _STRICT[ast.op]
-    else:
-        children, build = ast.args, _STRICT[ast.func]
-    return build(*[compile_strict(c) for c in children], ast.span)
-
-
-def _strict_div(a, b, span):
-    def div(t, s):
-        x, y = a(t, s), b(t, s)
-        if y == 0.0:
-            raise EvalError("division by zero", span)
-        return x / y
-
-    return div
-
-
-def _strict_pow(a, b, span):
-    def power(t, s):
-        x, y = a(t, s), b(t, s)
-        if x < 0.0 and not math.isfinite(y):
-            raise EvalError("negative base with non-finite exponent", span)
-        if x < 0.0 and y != math.floor(y):
-            raise EvalError("negative base with non-integer exponent", span)
-        try:
-            out = x**y
-        except (OverflowError, ZeroDivisionError) as exc:
-            raise EvalError(f"power failed: {exc}", span) from exc
-        if not math.isfinite(out):
-            raise EvalError("non-finite power result", span)
-        return out
-
-    return power
-
-
-def _strict_exp(a, span):
-    def exp(t, s):
-        x = a(t, s)
-        if x < 709.0:  # math.exp is finite below 709; NaN fails the test too
-            return math.exp(x)
-        raise EvalError("exp overflow", span)
-
-    return exp
-
-
-def _strict_log(a, span):
-    def log(t, s):
-        x = a(t, s)
-        if x <= 0.0:
-            raise EvalError("log of non-positive value", span)
-        return math.log(x)
-
-    return log
-
-
-def _strict_sqrt(a, span):
-    def sqrt(t, s):
-        x = a(t, s)
-        if x < 0.0:
-            raise EvalError("sqrt of negative value", span)
-        return math.sqrt(x)
-
-    return sqrt
-
-
-# Builders of the strict closures, keyed as in the AST.
-_STRICT = {
-    "+": lambda a, b, span: lambda t, s: a(t, s) + b(t, s),
-    "-": lambda a, b, span: lambda t, s: a(t, s) - b(t, s),
-    "*": lambda a, b, span: lambda t, s: a(t, s) * b(t, s),
-    "/": _strict_div,
-    "^": _strict_pow,
-    "exp": _strict_exp,
-    "log": _strict_log,
-    "sqrt": _strict_sqrt,
-    "tanh": lambda a, span: lambda t, s: math.tanh(a(t, s)),
-    "abs": lambda a, span: lambda t, s: abs(a(t, s)),
-    "min": lambda a, b, span: lambda t, s: min(a(t, s), b(t, s)),
-    "max": lambda a, b, span: lambda t, s: max(a(t, s), b(t, s)),
-}
-
-
 # numpy forms of every operator and function, keyed as in the AST.
+# ``min`` and ``max`` keep Python's rule: the first argument unless the
+# second compares strictly below (above) it, so a NaN second argument
+# is ignored and min(0.0, -0.0) is 0.0.
 _NP_OPS = {
+    "neg": np.negative,
     "+": np.add,
     "-": np.subtract,
     "*": np.multiply,
@@ -356,11 +258,34 @@ _NP_OPS = {
     "sqrt": np.sqrt,
     "tanh": np.tanh,
     "abs": np.abs,
-    "min": np.minimum,
-    "max": np.maximum,
+    "min": lambda a, b: np.where(b < a, b, a)[()],
+    "max": lambda a, b: np.where(b > a, b, a)[()],
 }
 
-_NP_VARS = {"t": lambda t, s: t, "s": lambda t, s: s}
+
+def _pow_faults(out, x, y):
+    negative, finite_y, bad = x < 0.0, np.isfinite(y), ~np.isfinite(out)
+    return (
+        (negative & ~finite_y, "negative base with non-finite exponent"),
+        (negative & (y != np.floor(y)), "negative base with non-integer exponent"),
+        # Python's float power raises these two; 0.0 ** -inf is inf.
+        ((x == 0.0) & finite_y & (y < 0.0),
+         "power failed: 0.0 cannot be raised to a negative power"),
+        (np.isfinite(x) & finite_y & bad, "power failed: (34, 'Numerical result out of range')"),
+        (bad, "non-finite power result"),
+    )
+
+
+# Domain checks of the nodes that can fault: (mask, message) pairs of
+# the node's result and arguments, in the order they apply.
+_FAULTS = {
+    "/": lambda out, x, y: ((y == 0.0, "division by zero"),),
+    "^": _pow_faults,
+    # np.exp is finite below 709; NaN fails the test too.
+    "exp": lambda out, x: ((np.logical_not(x < 709.0), "exp overflow"),),
+    "log": lambda out, x: ((x <= 0.0, "log of non-positive value"),),
+    "sqrt": lambda out, x: ((x < 0.0, "sqrt of negative value"),),
+}
 
 
 class Compiled(NamedTuple):
@@ -376,51 +301,83 @@ class Compiled(NamedTuple):
 
     def __call__(self, t, s):
         with np.errstate(all="ignore"):
-            return self.fn(t, s)
+            return self.fn(t, s, None)
+
+    def checked(self, t, s):
+        """The value and its faults: ``(mask, message, span)`` entries in
+        the order a left-to-right walk of the tree meets them, so an
+        element's first true mask is the fault that invalidates it."""
+        faults = []
+        with np.errstate(all="ignore"):
+            return self.fn(t, s, faults), faults
 
 
 def compile(ast):
     """Compile ``ast`` into a numpy closure with constant subtrees folded.
 
-    Folding uses the same numpy operations as the closure, so a folded
-    constant has the bits the unfolded tree would compute.
+    Folding runs the node closures themselves, so a folded constant has
+    the bits the unfolded tree would compute and keeps its faults.
     """
     names = set()
     built = _build(ast, names)
-    fn = built if callable(built) else _constant(built)
+    fn = built if callable(built) else _constant(*built)
     return Compiled(fn, "t" in names, "s" in names)
 
 
 def _build(ast, names):
-    """A float for a constant subtree, else a closure of (t, s).
-
-    Adds the names of the variables met to ``names``.
+    """A (value, faults) pair for a constant subtree, else a closure of
+    (t, s, faults).  Adds the names of the variables met to ``names``.
     """
     if isinstance(ast, Lit):
-        return ast.value
+        return ast.value, ()
     if isinstance(ast, Var):
         names.add(ast.name)
-        return _NP_VARS[ast.name]
+        return (lambda t, s, faults: t) if ast.name == "t" else (lambda t, s, faults: s)
     if isinstance(ast, Neg):
-        op, children = np.negative, (ast.operand,)
+        key, children = "neg", (ast.operand,)
     elif isinstance(ast, Bin):
-        op, children = _NP_OPS[ast.op], (ast.left, ast.right)
+        key, children = ast.op, (ast.left, ast.right)
     else:
-        op, children = _NP_OPS[ast.func], ast.args
+        key, children = ast.func, ast.args
     parts = [_build(c, names) for c in children]
-    if not any(callable(p) for p in parts):
-        with np.errstate(all="ignore"):
-            return float(op(*parts))
-    fns = [p if callable(p) else _constant(p) for p in parts]
+    node = _node(_NP_OPS[key], _FAULTS.get(key), ast.span,
+                 [p if callable(p) else _constant(*p) for p in parts])
+    if any(callable(p) for p in parts):
+        return node
+    value, faults = Compiled(node, False, False).checked(0.0, 0.0)
+    return float(value), tuple((True, message, span) for mask, message, span in faults if mask)
+
+
+def _node(op, check, span, fns):
+    """The closure of one operator node over its children's closures: the
+    bare ufunc, and with a ``faults`` list its checks after its children's."""
+    if check is None:
+        if len(fns) == 1:
+            (a,) = fns
+            return lambda t, s, faults: op(a(t, s, faults))
+        a, b = fns
+        return lambda t, s, faults: op(a(t, s, faults), b(t, s, faults))
+
+    def apply(faults, *args):
+        out = op(*args)
+        if faults is not None:
+            faults.extend((mask, message, span) for mask, message in check(out, *args))
+        return out
+
     if len(fns) == 1:
-        (x,) = fns
-        return lambda t, s: op(x(t, s))
+        (a,) = fns
+        return lambda t, s, faults: apply(faults, a(t, s, faults))
     a, b = fns
-    return lambda t, s: op(a(t, s), b(t, s))
+    return lambda t, s, faults: apply(faults, a(t, s, faults), b(t, s, faults))
 
 
-def _constant(value):
-    return lambda t, s: value
+def _constant(value, faults):
+    def constant(t, s, out):
+        if out is not None:
+            out.extend(faults)
+        return value
+
+    return constant
 
 
 def to_source(ast):

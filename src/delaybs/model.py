@@ -168,9 +168,10 @@ def discount_factor(rate, t1, t2):
 class CoefficientExpr:
     """A parsed coefficient function of (t, s).
 
-    Calling it runs the strict scalar evaluator; ``vec`` calls the
-    compiled numpy evaluator, whose ``uses_t`` / ``uses_s`` flags say
-    which variables the expression depends on.
+    ``vec`` calls the compiled numpy evaluator, whose ``uses_t`` /
+    ``uses_s`` flags say which variables the expression depends on.
+    Calling the expression is its checked n = 1 case: a float, or the
+    first fault's :class:`~delaybs.coeffexpr.EvalError`.
     """
 
     source: str
@@ -182,20 +183,15 @@ class CoefficientExpr:
 
     @functools.cached_property
     def compiled(self):
-        """The numpy evaluator, compiled on first use and kept.
-
-        Not compiled at parse time: loading a config and the scalar
-        closed-form route never need it.
-        """
+        """The numpy evaluator, compiled on first use and kept."""
         return coeffexpr.compile(self.ast)
 
-    @functools.cached_property
-    def strict(self):
-        """The strict scalar evaluator, compiled on first use and kept."""
-        return coeffexpr.compile_strict(self.ast)
-
     def __call__(self, t, s):
-        return self.strict(t, s)
+        value, faults = self.compiled.checked(float(t), float(s))
+        for mask, message, span in faults:
+            if mask:
+                raise coeffexpr.EvalError(message, span)
+        return float(value)
 
     def vec(self, t, s):
         return self.compiled(t, s)
@@ -366,51 +362,53 @@ def _validation_grid(T, s0):
 def validate_market(market):
     """Evaluate f and g over the validation grid; return all violations.
 
-    An empty list means the market is valid: both coefficients are finite
-    everywhere on the grid and |g| >= g_min.  Each coefficient is
-    evaluated only where it can vary: at every grid point if it uses
-    both ``t`` and ``s``, once per price if it uses only ``s``, once per
-    time if it uses only ``t`` and once if it uses neither (evaluation
-    is pure, so the skipped points would repeat those bits).  Violations
-    are listed per grid point, ``t`` outer, ``s`` inner, ``f`` before
-    ``g``.
+    An empty list means the market is valid: both coefficients evaluate
+    without a fault, are finite everywhere on the grid and |g| >= g_min.
+    Each coefficient is evaluated once, in checked mode, on the part of
+    the grid where it can vary: every grid point if it uses both ``t``
+    and ``s``, every price if it uses only ``s``, every time if it uses
+    only ``t`` and one point if it uses neither (evaluation is pure, so
+    the skipped points would repeat those bits).  Violations are listed
+    per grid point, ``t`` outer, ``s`` inner, ``f`` before ``g``.
     """
     ts, ss = validation_grid(market)
     found = []
     for name, expr in (("f", market.f), ("g", market.g)):
         uses = expr.compiled
-        t_index = range(len(ts)) if uses.uses_t else (0,)
-        s_index = range(len(ss)) if uses.uses_s else (0,)
-        bad = {}
-        for i in t_index:
-            for j in s_index:
-                problem = _point_violation(name, expr, ts[i], ss[j], market.g_min)
-                if problem is not None:
-                    bad[i, j] = problem
-        found.append((uses, bad))
-    if not any(bad for _, bad in found):
+        t = ts[:, None] if uses.uses_t else ts[:1, None]
+        s = ss if uses.uses_s else ss[:1]
+        value, faults = uses.checked(t, s)
+        bad = np.zeros((len(t), len(s)), bool)
+        for mask, _, _ in faults:
+            bad |= mask
+        bad |= ~np.isfinite(value)
+        if name == "g":
+            bad |= np.abs(value) < market.g_min
+        problems = {}
+        if bad.any():
+            value, first = np.broadcast_to(value, bad.shape), np.full(bad.shape, -1)
+            for k, (mask, _, _) in enumerate(faults):
+                first[(first < 0) & mask] = k
+            for i, j in np.argwhere(bad).tolist():
+                v = float(value[i, j])
+                if first[i, j] >= 0:
+                    fault = coeffexpr.EvalError(*faults[first[i, j]][1:])
+                    problems[i, j] = math.nan, f"{name} failed to evaluate: {fault}"
+                elif not math.isfinite(v):
+                    problems[i, j] = v, f"{name} is non-finite"
+                else:
+                    problems[i, j] = v, f"|g| below g_min={market.g_min}"
+        found.append((uses, problems))
+    if not any(problems for _, problems in found):
         return []
     violations = []
     for i, t in enumerate(ts):
         for j, s in enumerate(ss):
-            for uses, bad in found:
-                problem = bad.get((i if uses.uses_t else 0, j if uses.uses_s else 0))
+            for uses, problems in found:
+                problem = problems.get((i if uses.uses_t else 0, j if uses.uses_s else 0))
                 if problem is not None:
                     violations.append(Violation((t, s), *problem))
     return violations
-
-
-def _point_violation(name, expr, t, s, g_min):
-    """(value, message) if coefficient ``name`` fails at (t, s), else None."""
-    try:
-        value = expr(t, s)
-    except coeffexpr.EvalError as exc:
-        return math.nan, f"{name} failed to evaluate: {exc}"
-    if not math.isfinite(value):
-        return value, f"{name} is non-finite"
-    if name == "g" and abs(value) < g_min:
-        return value, f"|g| below g_min={g_min}"
-    return None
 
 
 def validation_error(violations):

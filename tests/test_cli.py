@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delaybs import cli, parallel, paths
+from delaybs import cli, parallel, paths, rng
 from delaybs.model import (
     block_schedule,
     load_config,
@@ -714,6 +714,22 @@ def test_simulate_chunks_match_per_stream_paths(tmp_path, capsys, monkeypatch, s
     code, out = _run(capsys, argv)
     assert code == cli.EXIT_OK
     assert out == _simulate_reference(scheme, config, 8, 9, dt)
+
+
+def test_simulate_chunks_start_on_rng_groups(capsys, monkeypatch):
+    # A chunk that starts inside a group would first redraw the group's prefix.
+    starts = []
+    normals = rng.normals
+
+    def spy(seed, block, substep, lo, hi):
+        starts.append(lo)
+        return normals(seed, block, substep, lo, hi)
+
+    monkeypatch.setattr(rng, "normals", spy)
+    code, _ = _run(capsys, ["simulate", "--config", STATE, "--scheme", "exact",
+                            "--paths", "20000", "--seed", "5"])
+    assert code == cli.EXIT_OK
+    assert sorted(set(starts)) == [0, rng.GROUP]
 
 
 def test_repeated_in_process_calls_match_a_fresh_parser(capsys):

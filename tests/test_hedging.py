@@ -21,7 +21,7 @@ from delaybs.quadrature import integrate
 
 def _oracle(market, s_star, t):
     """Rate integral and final-block variance over [t, T], the variance by
-    the strict scalar Simpson rule ``price --method classical`` uses."""
+    the scalar Simpson rule ``price --method classical`` uses."""
     lam = market.rate.integral(t, market.T)
     return lam, integrate(lambda u: market.g(u, s_star) ** 2, t, market.T)
 

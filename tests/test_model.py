@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket
+from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket, coeffexpr
 from delaybs.coeffexpr import EvalError
 from delaybs.errors import ConfigError, DomainError
 from delaybs.model import (
@@ -118,10 +118,11 @@ def test_validation_grid_is_built_once_and_read_only():
             grid[0] = 1.0
 
 
-def test_strict_evaluator_is_compiled_once():
+def test_evaluator_is_compiled_once():
     g = CoefficientExpr.parse("0.1 + 0.1*s/(1+s)")
-    assert g.strict is g.strict
-    assert g(0.3, 50.0) == g.strict(0.3, 50.0) == 0.1 + 0.1 * 50.0 / (1 + 50.0)
+    assert g.compiled is g.compiled
+    assert g(0.3, 50.0) == g.vec(0.3, 50.0) == 0.1 + 0.1 * 50.0 / (1 + 50.0)
+    assert type(g(0.3, 50.0)) is float
 
 
 def test_validate_constant_above_bound():
@@ -141,14 +142,17 @@ def test_validate_nonfinite_drift():
 
 
 def _validate_full_grid(market):
-    """Reference: every coefficient at every grid point, as (where, repr, message)."""
+    """Reference: every coefficient at every grid point, as (where, repr, message),
+    by the strict scalar walker of tests/test_coeffexpr.py."""
+    from test_coeffexpr import _reference_evaluate
+
     ts, ss = validation_grid(market)
     out = []
     for t in ts:
         for s in ss:
             for name, expr in (("f", market.f), ("g", market.g)):
                 try:
-                    value = expr(t, s)
+                    value = _reference_evaluate(expr.ast, t, s)
                 except EvalError as exc:
                     out.append(((t, s), "nan", f"{name} failed to evaluate: {exc}"))
                     continue
@@ -240,7 +244,7 @@ def test_validate_matches_full_grid_reference_examples(f_expr, g_expr):
 
 
 @pytest.mark.parametrize(
-    "f_expr, g_expr, calls",
+    "f_expr, g_expr, points",
     [
         ("0.08", "0.1 + 0.1*s/(1+s)", 1 + 65),
         ("0.08 + 0.02*t", "0.2", 129 + 1),
@@ -248,18 +252,62 @@ def test_validate_matches_full_grid_reference_examples(f_expr, g_expr):
     ],
 )
 def test_validate_evaluates_only_where_coefficients_vary(
-    monkeypatch, f_expr, g_expr, calls
+    monkeypatch, f_expr, g_expr, points
 ):
     seen = []
-    call = CoefficientExpr.__call__
+    checked = coeffexpr.Compiled.checked
 
-    def counting(expr, t, s):
-        seen.append((t, s))
-        return call(expr, t, s)
+    def counting(compiled, t, s):
+        seen.append(np.broadcast(t, s).size)
+        return checked(compiled, t, s)
 
-    monkeypatch.setattr(CoefficientExpr, "__call__", counting)
+    monkeypatch.setattr(coeffexpr.Compiled, "checked", counting)
     assert validate_market(_market(g_expr, f_expr=f_expr)) == []
-    assert len(seen) == calls
+    assert sum(seen) == points
+
+
+# Faults a plain numpy evaluation hides or misreports, as (source, a point
+# where the scalar call fails, its message, the faulting text, and the
+# number of grid points where validation of f = source fails).
+_EDGE_CASES = [
+    ("min(1, exp(1000))", (0.5, 1.0), "exp overflow", "exp(1000)", 129 * 65),
+    ("tanh(exp(800))", (0.5, 1.0), "exp overflow", "exp(800)", 129 * 65),
+    ("1/(1/s)", (0.5, 0.0), "division by zero", "(1/s)", 0),
+    ("1/(1/t)", (0.0, 1.0), "division by zero", "(1/t)", 65),
+    ("exp(709.5)", (0.5, 1.0), "exp overflow", "exp(709.5)", 129 * 65),
+    ("0^(-1)", (0.5, 1.0), "power failed: 0.0 cannot be raised to a negative power",
+     "0^(-1)", 129 * 65),
+    # exponent -inf without an inner fault: Python's 0.0 ** -inf is inf
+    ("0^(-(s*1e308*10))", (0.5, 1.0), "non-finite power result", "0^(-(s*1e308*10))",
+     129 * 65),
+    ("-(1/0) + s", (0.5, 1.0), "division by zero", "(1/0)", 129 * 65),
+]
+
+
+@pytest.mark.parametrize("source, point, message, text, n_bad", _EDGE_CASES)
+def test_edge_case_faults_in_scalar_calls_and_validation(source, point, message, text, n_bad):
+    start = source.index(text)
+    span = (start, start + len(text))
+    expr = CoefficientExpr.parse(source)
+    with pytest.raises(EvalError) as exc:
+        expr(*point)
+    assert exc.value.span == span
+    assert str(exc.value) == f"{message} (source span {span[0]}:{span[1]})"
+    rows = _as_rows(validate_market(_market("0.2", f_expr=source)))
+    assert len(rows) == n_bad
+    assert {row[1:] for row in rows} <= {("nan", f"f failed to evaluate: {exc.value}")}
+
+
+def test_min_ignores_a_nan_second_argument_as_python_does():
+    source = "min(1, s*1e308*10 - s*1e308*10)"  # min(1, nan) for every s > 0
+    assert CoefficientExpr.parse(source)(0.5, 1.0) == 1.0
+    assert validate_market(_market("0.2", f_expr=source)) == []
+
+
+def test_vec_stays_finite_where_the_checked_call_faults():
+    s = np.array([0.0, 2.0])
+    assert np.isfinite(CoefficientExpr.parse("exp(709.5)").vec(0.0, s))
+    assert np.array_equal(CoefficientExpr.parse("1/(1/s)").vec(0.0, s), s)
 
 
 def test_market_from_config_roundtrip(tmp_path):

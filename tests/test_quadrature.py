@@ -130,7 +130,7 @@ def _expr(dependence, a, b):
 
 
 def _simpson_reference(fn, a, b):
-    """Plain 65-node composite Simpson with the strict scalar evaluator."""
+    """Plain 65-node composite Simpson over checked scalar coefficient calls."""
     n = DEFAULT_N
     total = 0.0
     for i, u in enumerate(np.linspace(a, b, n + 1)):
