@@ -8,12 +8,12 @@ closed-form value at the final block boundary, rebalances on an equal
 grid, accrues the cash with exact discount factors, and reports the
 terminal replication error against the payoff.
 
-The block price is the constant ``s_star``, so every rebalance's
-variance and rate integral are scalars, planned once per ``replicate``
-call and shared by all chunks, which update their path buffers in
-place.  The stock steps come from the exact block sampler,
+The block price is the constant initial price ``s0``, so every
+rebalance's variance and rate integral are scalars, planned once per
+``replicate`` call and shared by all chunks, which update their path
+buffers in place.  The stock steps come from the exact block sampler,
 :func:`delaybs.paths.exact_steps`, whose block integrals are scalars
-too while its block price is ``s_star``.
+too while its block price is ``s0``.
 """
 
 from __future__ import annotations
@@ -77,19 +77,11 @@ def _delta(s, strike, step):
     return ndtr(bp, out=bp)
 
 
-def replicate(
-    market,
-    option,
-    n_rebalance,
-    n_paths,
-    seed,
-    workers=1,
-    s_star=None,
-):
+def replicate(market, option, n_rebalance, n_paths, seed, workers=1):
     """Discrete replication over the final block.
 
-    Paths start at the final block boundary with block price ``s_star``
-    (default: the market's initial price).  Wealth starts at the
+    Paths start at the final block boundary with the market's initial
+    price ``s0`` as their block price.  Wealth starts at the
     closed-form value, rebalances to the closed-form hedge at each grid
     time, and the report gives the mean and RMS terminal error against
     the call payoff.
@@ -103,20 +95,19 @@ def replicate(
     if n_rebalance > MAX_TIME_STEPS:
         raise ContractError(f"need at most {MAX_TIME_STEPS} rebalances, got {n_rebalance}")
     t_star = final_block_start(market)
-    if s_star is None:
-        s_star = market.s0
+    s0 = float(market.s0)
     grid = np.linspace(t_star, market.T, n_rebalance + 1)
-    v0 = price_closed(market, option, MarketState(t_star, float(s_star))).value
-    plan = _plan(market, s_star, grid)
+    v0 = price_closed(market, option, MarketState(t_star, s0)).value
+    plan = _plan(market, s0, grid)
     strike = option.strike
 
     def chunk(lo, hi):
         """The terminal error and its square over streams lo..hi-1."""
         n = hi - lo
-        s = np.full(n, float(s_star))
+        s = np.full(n, s0)
         wealth = np.full(n, v0)
         held = np.empty(n)
-        steps = exact_steps(market, "Q", seed, lo, hi, t_star, s_star, s_star, grid[1:])
+        steps = exact_steps(market, "Q", seed, lo, hi, t_star, s0, s0, grid[1:])
         for step, s_next in zip(plan, steps):
             pi_s = _delta(s, strike, step)
             wealth -= np.multiply(pi_s, s, out=held)  # the cash

@@ -14,6 +14,7 @@ from __future__ import annotations
 from .model import discount_factor
 from .parallel import accumulate_controlled_pair, accumulate_moments
 from .paths import exact_values_vec
+from .pricing import MarketState, PricingResult, twin_call, twin_call_payoff
 
 
 def density_mean_check(market, n_paths, seed, workers=1):
@@ -47,8 +48,6 @@ def importance_price(market, option, n_paths, seed, workers=1):
     error, and equals it when f coincides with the riskless rate
     (rho_T = 1).
     """
-    from .pricing import MarketState, PricingResult, twin_call, twin_call_payoff
-
     disc = discount_factor(market.rate, 0.0, market.T)
     twin_v, twin_mean = twin_call(market, MarketState(0.0, market.s0), option.strike)
 

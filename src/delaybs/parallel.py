@@ -33,20 +33,19 @@ def map_chunks(fn, n, workers=1, chunk_size=CHUNK_SIZE):
         return [f.result() for f in futures]
 
 
-def accumulate_moments(fn, n, workers=1, chunk_size=CHUNK_SIZE):
+def accumulate_moments(fn, n, workers=1):
     """Mean and standard error of per-path statistics, chunk by chunk.
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
-    chunk; the chunks' moments are combined by :func:`reduce_moments`.
-    Returns (mean, standard_error, n), checked by :func:`finite`.
+    chunk; the moments of the chunks of CHUNK_SIZE paths are combined by
+    :func:`reduce_moments`.  Returns (mean, standard_error, n), checked
+    by :func:`finite`.
     """
-    [(_, (total,), (m2,))] = reduce_moments(lambda lo, hi: ((fn(lo, hi),),), n, workers, chunk_size)
+    [(_, (total,), (m2,))] = reduce_moments(lambda lo, hi: ((fn(lo, hi),),), n, workers, CHUNK_SIZE)
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_pair(
-    fn, control_mean, n, workers=1, chunk_size=CHUNK_SIZE, twin_mean=None
-):
+def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     """Mean and standard error of Y with controls of known mean, and the
     first control's plain estimate, from one reduction.
 
@@ -72,7 +71,7 @@ def accumulate_controlled_pair(
     :func:`accumulate_moments` gives for x alone, unchecked, so that a
     control whose spread overflows fails only a caller that reads it.
     """
-    [(_, sums, flat)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, chunk_size)
+    [(_, sums, flat)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, CHUNK_SIZE)
     controls = [(control_mean, 0.0)] + ([] if twin_mean is None else [(twin_mean, 1.0)])
     m = len(sums)
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place

@@ -92,8 +92,12 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
     # theta_sq == 0 means no drift mismatch; any nonzero c there is
     # quadrature roundoff, tolerated up to the same relative budget.
     zero = theta_sq <= 1e-24
+    # A variance that underflowed to 0 leaves no room for a covariance:
+    # such a lane must have c == 0, and it divides by 1 instead of 0.
+    flat = g2 == 0.0
+    g2 = np.where(flat, 1.0, g2)
     cross = c * c / g2
-    bad = np.where(
+    bad = (flat & (c != 0.0)) | np.where(
         zero,
         cross > DEGENERATE_TOL * np.maximum(g2, 1.0),
         cross > (1.0 + 1e-9) * np.maximum(theta_sq, 1e-300),

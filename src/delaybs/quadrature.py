@@ -1,7 +1,7 @@
 """Deterministic integration of time functions over sub-block intervals.
 
-Composite Simpson with a fixed, even subinterval count; block integrals
-always take ``DEFAULT_N`` panels.  The count is deliberately not
+Composite Simpson with a fixed, even subinterval count: every integral
+takes ``DEFAULT_N`` panels.  The count is deliberately not
 adaptive: a fixed rule keeps every Monte Carlo estimate bit-reproducible
 regardless of scheduling.  Rate-curve integrals are not computed here;
 they use the exact piecewise antiderivative on the curve itself (see
@@ -19,8 +19,6 @@ the path vector at every node.  theta^2 depends on ``t`` when ``f`` or
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,8 +42,8 @@ def simpson_weights(a, b, n):
     return xs, ws
 
 
-def integrate(fn, a, b, n=DEFAULT_N):
-    """Composite Simpson integral of fn over [a, b].
+def integrate(fn, a, b):
+    """Composite Simpson integral of fn over [a, b] on DEFAULT_N panels.
 
     Exact for polynomials of degree <= 3 on each panel pair.  Evaluation
     errors from fn propagate with the failing abscissa attached.
@@ -54,7 +52,7 @@ def integrate(fn, a, b, n=DEFAULT_N):
         raise DomainError(f"need a <= b, got [{a}, {b}]")
     if a == b:
         return 0.0
-    xs, ws = simpson_weights(a, b, n)
+    xs, ws = simpson_weights(a, b, DEFAULT_N)
     total = 0.0
     for x, w in zip(xs, ws):
         try:
@@ -78,21 +76,6 @@ def integrate_nodes(values_fn, a, b):
     return total
 
 
-@dataclass(frozen=True)
-class BlockMoments:
-    """Gaussian moments of one block's log-increment.
-
-    m: mean of the log-increment (drift integral minus half the variance).
-    v: variance, the integral of g(u, s_k)^2.
-    c: integral of f(u, s_k) - lambda(u); the covariance between the
-       price log-increment and the measure-change exponent.
-    """
-
-    m: float
-    v: float
-    c: float
-
-
 def _check_single_block(market, a, b):
     if a > b:
         raise ContractError(f"need a <= b, got [{a}, {b}]")
@@ -104,21 +87,11 @@ def _check_single_block(market, a, b):
         raise ContractError(f"interval [{a}, {b}] spans a block boundary")
 
 
-def block_moments(market, s_k, a, b, measure="Q", n=DEFAULT_N):
-    """Moments of the log-increment of one block frozen at price s_k.
-
-    Under Q the drift is the riskless rate; under P it is f(u, s_k).
-    """
-    _check_single_block(market, a, b)
-    if s_k <= 0.0:
-        raise ContractError(f"block-start price must be positive, got {s_k}")
-    if measure not in ("P", "Q"):
-        raise ContractError(f"measure must be P or Q, got {measure!r}")
-    v = integrate(lambda u: market.g(u, s_k) ** 2, a, b, n)
-    f_int = integrate(lambda u: market.f(u, s_k), a, b, n)
-    lam_int = market.rate.integral(a, b)
-    drift = lam_int if measure == "Q" else f_int
-    return BlockMoments(m=drift - 0.5 * v, v=v, c=f_int - lam_int)
+def block_moments(market, s_k, a, b):
+    """The n = 1 case of :func:`block_integrals_vec` with ``with_f``:
+    the floats (g2_int, f_int, lam_int) for one block-start price s_k."""
+    g2, f_int, lam_int = block_integrals_vec(market, np.array([float(s_k)]), a, b, with_f=True)
+    return float(g2[0]), float(f_int[0]), lam_int
 
 
 def _block_integral(integrand, uses_t, s_k, a, b):

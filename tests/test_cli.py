@@ -415,6 +415,39 @@ def _fails_with_one_error_line(capsys, argv):
     return lines[0]
 
 
+_PRICE = ["price", "--method", "closed", "--strike", "100", "--t", "0.8"]
+_SIMULATE = ["simulate", "--scheme", "em", "--dt", "0.0625", "--paths", "2"]
+
+
+@pytest.mark.parametrize("argv, base, changes, message", [
+    (_PRICE, CONSTANT, {"rate": {"kind": "piecewise", "times": [0.0, 1.0],
+                                 "rates": [0.05, 0.04]}},
+     "piecewise curve needs len(times) == len(rates) + 1 >= 2"),
+    (_PRICE, CONSTANT, {"rate": {"kind": "piecewise", "times": [0.0, 0.5, 0.5, 1.0],
+                                 "rates": [0.05, 0.04, 0.03]}},
+     "piecewise edges must be strictly increasing"),
+    (_PRICE, CONSTANT, {"rate": {"kind": "samples", "times": [0.0, 1.0], "rates": [0.05]}},
+     "sampled curve needs matching times and rates, >= 2"),
+    (_PRICE, CONSTANT, {"rate": {"kind": "samples", "times": [0.0, 1.0, 0.5],
+                                 "rates": [0.05, 0.04, 0.03]}},
+     "sample times must be strictly increasing"),
+    (_PRICE, CONSTANT, {"rate": {"kind": "piecewise", "times": [0.0, 1.0]}},
+     "rate config missing key 'rates'"),
+    (_SIMULATE, FIXED, {"phi_samples": {"times": [-0.25, -0.1], "values": [1.0, 1.0]}},
+     "initial path must end at time 0"),
+    (_SIMULATE, FIXED, {"phi_samples": {"times": [-0.25, 0.0], "values": [1.0]}},
+     "initial path needs matching times and values, >= 2"),
+    (_SIMULATE, FIXED, {"phi_samples": {"times": [-0.1, 0.0], "values": [1.0, 1.0]}},
+     "initial path must cover [-L, 0]"),
+    (_SIMULATE, FIXED, {"drift": {"kind": "moving-average", "c": -0.1}},
+     "moving-average drift needs c >= 0"),
+])
+def test_config_errors_are_one_line_exit_2(tmp_path, capsys, argv, base, changes, message):
+    config = _config(tmp_path, base, **changes)
+    line = _fails_with_one_error_line(capsys, [argv[0], "--config", config, *argv[1:]])
+    assert message in line
+
+
 def test_power_with_non_finite_exponent_fails_validation(tmp_path, capsys):
     bad = _config(tmp_path, g_expr="0.2 + 0*(-s)^(exp(700)*exp(700))")
     line = _fails_with_one_error_line(capsys, [

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_replication_deterministic(constant_market):
 def test_replication_other_block_price(constant_market):
     # hedging a block that opened away from s0 still replicates
     report = replicate(
-        constant_market, OptionSpec(100.0), 64, 20_000, 17, s_star=120.0
+        dataclasses.replace(constant_market, s0=120.0), OptionSpec(100.0), 64, 20_000, 17
     )
     assert report.rmse < 1.0
 

@@ -4,12 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from delaybs import OptionSpec
-from delaybs.errors import ContractError
+from delaybs import CoefficientExpr, OptionSpec
+from delaybs.errors import ContractError, NumericalError
 from delaybs.measure import density_mean_check, importance_price
 from delaybs.model import block_schedule, discount_factor
 from delaybs.paths import _joint_increments, exact_values_vec
-from delaybs.pricing import MarketState, price_mc
+from delaybs.pricing import MarketState, price_mc, twin_call
 from delaybs.quadrature import block_integrals_vec
 from delaybs.rng import normals
 
@@ -155,6 +155,32 @@ def test_importance_equals_mc_when_balanced(balanced_market, atm_option):
     imp = importance_price(balanced_market, atm_option, 50_000, 4)
     mc = price_mc(balanced_market, atm_option, state, 50_000, 4)
     assert imp.value == pytest.approx(mc.value, rel=1e-12)
+
+
+def _vanishing_g(market, f):
+    """market with drift f and a volatility whose square underflows to 0."""
+    return dataclasses.replace(
+        market, f=CoefficientExpr.parse(f), g=CoefficientExpr.parse("1e-200")
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_importance_without_a_twin_on_a_degenerate_balanced_block(state_market, atm_option):
+    # f = lambda: rho_T = 1 and, with g^2 = 0, every path ends at the
+    # forward; the twin has no variance, so X is the only control
+    market = _vanishing_g(state_market, "0.05")
+    assert twin_call(market, MarketState(0.0, market.s0), atm_option.strike)[1] is None
+    imp = importance_price(market, atm_option, 1000, 1)
+    disc = discount_factor(market.rate, 0.0, market.T)
+    assert imp.value == pytest.approx(market.s0 - atm_option.strike * disc, rel=1e-12)
+    assert imp.std_error == 0.0
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_covariance_without_variance_is_rejected(state_market, atm_option):
+    # f != lambda with g^2 = 0: theta != 0 has nothing to correlate with
+    with pytest.raises(NumericalError, match="covariance"):
+        importance_price(_vanishing_g(state_market, "0.08"), atm_option, 1000, 1)
 
 
 def test_importance_vs_mc_state_dependent(state_market, atm_option):

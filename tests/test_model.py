@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket, coeffexpr
 from delaybs.coeffexpr import EvalError
@@ -95,6 +95,16 @@ def test_sampled_curve_interpolates():
     curve = RateCurve.samples([0.0, 1.0], [0.0, 0.1])
     assert curve.rate(0.5) == pytest.approx(0.05)
     assert curve.integral(0.0, 1.0) == pytest.approx(0.05, rel=1e-14)
+
+
+def test_piecewise_curve_holds_its_end_rates_outside_its_edges():
+    curve = RateCurve.piecewise([0.0, 0.3, 0.6, 1.0], [0.05, 0.02, 0.04])
+    assert curve.rate(1.5) == 0.04
+    assert curve.rate(-0.2) == 0.05
+    # 0.05 * 0.5 held before 0, then 0.05 * 0.3 + 0.02 * 0.15
+    assert curve.integral(-0.5, 0.45) == pytest.approx(0.025 + 0.015 + 0.003, rel=1e-14)
+    # 0.04 * 0.2 inside, then 0.04 * 0.4 held past 1
+    assert curve.integral(0.8, 1.4) == pytest.approx(0.008 + 0.016, rel=1e-14)
 
 
 def _market(g_expr, f_expr="0.08", g_min=0.1):
@@ -219,7 +229,9 @@ def test_expression_classes_have_their_dependence(strategy, uses_t, uses_s, data
     assert (compiled.uses_t, compiled.uses_s) == (uses_t, uses_s)
 
 
-@settings(max_examples=40, deadline=None)
+# No shrink phase: each shrink step re-runs a Python walk of the whole
+# grid, so a regression would stall for minutes before it is reported.
+@settings(max_examples=40, deadline=None, phases=set(Phase) - {Phase.shrink})
 @given(_EXPRS, _EXPRS, st.floats(1e-3, 0.3))
 def test_validate_matches_full_grid_reference(f_expr, g_expr, g_min):
     market = _market(g_expr, f_expr=f_expr, g_min=g_min)

@@ -8,6 +8,13 @@ from delaybs.errors import ContractError, NumericalError
 from delaybs.parallel import accumulate_controlled_pair, accumulate_moments, finite, reduce_moments
 
 
+@pytest.fixture
+def small_chunks(monkeypatch):
+    """Accumulate over chunks of 512 paths, so that a few thousand paths
+    exercise the merge."""
+    monkeypatch.setattr(parallel, "CHUNK_SIZE", 512)
+
+
 def _payoff(lo, hi):
     # A large mean with a small spread: E[x^2] - mean^2 cancels to noise.
     ids = np.arange(lo, hi, dtype=float)
@@ -15,9 +22,10 @@ def _payoff(lo, hi):
 
 
 @pytest.mark.parametrize("workers", [1, 3])
-def test_variance_survives_a_large_mean(workers):
-    n, chunk = 10_000, 999  # eleven chunks, the last one partial
-    mean, se, count = accumulate_moments(_payoff, n, workers, chunk_size=chunk)
+def test_variance_survives_a_large_mean(monkeypatch, workers):
+    n = 10_000
+    monkeypatch.setattr(parallel, "CHUNK_SIZE", 999)  # eleven chunks, the last one partial
+    mean, se, count = accumulate_moments(_payoff, n, workers)
     x = _payoff(0, n)
     assert count == n
     assert mean == float(x.sum()) / n
@@ -28,8 +36,20 @@ def test_variance_survives_a_large_mean(workers):
     assert abs(naive - var) > 0.5 * var
 
 
-def test_merge_is_identical_across_worker_counts():
-    results = {accumulate_moments(_payoff, 5000, w, chunk_size=512) for w in (1, 2, 4)}
+def test_accumulators_chunk_at_chunk_size_read_when_called(small_chunks):
+    seen = []
+
+    def recording(lo, hi):
+        seen.append((lo, hi))
+        return _pair(lo, hi)
+
+    accumulate_moments(lambda lo, hi: recording(lo, hi)[0], 5000)
+    accumulate_controlled_pair(recording, 0.0, 5000)
+    assert seen == 2 * parallel.chunk_ranges(5000, 512)
+
+
+def test_merge_is_identical_across_worker_counts(small_chunks):
+    results = {accumulate_moments(_payoff, 5000, w) for w in (1, 2, 4)}
     assert len(results) == 1
 
 
@@ -98,16 +118,16 @@ def test_pair_keeps_the_bits_of_each_statistic():
     assert (sum_y, s_yy, sum_x, s_xx) == (ty, m_yy, tx, m_xx)
 
 
-def test_co_moment_merge_is_identical_across_worker_counts():
+def test_co_moment_merge_is_identical_across_worker_counts(small_chunks):
     results = {_co_moments(_pair_large_mean, 5000, w) for w in (1, 2, 4)}
     assert len(results) == 1
-    controlled = {accumulate_controlled_pair(_pair, 0.0, 5000, w, 512)[0] for w in (1, 2, 4)}
+    controlled = {accumulate_controlled_pair(_pair, 0.0, 5000, w)[0] for w in (1, 2, 4)}
     assert len(controlled) == 1
 
 
-def test_control_matches_the_regression_estimator():
+def test_control_matches_the_regression_estimator(small_chunks):
     n, mu = 5000, 0.01
-    mean, se, count = accumulate_controlled_pair(_pair, mu, n, chunk_size=512)[0]
+    mean, se, count = accumulate_controlled_pair(_pair, mu, n)[0]
     y, x = _pair(0, n)
     dy, dx = y - y.mean(), x - x.mean()
     beta = (dy @ dx) / (dx @ dx)
@@ -130,13 +150,13 @@ def test_control_needs_a_residual_degree_of_freedom(n):
         assert controlled[1] > 0.0
 
 
-def test_control_without_spread_is_the_plain_mean():
+def test_control_without_spread_is_the_plain_mean(small_chunks):
     def flat(lo, hi):
         y, _ = _pair(lo, hi)
         return y, np.full(hi - lo, 3.0)
 
-    got = accumulate_controlled_pair(flat, 2.0, 5000, chunk_size=512)[0]
-    assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000, chunk_size=512)
+    got = accumulate_controlled_pair(flat, 2.0, 5000)[0]
+    assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000)
 
 
 def test_control_reports_non_finite_results():
@@ -147,11 +167,11 @@ def test_control_reports_non_finite_results():
         accumulate_controlled_pair(overflowing, 0.0, 100)[0]
 
 
-def test_an_overflowing_control_fails_only_its_reader():
+def test_an_overflowing_control_fails_only_its_reader(small_chunks):
     def flat_payoff(lo, hi):  # S_xx overflows, Y has no spread at all
         return np.zeros(hi - lo), 1e200 * (2.0 + _pair(lo, hi)[1])
 
-    controlled, plain = accumulate_controlled_pair(flat_payoff, 2e200, 5000, chunk_size=512)
+    controlled, plain = accumulate_controlled_pair(flat_payoff, 2e200, 5000)
     assert controlled == (0.0, 0.0, 5000)
     assert plain[1] == np.inf
     with pytest.raises(NumericalError):
@@ -167,9 +187,9 @@ def _triple(lo, hi):
     return 2.0 * x + twin + 0.1 * np.sin(5.0 * ids), x, twin
 
 
-def test_two_controls_match_the_regression_estimator():
+def test_two_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu = 5000, 0.01, -0.02
-    mean, se, _ = accumulate_controlled_pair(_triple, mu, n, chunk_size=512, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(_triple, mu, n, twin_mean=twin_mu)[0]
     y, x, twin = _triple(0, n)
     design = np.column_stack([np.ones(n), x, twin])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -186,7 +206,7 @@ def test_twin_needs_a_residual_degree_of_freedom():
 
 
 @pytest.mark.parametrize("twin", ["flat", "collinear"])
-def test_a_twin_without_residual_spread_enters_at_coefficient_one(twin):
+def test_a_twin_without_residual_spread_enters_at_coefficient_one(small_chunks, twin):
     # the sample cannot fit the twin's coefficient; Y = twin + 3x is exact
     def fn(lo, hi):
         _, x, _ = _triple(lo, hi)
@@ -194,7 +214,7 @@ def test_a_twin_without_residual_spread_enters_at_coefficient_one(twin):
         return t + 3.0 * x, x, t
 
     twin_mu = 0.75  # the twin's true mean, which the sample does not show
-    mean, se, _ = accumulate_controlled_pair(fn, 0.0, 5000, chunk_size=512, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(fn, 0.0, 5000, twin_mean=twin_mu)[0]
     assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0
 
 

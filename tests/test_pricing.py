@@ -24,6 +24,7 @@ from delaybs.pricing import (
     price_mc_joint,
     price_semi,
     put_price,
+    twin_call,
     _final_block_variance,
 )
 
@@ -268,6 +269,22 @@ def test_a_market_without_volatility_fails_typed_where_it_cannot_price():
         importance_price(market, option, 1000, 1)
     mc = price_mc(market, option, state, 1000, 1)
     assert (mc.value, mc.std_error) == (14.389351794935697, 0.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ["call", "put"])
+def test_mc_without_a_twin_prices_the_deterministic_forward(kind):
+    # g = 0*s leaves the twin no variance, so the price is controlled by
+    # X alone; every path ends at the forward s e^{R(t,T)}
+    market, state, option = _market(g="0*s"), MarketState(0.0, 100.0), OptionSpec(100.0, kind)
+    assert twin_call(market, state, option.strike)[1] is None
+    disc = discount_factor(market.rate, 0.0, market.T)
+    mc = price_mc(market, option, state, 1000, 3)
+    if kind == "call":
+        assert mc.value == pytest.approx(disc * (state.s_t / disc - option.strike), rel=1e-12)
+    else:
+        assert mc.value == 0.0
+    assert mc.std_error == 0.0
 
 
 # --- one Black-Scholes kernel ---------------------------------------------

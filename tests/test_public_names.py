@@ -25,11 +25,6 @@ ALLOWED = {
 # each with the reason it stays.
 ALLOWED_DEFAULTS = {
     "main(argv)": "perfbench and in-process callers pass the arguments",
-    "block_moments(measure)": "the test reference for the block integrals",
-    "block_moments(n)": "the test reference for the block integrals",
-    "replicate(s_star)": "library hedges of a block that opened away from s0",
-    "accumulate_moments(chunk_size)": "a test seam: small chunks exercise the merge",
-    "accumulate_controlled_pair(chunk_size)": "a test seam: small chunks exercise the merge",
 }
 
 

@@ -5,34 +5,51 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket
-from delaybs.errors import ContractError
+from delaybs.errors import ContractError, DomainError
 from delaybs.model import block_schedule
 from delaybs.quadrature import (
     DEFAULT_N,
     block_integrals_vec,
     block_moments,
     integrate,
+    simpson_weights,
 )
 
 
+def _simpson(fn, a, b, n):
+    """Composite Simpson on n panels from the rule's nodes and weights."""
+    xs, ws = simpson_weights(a, b, n)
+    return sum(w * fn(x) for x, w in zip(xs, ws))
+
+
+def _moments(market, s_k, a, b, measure):
+    """(m, v, c) of one block frozen at s_k, from the block integrals of
+    one path: the log-increment's mean under the measure, its variance,
+    and its covariance f_int - lam_int with the measure change."""
+    v, f_int, lam = block_integrals_vec(market, np.array([s_k]), a, b, with_f=True)
+    drift = lam if measure == "Q" else f_int[0]
+    return drift - 0.5 * v[0], v[0], f_int[0] - lam
+
+
 def test_constant():
-    assert integrate(lambda t: 1.0, 0.0, 1.0, n=2) == pytest.approx(1.0, abs=1e-15)
+    assert _simpson(lambda t: 1.0, 0.0, 1.0, 2) == pytest.approx(1.0, abs=1e-15)
+    assert integrate(lambda t: 1.0, 0.0, 1.0) == pytest.approx(1.0, abs=1e-15)
 
 
 def test_exact_on_cubics():
-    assert integrate(lambda t: t * t, 0.0, 1.0, n=2) == pytest.approx(1.0 / 3.0, abs=1e-16)
-    assert integrate(lambda t: t**3 - 2 * t, 0.0, 2.0, n=2) == pytest.approx(0.0, abs=1e-13)
+    assert _simpson(lambda t: t * t, 0.0, 1.0, 2) == pytest.approx(1.0 / 3.0, abs=1e-16)
+    assert _simpson(lambda t: t**3 - 2 * t, 0.0, 2.0, 2) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_exponential_vs_antiderivative():
-    # analytic antiderivative oracle
-    assert integrate(math.exp, 0.0, 1.0, n=64) == pytest.approx(math.e - 1.0, abs=1e-8)
-    assert integrate(math.exp, 0.0, 1.0, n=256) == pytest.approx(math.e - 1.0, abs=1e-11)
+    # analytic antiderivative oracle; integrate takes DEFAULT_N = 64 panels
+    assert integrate(math.exp, 0.0, 1.0) == pytest.approx(math.e - 1.0, abs=1e-8)
+    assert _simpson(math.exp, 0.0, 1.0, 256) == pytest.approx(math.e - 1.0, abs=1e-11)
 
 
 def test_n_must_be_even():
-    with pytest.raises(Exception):
-        integrate(lambda t: t, 0.0, 1.0, n=3)
+    with pytest.raises(DomainError, match="even"):
+        simpson_weights(0.0, 1.0, 3)
 
 
 def test_error_carries_abscissa():
@@ -43,41 +60,47 @@ def test_error_carries_abscissa():
         integrate(bad, 0.0, 1.0)
 
 
+def test_block_moments_is_the_one_path_block_integral(state_market):
+    got = block_moments(state_market, 87.0, 0.25, 0.5)
+    g2, f_int, lam = block_integrals_vec(state_market, np.array([87.0]), 0.25, 0.5, with_f=True)
+    assert got == (g2[0], f_int[0], lam)
+    assert all(type(x) is float for x in got)
+
+
 def test_block_moments_constant(state_market, constant_market):
-    mom = block_moments(constant_market, 100.0, 0.0, 0.25, "Q")
-    assert mom.v == pytest.approx(0.01, abs=1e-15)
-    assert mom.m == pytest.approx(0.05 * 0.25 - 0.005, abs=1e-15)
-    assert mom.c == pytest.approx(integrate(lambda u: 0.08, 0.0, 0.25) - 0.0125, abs=1e-15)
+    m, v, c = _moments(constant_market, 100.0, 0.0, 0.25, "Q")
+    assert v == pytest.approx(0.01, abs=1e-15)
+    assert m == pytest.approx(0.05 * 0.25 - 0.005, abs=1e-15)
+    assert c == pytest.approx(integrate(lambda u: 0.08, 0.0, 0.25) - 0.0125, abs=1e-15)
 
 
 def test_block_moments_cancellation(balanced_market):
-    mom = block_moments(balanced_market, 80.0, 0.0, 0.25, "P")
-    assert mom.c == pytest.approx(0.0, abs=1e-15)
+    _, _, c = _moments(balanced_market, 80.0, 0.0, 0.25, "P")
+    assert c == pytest.approx(0.0, abs=1e-15)
 
 
 def test_block_moments_state_dependent(state_market):
     # g constant in t: v = (b - a) * g(s_k)^2, by hand
     market = state_market
-    mom = block_moments(
+    _, v, _ = _moments(
         market.__class__(0.5, 1.0, market.s0, market.f, market.g, market.rate, market.g_min),
         1.0, 0.0, 0.5, "Q",
     )
-    assert mom.v == pytest.approx(0.5 * 0.15**2, rel=1e-12)
+    assert v == pytest.approx(0.5 * 0.15**2, rel=1e-12)
 
 
 def test_block_boundary_rejected(state_market):
     with pytest.raises(ContractError, match="block boundary"):
-        block_moments(state_market, 100.0, 0.2, 0.3)
+        block_integrals_vec(state_market, np.array([100.0]), 0.2, 0.3)
 
 
 def test_additivity(state_market):
     a, b, c = 0.25, 0.33, 0.5
-    whole = block_moments(state_market, 87.0, a, c, "P")
-    left = block_moments(state_market, 87.0, a, b, "P")
-    right = block_moments(state_market, 87.0, b, c, "P")
-    assert whole.m == pytest.approx(left.m + right.m, abs=1e-12)
-    assert whole.v == pytest.approx(left.v + right.v, abs=1e-12)
-    assert whole.c == pytest.approx(left.c + right.c, abs=1e-12)
+    whole = _moments(state_market, 87.0, a, c, "P")
+    left = _moments(state_market, 87.0, a, b, "P")
+    right = _moments(state_market, 87.0, b, c, "P")
+    for w, l, r in zip(whole, left, right):  # m, v and c
+        assert w == pytest.approx(l + r, abs=1e-12)
 
 
 def test_refinement_converged(state_market, constant_market):
@@ -94,20 +117,22 @@ def test_refinement_converged(state_market, constant_market):
     blocks += [(smooth, a, b) for a, b in zip(edges[:-1], edges[1:])]
     for market, a, b in blocks:
         for s_k in (50.0, 100.0, 200.0):
-            coarse = block_moments(market, s_k, a, b, "P", n=64)
-            fine = block_moments(market, s_k, a, b, "P", n=128)
-            assert abs(coarse.m - fine.m) < 1e-9
-            assert abs(coarse.v - fine.v) < 1e-9
-            assert abs(coarse.c - fine.c) < 1e-9
+            m, v, c = _moments(market, s_k, a, b, "P")
+            fine_v = _simpson(lambda u: market.g(u, s_k) ** 2, a, b, 2 * DEFAULT_N)
+            fine_f = _simpson(lambda u: market.f(u, s_k), a, b, 2 * DEFAULT_N)
+            assert abs(m - (fine_f - 0.5 * fine_v)) < 1e-9
+            assert abs(v - fine_v) < 1e-9
+            assert abs(c - (fine_f - market.rate.integral(a, b))) < 1e-9
 
 
 def test_vectorized_matches_scalar(state_market):
     sk = np.array([50.0, 100.0, 150.0])
     g2, f_int, lam = block_integrals_vec(state_market, sk, 0.25, 0.5, with_f=True)
     for i, s in enumerate(sk):
-        mom = block_moments(state_market, float(s), 0.25, 0.5, "P")
-        assert np.asarray(g2)[i] == pytest.approx(mom.v, rel=1e-14)
-        assert np.asarray(f_int)[i] - lam == pytest.approx(mom.c, abs=1e-15)
+        ref_v = _simpson_reference(lambda u: state_market.g(u, float(s)) ** 2, 0.25, 0.5)
+        ref_c = _simpson_reference(lambda u: state_market.f(u, float(s)), 0.25, 0.5) - lam
+        assert np.asarray(g2)[i] == pytest.approx(ref_v, rel=1e-14)
+        assert np.asarray(f_int)[i] - lam == pytest.approx(ref_c, abs=1e-15)
 
 
 # One template per dependence class: (uses_t, uses_s).  Coefficients are
