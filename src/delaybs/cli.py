@@ -259,13 +259,15 @@ def cmd_check(args):
     state = pricing.MarketState(0.0, market.s0)
 
     if not violations:
-        mean, se = measure.density_mean_check(market, args.paths, args.seed, args.workers)
+        # One simulation of the P paths gives the importance price and
+        # the density's plain mean; one of the Q paths gives the call
+        # price and its control's plain mean, the discounted terminal price.
+        imp, density = measure.importance_price(market, option, args.paths, seed(2), args.workers)
+        mean, se, _ = finite(density)
         rows.append(("density_mean", mean, se, abs(mean - 1.0) <= 3.0 * se))
 
-        # One simulation of the Q paths gives the call price and its
-        # control's plain mean, the discounted terminal price.
         mc, martingale = pricing.price_mc_joint(
-            market, option, state, args.paths, args.seed, args.workers
+            market, "Q", option, state, args.paths, args.seed, args.workers
         )
         mart_mean, mart_se, _ = finite(martingale)
         rows.append(
@@ -281,7 +283,6 @@ def cmd_check(args):
 
         semi = pricing.price_semi(market, option, state, args.paths, seed(1), args.workers)
         rows.append(versus_mc("semi_vs_mc", semi.value - mc.value, semi))
-        imp = measure.importance_price(market, option, args.paths, seed(2), args.workers)
         rows.append(versus_mc("importance_vs_mc", imp.value - mc.value, imp))
         put = OptionSpec(strike, "put")
         put_mc = pricing.price_mc(market, put, state, args.paths, seed(3), args.workers)

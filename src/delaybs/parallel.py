@@ -33,13 +33,14 @@ def map_chunks(fn, n, workers=1, chunk_size=CHUNK_SIZE):
         return [f.result() for f in futures]
 
 
-def accumulate_moments(fn, n, workers=1):
+def accumulate_moments(fn, n, workers):
     """Mean and standard error of per-path statistics, chunk by chunk.
 
     fn(lo, hi) must return a 1-d array of per-path statistics for the
     chunk; the moments of the chunks of CHUNK_SIZE paths are combined by
     :func:`reduce_moments`.  Returns (mean, standard_error, n), checked
-    by :func:`finite`.
+    by :func:`finite`.  Kept for the ``perfbench`` tracer; the program
+    reads such estimates from :func:`accumulate_controlled_pair`.
     """
     [(_, (total,), (m2,))] = reduce_moments(lambda lo, hi: ((fn(lo, hi),),), n, workers, CHUNK_SIZE)
     return finite(_estimate(total / n, m2, n - 1, n))
@@ -47,11 +48,13 @@ def accumulate_moments(fn, n, workers=1):
 
 def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     """Mean and standard error of Y with controls of known mean, and the
-    first control's plain estimate, from one reduction.
+    plain estimates of the other statistics, from one reduction.
 
-    fn(lo, hi) returns the chunk's per-path values (y, x) of Y and of a
+    fn(lo, hi) returns the chunk's statistics as :func:`reduce_moments`
+    takes them.  The first is the per-path values (y, x) of Y and of a
     control X whose exact mean is ``control_mean``, or (y, x, twin) with
     a ``twin_mean``, the twin being a second control that approximates Y.
+    Each further statistic is a 1-tuple (z,), reduced on its own.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
     :func:`reduce_moments` merges, X first.  A control enters only if it
@@ -66,12 +69,13 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     estimator mean(Y - twin) + twin_mean, so a Y equal to its twin on
     every path is exact at any strike.
 
-    Returns two (mean, standard_error, n): the controlled estimate of Y's
-    mean, checked by :func:`finite`, and X's sample mean with the bits
-    :func:`accumulate_moments` gives for x alone, unchecked, so that a
-    control whose spread overflows fails only a caller that reads it.
+    Returns (mean, standard_error, n) for the controlled estimate of Y's
+    mean, checked by :func:`finite`, then for the sample mean of X and of
+    each further statistic, with the bits :func:`accumulate_moments`
+    gives for it alone, unchecked, so that a statistic whose spread
+    overflows fails only a caller that reads it.
     """
-    [(_, sums, flat)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, CHUNK_SIZE)
+    [(_, sums, flat), *further] = reduce_moments(fn, n, workers, CHUNK_SIZE)
     controls = [(control_mean, 0.0)] + ([] if twin_mean is None else [(twin_mean, 1.0)])
     m = len(sums)
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
@@ -99,7 +103,8 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     if entered and residual <= 1e-12 * flat[0]:
         residual = 0.0
     controlled = _estimate(dev[0], residual, n - 1 - entered, n)
-    return finite(controlled), _estimate(sums[1] / n, flat[1], n - 1, n)
+    plain = [(sums[1], flat[1])] + [(total, m2) for _, (total,), (m2,) in further]
+    return finite(controlled), *(_estimate(total / n, m2, n - 1, n) for total, m2 in plain)
 
 
 def _estimate(mean, ss, dof, n):

@@ -96,16 +96,17 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
     # such a lane must have c == 0, and it divides by 1 instead of 0.
     flat = g2 == 0.0
     g2 = np.where(flat, 1.0, g2)
-    cross = c * c / g2
-    bad = (flat & (c != 0.0)) | np.where(
+    with np.errstate(over="ignore"):  # a subnormal g2 overflows; such a lane is bad
+        cross = c * c / g2
+    bad = (flat & (c != 0.0)) | np.isinf(theta_sq) | np.where(
         zero,
         cross > DEGENERATE_TOL * np.maximum(g2, 1.0),
         cross > (1.0 + 1e-9) * np.maximum(theta_sq, 1e-300),
     )
     if np.any(bad):
         raise NumericalError(
-            "block covariance is not positive semidefinite; "
-            "quadrature of v, c, theta_sq is inconsistent"
+            "block covariance is not finite and positive semidefinite; "
+            "quadrature of v, c, theta_sq is inconsistent or overflows"
         )
     resid = np.maximum(theta_sq - cross, 0.0)
     resid = np.where(resid <= DEGENERATE_TOL * theta_sq, 0.0, resid)

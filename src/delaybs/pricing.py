@@ -225,11 +225,11 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
         x = s_star * disc_to_star
         y = bs_call(x, strike, R_T, *bs_betas(log_ratio(x, strike), R_T, v))
         if twin_mean is None:
-            return y, x
+            return [(y, x)]
         with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
             x_twin = np.exp(w)
             x_twin *= state.s_t * disc_to_star
-        return y, x, bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1]))
+        return [(y, x, bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1])))]
 
     (mean, se, _), _ = accumulate_controlled_pair(
         chunk, state.s_t / grow_t, n_paths, workers, twin_mean=twin_mean
@@ -242,49 +242,53 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
 def price_mc(market, option, state, n_paths, seed, workers=1):
     """Direct Q-measure Monte Carlo: the discounted payoff's mean, with the
     discounted terminal price as a control variate."""
-    return price_mc_joint(market, option, state, n_paths, seed, workers)[0]
+    return price_mc_joint(market, "Q", option, state, n_paths, seed, workers)[0]
 
 
-def price_mc_joint(market, option, state, n_paths, seed, workers=1):
-    """:func:`price_mc` and the plain mean of its first control, from one
+def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
+    """The terminal-price Monte Carlo price under ``measure``, and the
+    plain mean of the statistic that checks that measure, from one
     simulation of the terminal prices S(T).
 
-    The payoff's mean is controlled by X = e^{-R(t,T)} S(T), whose Q-mean
-    is S(t) exactly (the discounted price is a Q-martingale and the exact
-    sampler draws S(T) without bias), and by the twin's call payoff
-    (S~(T) - K)^+, also for puts, so that put-call parity holds exactly
-    at a shared seed; :func:`twin_call` gives its mean.  The price is
-    disc times the controlled mean of
-    :func:`parallel.accumulate_controlled_pair`.  Neither Y nor its mean
-    shares code with :func:`price_semi`'s Black-Scholes kernel, so the two
-    still check each other.  Returns the price_mc result and X's
-    uncontrolled (mean, standard_error, n), the martingale check's
-    statistic, which is not checked for finiteness (see
-    :func:`parallel.finite`).
+    Under Q (:func:`price_mc`) Y is the payoff and X = e^{-R(t,T)} S(T),
+    whose Q-mean is S(t) exactly: the discounted price is a Q-martingale
+    and the exact sampler draws S(T) without bias.  Under P (the
+    importance price) the paths carry the Girsanov density rho_T = dQ/dP,
+    Y = rho_T payoff and X = rho_T S(T), whose P-mean is e^{R(t,T)} S(t).
+    The twin's call payoff (S~(T) - K)^+, unweighted and also for puts, so
+    that put-call parity holds exactly at a shared seed, is a second
+    control; :func:`twin_call` gives its mean.  The price is disc times
+    the controlled mean of :func:`parallel.accumulate_controlled_pair`.
+    Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
+    so the two still check each other.  Returns the price and the plain
+    (mean, standard_error, n) of X under Q and of rho_T under P, not
+    checked for finiteness (see :func:`parallel.finite`).
     """
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
     twin_v, twin_mean = twin_call(market, state, option.strike)
+    under_p = measure == "P"
 
     def chunk(lo, hi):
-        s_T, w = exact_values_vec(
-            market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [market.T],
-            twin=twin_v,
+        s_T, *rho, w = exact_values_vec(
+            market, measure, seed, lo, hi, state.t, state.s_t, state.s_block, [market.T],
+            density=under_p, twin=twin_v,
         )
         s_T = s_T[:, 0]
-        y, x = option.payoff(s_T), disc * s_T
-        if twin_mean is None:
-            return y, x
-        return y, x, twin_call_payoff(state.s_t, w, option.strike)
+        if under_p:
+            y, x = rho[0] * option.payoff(s_T), rho[0] * s_T
+        else:
+            y, x = option.payoff(s_T), disc * s_T
+        twin = () if twin_mean is None else (twin_call_payoff(state.s_t, w, option.strike),)
+        return [(y, x, *twin), *((r,) for r in rho)]
 
-    (mean, se, _), discounted = accumulate_controlled_pair(
-        chunk, state.s_t, n_paths, workers, twin_mean=twin_mean
+    control_mean = state.s_t / disc if under_p else state.s_t
+    (mean, se, _), *plain = accumulate_controlled_pair(
+        chunk, control_mean, n_paths, workers, twin_mean=twin_mean
     )
-    result = PricingResult(
-        value=disc * mean, std_error=disc * se, n_paths=n_paths, method="mc"
-    )
-    return result, discounted
+    method = "importance" if under_p else "mc"
+    return PricingResult(disc * mean, disc * se, n_paths, method), plain[-1]
 
 
 def twin_call(market, state, strike):

@@ -129,8 +129,9 @@ def block_integrals_vec(market, s_k, a, b, with_theta=False, with_f=False):
         g_us = g.vec(u, s)
         if np.any(g_us == 0.0):
             raise DomainError("the market price of risk (f - lambda) / g needs g != 0")
-        th = (f.vec(u, s) - rate.rate(u)) / g_us
-        return th * th
+        with np.errstate(over="ignore"):  # the density's covariance check rejects an inf
+            th = (f.vec(u, s) - rate.rate(u)) / g_us
+            return th * th
 
     uses_t = f.compiled.uses_t or g.compiled.uses_t or rate.kind != "constant"
     return g2, f_int, lam_int, _block_integral(theta2, uses_t, s_k, a, b)

@@ -75,9 +75,9 @@ def test_criterion_2_martingale(state_market):
 
 
 def test_criterion_3_density_normalization(state_market, balanced_market):
-    mean, se = density_mean_check(state_market, N_BIG, SEED)
+    mean, se = density_mean_check(state_market, N_BIG, SEED, 1)
     dev = abs(mean - 1.0)
-    mean0, se0 = density_mean_check(balanced_market, 10_000, SEED)
+    mean0, se0 = density_mean_check(balanced_market, 10_000, SEED, 1)
     ok = dev <= 3.0 * se and mean0 == 1.0 and se0 == 0.0
     _report(
         3, "Girsanov density has unit mean", ok,
@@ -89,7 +89,7 @@ def test_criterion_4_estimator_triangle(state_market, atm_option):
     state = MarketState(0.0, state_market.s0)
     mc = price_mc(state_market, atm_option, state, N_BIG, SEED)
     semi = price_semi(state_market, atm_option, state, N_BIG, SEED + 1)
-    imp = importance_price(state_market, atm_option, N_BIG, SEED + 2)
+    imp, _ = importance_price(state_market, atm_option, N_BIG, SEED + 2)
     comb_semi = math.hypot(mc.std_error, semi.std_error)
     comb_imp = math.hypot(mc.std_error, imp.std_error)
     ok = (

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import inspect
 import io
 import json
 import math
@@ -286,7 +287,7 @@ _CHECK_GOLDEN = [
     (["--paths", "65536", "--seed", "364835417"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
-     "density_mean,1.0000398523150613,0.00056136911434967462,pass\n"
+     "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
      "semi_vs_mc,2.5723160710811044e-05,3.280356619515679e-05,pass\n"
      "importance_vs_mc,-0.0045749312900795758,0.0060255846956203604,pass\n"
@@ -295,7 +296,7 @@ _CHECK_GOLDEN = [
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
-     "density_mean,0.9998936443148515,0.00038545576576545554,pass\n"
+     "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
      "semi_vs_mc,1.085025441049936e-05,2.2521771883274508e-05,pass\n"
      "importance_vs_mc,-0.0057438564838889761,0.0041326561054110438,pass\n"
@@ -308,6 +309,25 @@ _CHECK_GOLDEN = [
 def test_check_output_is_unchanged(capsys, argv, expected, workers):
     code, out = _run(capsys, ["check", "--config", STATE, *argv, "--workers", workers])
     assert (code, out) == (cli.EXIT_OK, expected)
+
+
+def test_check_samples_the_p_paths_once(capsys, monkeypatch):
+    # one chunk: every simulation is one exact_values_vec call at each binding
+    exact = paths.exact_values_vec
+    signature = inspect.signature(exact)
+    densities = []
+
+    def counting(*args, **kwargs):
+        densities.append(signature.bind(*args, **kwargs).arguments.get("density", False))
+        return exact(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("delaybs") and getattr(module, "exact_values_vec", None) is exact:
+            monkeypatch.setattr(module, "exact_values_vec", counting)
+    code, _ = _run(capsys, ["check", "--config", STATE, "--paths", str(parallel.CHUNK_SIZE)])
+    assert code == cli.EXIT_OK
+    assert densities.count(True) == 1
+    assert len(densities) == 4  # and Q for the call, semi and the put
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
@@ -390,7 +410,8 @@ def test_extreme_log_moneyness_warns_nothing(capsys, argv, expected):
         warnings.simplefilter("always")  # a warning would print on stderr
         code = cli.main(argv)
     captured = capsys.readouterr()
-    assert code == cli.EXIT_OK
+    # on three paths check's density row (0.9416, SE 0.0040) fails by chance
+    assert code == (cli.EXIT_CHECK_FAILED if argv[0] == "check" else cli.EXIT_OK)
     assert [str(w.message) for w in caught] == []
     assert captured.err == ""
     if expected is not None:

@@ -4,7 +4,7 @@ Under Q each block before t* moves the price by a lognormal factor set by
 g at the block-start price, so a time-0 price is E[kernel(S(t*))], an
 integral over one standard normal per block.  ``_gauss_hermite`` takes
 that integral with a 16-node probabilists' Hermite rule per block, the
-block variances from the scalar Simpson rule on ``market.g`` and the
+block variances from the Simpson rule on ``market.g`` and the
 final block from ``price_classical``.  It shares no code with ``rng`` or
 the path sampler, so it checks every Monte Carlo pricer of the chain.
 """
@@ -12,6 +12,7 @@ the path sampler, so it checks every Monte Carlo pricer of the chain.
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from numpy.polynomial.hermite_e import hermegauss
 
@@ -19,7 +20,7 @@ from delaybs import OptionSpec
 from delaybs.measure import importance_price
 from delaybs.model import block_schedule, load_config, market_from_config
 from delaybs.pricing import MarketState, price_classical, price_mc, price_semi
-from delaybs.quadrature import integrate
+from delaybs.quadrature import DEFAULT_N, integrate, simpson_weights
 
 STATE = Path(__file__).resolve().parents[1] / "configs" / "state_dependent.json"
 NODES, WEIGHTS = hermegauss(16)
@@ -28,7 +29,14 @@ MAX_BLOCKS = 4  # 16^4 = 65,536 leaves
 
 
 def _variance(market, s, a, b):
-    return integrate(lambda u: market.g(u, s) ** 2, a, b)
+    """quadrature.integrate of g(u, s)^2 over [a, b], with g evaluated on
+    all Simpson nodes in one vector call; squared by Python's pow and
+    summed in node order, so that it has the bits of the scalar rule."""
+    xs, ws = simpson_weights(a, b, DEFAULT_N)
+    total = 0.0
+    for w, g in zip(ws, np.broadcast_to(market.g.vec(xs, s), xs.shape)):
+        total += w * float(g) ** 2
+    return total
 
 
 def _gauss_hermite(market, strike):
@@ -86,6 +94,14 @@ def test_the_rule_prices_a_constant_market_in_closed_form():
                                 abs=1e-12 * market.s0)
 
 
+@pytest.mark.parametrize("name", sorted(MARKETS))
+def test_the_vector_variance_has_the_bits_of_the_scalar_rule(name):
+    market = MARKETS[name]
+    for s, a in [(market.s0, 0.0), (177.32983517016106, 0.38932436043347796), (3.5, 0.5)]:
+        scalar = integrate(lambda u: market.g(u, s) ** 2, a, a + market.h)
+        assert _variance(market, s, a, a + market.h) == scalar
+
+
 def _semi(market, kind, seed):
     return price_semi(market, OptionSpec(STRIKE, kind), MarketState(0.0, market.s0), PATHS, seed)
 
@@ -95,7 +111,7 @@ def _mc(market, kind, seed):
 
 
 def _importance(market, kind, seed):
-    return importance_price(market, OptionSpec(STRIKE, kind), PATHS, seed)
+    return importance_price(market, OptionSpec(STRIKE, kind), PATHS, seed)[0]
 
 
 # (pricer, kind, seed); the seeds were fixed before the first run.

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from delaybs import CoefficientExpr, OptionSpec
+from delaybs import CoefficientExpr, OptionSpec, parallel
 from delaybs.errors import ContractError, NumericalError
 from delaybs.measure import density_mean_check, importance_price
 from delaybs.model import block_schedule, discount_factor
+from delaybs.parallel import accumulate_moments
 from delaybs.paths import _joint_increments, exact_values_vec
 from delaybs.pricing import MarketState, price_mc, twin_call
 from delaybs.quadrature import block_integrals_vec
@@ -135,33 +136,32 @@ def test_density_needs_whole_blocks_under_p(state_market):
 
 
 def test_density_mean_balanced(balanced_market):
-    mean, se = density_mean_check(balanced_market, 10_000, 1)
+    mean, se = density_mean_check(balanced_market, 10_000, 1, 1)
     assert mean == 1.0
     assert se == 0.0
 
 
 def test_density_mean_constant_coefficients(constant_market):
-    mean, se = density_mean_check(constant_market, 200_000, 2)
+    mean, se = density_mean_check(constant_market, 200_000, 2, 1)
     assert abs(mean - 1.0) < 3.0 * se
 
 
 def test_density_mean_time_dependent_coefficients(time_market):
-    mean, se = density_mean_check(time_market, 100_000, 8)
+    mean, se = density_mean_check(time_market, 100_000, 8, 1)
     assert abs(mean - 1.0) < 3.0 * se
 
 
 def test_importance_equals_mc_when_balanced(balanced_market, atm_option):
     state = MarketState(0.0, balanced_market.s0)
-    imp = importance_price(balanced_market, atm_option, 50_000, 4)
+    imp, _ = importance_price(balanced_market, atm_option, 50_000, 4)
     mc = price_mc(balanced_market, atm_option, state, 50_000, 4)
     assert imp.value == pytest.approx(mc.value, rel=1e-12)
 
 
-def _vanishing_g(market, f):
-    """market with drift f and a volatility whose square underflows to 0."""
-    return dataclasses.replace(
-        market, f=CoefficientExpr.parse(f), g=CoefficientExpr.parse("1e-200")
-    )
+def _vanishing_g(market, f, g="1e-200"):
+    """market with drift f and a volatility whose square underflows, to 0
+    by default."""
+    return dataclasses.replace(market, f=CoefficientExpr.parse(f), g=CoefficientExpr.parse(g))
 
 
 @pytest.mark.filterwarnings("error")
@@ -170,10 +170,10 @@ def test_importance_without_a_twin_on_a_degenerate_balanced_block(state_market, 
     # forward; the twin has no variance, so X is the only control
     market = _vanishing_g(state_market, "0.05")
     assert twin_call(market, MarketState(0.0, market.s0), atm_option.strike)[1] is None
-    imp = importance_price(market, atm_option, 1000, 1)
+    imp, _ = importance_price(market, atm_option, 1000, 1)
     disc = discount_factor(market.rate, 0.0, market.T)
     assert imp.value == pytest.approx(market.s0 - atm_option.strike * disc, rel=1e-12)
-    assert imp.std_error == 0.0
+    assert (imp.value, imp.std_error) == (4.40025181669001, 0.0)
 
 
 @pytest.mark.filterwarnings("error")
@@ -183,9 +183,38 @@ def test_a_covariance_without_variance_is_rejected(state_market, atm_option):
         importance_price(_vanishing_g(state_market, "0.08"), atm_option, 1000, 1)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("g", ["1e-160", "1e-160 + 0*s", "1e-320 + 0*t"])
+def test_a_subnormal_variance_with_a_drift_mismatch_fails_typed(state_market, atm_option, g):
+    # g^2 is subnormal or 0 while f != lambda: theta^2 and c^2 / g^2
+    # overflow, in the scalar and the per-node quadrature alike
+    market = dataclasses.replace(_vanishing_g(state_market, "0.08", g), g_min=1e-300)
+    with pytest.raises(NumericalError, match="covariance"):
+        importance_price(market, atm_option, 1000, 1)
+    with pytest.raises(NumericalError, match="covariance"):
+        density_mean_check(market, 1000, 1, 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("name", ["state_market", "balanced_market"])
+def test_the_density_estimate_has_the_bits_of_its_own_reduction(
+    request, monkeypatch, name, workers
+):
+    # ten chunks of 512 paths, the last one partial
+    monkeypatch.setattr(parallel, "CHUNK_SIZE", 512)
+    market = request.getfixturevalue(name)
+    n, seed = 5000, 13
+    expected = accumulate_moments(lambda lo, hi: _p_terminal(market, seed, lo, hi)[1], n, workers)
+    _, density = importance_price(market, OptionSpec(90.0, "put"), n, seed, workers)
+    assert density == expected
+    assert density_mean_check(market, n, seed, workers) == expected[:2]
+    if name == "balanced_market":
+        assert expected == (1.0, 0.0, n)
+
+
 def test_importance_vs_mc_state_dependent(state_market, atm_option):
     state = MarketState(0.0, state_market.s0)
-    imp = importance_price(state_market, atm_option, 200_000, 5)
+    imp, _ = importance_price(state_market, atm_option, 200_000, 5)
     mc = price_mc(state_market, atm_option, state, 200_000, 6)
     comb = math.hypot(imp.std_error, mc.std_error)
     assert abs(imp.value - mc.value) <= 3.0 * comb
@@ -193,7 +222,7 @@ def test_importance_vs_mc_state_dependent(state_market, atm_option):
 
 def test_importance_zero_strike_recovers_spot(state_market):
     strike = 1e-9
-    imp = importance_price(state_market, OptionSpec(strike, "call"), 200_000, 7)
+    imp, _ = importance_price(state_market, OptionSpec(strike, "call"), 200_000, 7)
     # rho * (S(T) - K) is linear in the control rho * S(T): the price is exact
     disc = discount_factor(state_market.rate, 0.0, state_market.T)
     assert abs(imp.value - (state_market.s0 - strike * disc)) <= 1e-12 * state_market.s0

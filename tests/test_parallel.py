@@ -43,8 +43,8 @@ def test_accumulators_chunk_at_chunk_size_read_when_called(small_chunks):
         seen.append((lo, hi))
         return _pair(lo, hi)
 
-    accumulate_moments(lambda lo, hi: recording(lo, hi)[0], 5000)
-    accumulate_controlled_pair(recording, 0.0, 5000)
+    accumulate_moments(lambda lo, hi: recording(lo, hi)[0], 5000, 1)
+    accumulate_controlled_pair(_controlled(recording), 0.0, 5000)
     assert seen == 2 * parallel.chunk_ranges(5000, 512)
 
 
@@ -54,15 +54,20 @@ def test_merge_is_identical_across_worker_counts(small_chunks):
 
 
 def test_one_path_has_zero_error():
-    assert accumulate_moments(_payoff, 1) == (1e8, 0.0, 1)
+    assert accumulate_moments(_payoff, 1, 1) == (1e8, 0.0, 1)
 
 
 def test_no_paths_is_a_contract_error():
     with pytest.raises(ContractError):
-        accumulate_moments(_payoff, 0)
+        accumulate_moments(_payoff, 0, 1)
 
 
 # --- co-moments and the control variate ---------------------------------------
+
+
+def _controlled(fn):
+    """fn's statistic as the one statistic of a chunk, the controlled one."""
+    return lambda lo, hi: [fn(lo, hi)]
 
 
 def _pair(lo, hi):
@@ -121,13 +126,13 @@ def test_pair_keeps_the_bits_of_each_statistic():
 def test_co_moment_merge_is_identical_across_worker_counts(small_chunks):
     results = {_co_moments(_pair_large_mean, 5000, w) for w in (1, 2, 4)}
     assert len(results) == 1
-    controlled = {accumulate_controlled_pair(_pair, 0.0, 5000, w)[0] for w in (1, 2, 4)}
+    controlled = {accumulate_controlled_pair(_controlled(_pair), 0.0, 5000, w)[0] for w in (1, 2, 4)}
     assert len(controlled) == 1
 
 
 def test_control_matches_the_regression_estimator(small_chunks):
     n, mu = 5000, 0.01
-    mean, se, count = accumulate_controlled_pair(_pair, mu, n)[0]
+    mean, se, count = accumulate_controlled_pair(_controlled(_pair), mu, n)[0]
     y, x = _pair(0, n)
     dy, dx = y - y.mean(), x - x.mean()
     beta = (dy @ dx) / (dx @ dx)
@@ -140,9 +145,9 @@ def test_control_matches_the_regression_estimator(small_chunks):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_control_needs_a_residual_degree_of_freedom(n):
-    controlled = accumulate_controlled_pair(_pair, 5.0, n)[0]
+    controlled = accumulate_controlled_pair(_controlled(_pair), 5.0, n)[0]
     if n <= 2:  # a line fits n <= 2 points exactly: no control, no false 0
-        assert controlled == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], n)
+        assert controlled == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], n, 1)
     else:
         y, x = _pair(0, n)
         beta = float(np.polyfit(x, y, 1)[0])
@@ -155,8 +160,8 @@ def test_control_without_spread_is_the_plain_mean(small_chunks):
         y, _ = _pair(lo, hi)
         return y, np.full(hi - lo, 3.0)
 
-    got = accumulate_controlled_pair(flat, 2.0, 5000)[0]
-    assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000)
+    got = accumulate_controlled_pair(_controlled(flat), 2.0, 5000)[0]
+    assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000, 1)
 
 
 def test_control_reports_non_finite_results():
@@ -164,18 +169,29 @@ def test_control_reports_non_finite_results():
         return np.full(hi - lo, 1e308), _pair(lo, hi)[1]
 
     with pytest.raises(NumericalError):
-        accumulate_controlled_pair(overflowing, 0.0, 100)[0]
+        accumulate_controlled_pair(_controlled(overflowing), 0.0, 100)[0]
 
 
 def test_an_overflowing_control_fails_only_its_reader(small_chunks):
     def flat_payoff(lo, hi):  # S_xx overflows, Y has no spread at all
         return np.zeros(hi - lo), 1e200 * (2.0 + _pair(lo, hi)[1])
 
-    controlled, plain = accumulate_controlled_pair(flat_payoff, 2e200, 5000)
+    controlled, plain = accumulate_controlled_pair(_controlled(flat_payoff), 2e200, 5000)
     assert controlled == (0.0, 0.0, 5000)
     assert plain[1] == np.inf
     with pytest.raises(NumericalError):
         finite(plain)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_further_statistic_has_the_bits_of_its_plain_mean(small_chunks, workers):
+    def with_payoff(lo, hi):
+        return [_pair(lo, hi), (_payoff(lo, hi),)]
+
+    alone = accumulate_controlled_pair(_controlled(_pair), 0.01, 5000, workers)
+    *pair, payoff = accumulate_controlled_pair(with_payoff, 0.01, 5000, workers)
+    assert tuple(pair) == alone
+    assert payoff == accumulate_moments(_payoff, 5000, workers)
 
 
 # --- the twin, a second control ------------------------------------------------
@@ -189,7 +205,7 @@ def _triple(lo, hi):
 
 def test_two_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu = 5000, 0.01, -0.02
-    mean, se, _ = accumulate_controlled_pair(_triple, mu, n, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(_controlled(_triple), mu, n, twin_mean=twin_mu)[0]
     y, x, twin = _triple(0, n)
     design = np.column_stack([np.ones(n), x, twin])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -201,8 +217,8 @@ def test_two_controls_match_the_regression_estimator(small_chunks):
 
 def test_twin_needs_a_residual_degree_of_freedom():
     # at three paths only the first control enters, as without the twin
-    one = accumulate_controlled_pair(lambda lo, hi: _triple(lo, hi)[:2], 5.0, 3)
-    assert accumulate_controlled_pair(_triple, 5.0, 3, twin_mean=7.0) == one
+    one = accumulate_controlled_pair(lambda lo, hi: [_triple(lo, hi)[:2]], 5.0, 3)
+    assert accumulate_controlled_pair(_controlled(_triple), 5.0, 3, twin_mean=7.0) == one
 
 
 @pytest.mark.parametrize("twin", ["flat", "collinear"])
@@ -214,7 +230,7 @@ def test_a_twin_without_residual_spread_enters_at_coefficient_one(small_chunks, 
         return t + 3.0 * x, x, t
 
     twin_mu = 0.75  # the twin's true mean, which the sample does not show
-    mean, se, _ = accumulate_controlled_pair(fn, 0.0, 5000, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(_controlled(fn), 0.0, 5000, twin_mean=twin_mu)[0]
     assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0
 
 

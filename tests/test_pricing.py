@@ -354,7 +354,7 @@ def test_mc_zero_strike_martingale():
     market = _market(g="0.1 + 0.1*s/(1+s)", h=0.25, T=0.9)
     state = MarketState(0.0, 100.0)
     strike = 1e-9
-    mc, (raw, raw_se, _) = price_mc_joint(market, OptionSpec(strike), state, 200_000, 5)
+    mc, (raw, raw_se, _) = price_mc_joint(market, "Q", OptionSpec(strike), state, 200_000, 5)
     # S(T) - K is linear in the control e^{-R} S(T): the price is exact
     exact = 100.0 - strike * discount_factor(market.rate, 0.0, market.T)
     assert abs(mc.value - exact) <= 1e-12 * 100.0
