@@ -31,7 +31,7 @@ from .model import (
     validation_error,
 )
 from .parallel import finite, map_chunks
-from .quadrature import integrate
+from .quadrature import integrate_squares
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -179,7 +179,7 @@ def cmd_price(args):
         # The oracle's own Simpson rule over [t, T], independent of the
         # block integral the closed form uses.
         R = market.rate.integral(args.t, market.T)
-        v = integrate(lambda u: market.g(u, state.s_block) ** 2, args.t, market.T)
+        v = integrate_squares(market.g, state.s_block, args.t, market.T)
         call = pricing.price_classical(spot, args.strike, R, v)
         value = call if args.kind == "call" else pricing.put_price(call, state, option, market)
         result = pricing.PricingResult(value=value, method="classical")

@@ -53,13 +53,15 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     fn(lo, hi) returns the chunk's statistics as :func:`reduce_moments`
     takes them.  The first is the per-path values (y, x) of Y and of a
     control X whose exact mean is ``control_mean``, or (y, x, twin) with
-    a ``twin_mean``, the twin being a second control that approximates Y.
+    a ``twin_mean``, the twin being a second control that approximates Y,
+    or (y, x, twin, x_twin), x_twin being a third control with X's mean.
     Each further statistic is a 1-tuple (z,), reduced on its own.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
-    :func:`reduce_moments` merges, X first.  A control enters only if it
-    leaves a residual degree of freedom and its residual spread after the
-    earlier controls exceeds 1e-12 of its own; the variance is Y's
+    :func:`reduce_moments` merges, in that order.  The j-th control enters
+    only if it leaves a residual degree of freedom with all before it in
+    (n >= j + 2: the third never at n <= 4) and its residual spread after
+    the earlier controls exceeds 1e-12 of its own; the variance is Y's
     residual sum over n - 1 - (controls entered), over n.  With none
     entered the result has the bits :func:`accumulate_moments` gives for
     y.  A residual sum below 1e-12 * S_yy is rounding and counts as 0: a
@@ -76,15 +78,15 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     overflows fails only a caller that reads it.
     """
     [(_, sums, flat), *further] = reduce_moments(fn, n, workers, CHUNK_SIZE)
-    controls = [(control_mean, 0.0)] + ([] if twin_mean is None else [(twin_mean, 1.0)])
     m = len(sums)
+    controls = [(control_mean, 0.0), (twin_mean, 1.0), (control_mean, 0.0)][: m - 1]
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
     for value, (i, j) in zip(flat, _pairs(m)):
         s[i][j] = s[j][i] = value
     dev = [sums[0] / n] + [sums[j] / n - mu for j, (mu, _) in enumerate(controls, 1)]
     entered = 0
     for j, (_, fallback) in enumerate(controls, 1):
-        if n < entered + 3:  # entering would leave no residual degree of freedom
+        if n < j + 2:  # with every earlier control in, it would leave no residual dof
             break
         own = flat[j]
         if s[j][j] > 1e-12 * own:

@@ -80,12 +80,14 @@ class SegmentBuffer:
 DEGENERATE_TOL = 1e-12
 
 
-def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
-    """Correlated (I1, I2) from independent standard normals.
+def _joint_increments(g2, f_int, lam_int, theta_sq, z1, draw_z2):
+    """Correlated (I1, I2) from independent standard normals z1 and
+    z2 = draw_z2().
 
     I1 ~ N(0, g2), I2 ~ N(0, theta_sq), Cov(I1, I2) = f_int - lam_int.
     Degenerate residual variance collapses to perfect correlation, which
-    is exact whenever theta is proportional to g within the block.
+    is exact whenever theta is proportional to g within the block; z2 is
+    drawn only if some lane keeps a residual variance.
     """
     c = f_int - lam_int
     i1 = np.sqrt(g2) * z1
@@ -110,8 +112,10 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, z2):
         )
     resid = np.maximum(theta_sq - cross, 0.0)
     resid = np.where(resid <= DEGENERATE_TOL * theta_sq, 0.0, resid)
-    i2 = np.where(zero, 0.0, c / np.sqrt(g2) * z1 + np.sqrt(resid) * z2)
-    return i1, i2
+    i2 = c / np.sqrt(g2) * z1
+    if resid.any():
+        i2 += np.sqrt(resid) * draw_z2()
+    return i1, np.where(zero, 0.0, i2)
 
 
 def _knots(market, t_start, sample_times):
@@ -221,8 +225,9 @@ def exact_steps(
             w += math.sqrt(v) * z
             twin_drift += lam_int - 0.5 * v
         if density:
-            z2 = rng.normals(seed, k, 1, lo, hi)
-            z, i2 = _joint_increments(g2, f_int, lam_int, theta_sq[0], z, z2)
+            z, i2 = _joint_increments(
+                g2, f_int, lam_int, theta_sq[0], z, lambda: rng.normals(seed, k, 1, lo, hi)
+            )
             log_rho = log_rho - i2 - 0.5 * theta_sq[0]
         else:
             z *= np.sqrt(g2)

@@ -16,9 +16,10 @@ Four routes:
   an independent code path used as an oracle.
 
 Both Monte Carlo routes also control with the Black-Scholes twin of
-their paths (:func:`delaybs.paths.exact_steps`), whose option value is
-known in closed form; where g does not read s the twin is the price
-path itself, so their prices there are exact.
+their paths (:func:`delaybs.paths.exact_steps`): with its option value,
+known in closed form, and with its discounted price, a Q-martingale like
+the price's own.  Where g does not read s the twin is the price path
+itself, so their prices there are exact.
 """
 
 from __future__ import annotations
@@ -170,9 +171,10 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     below the direct Monte Carlo estimator's.
 
     The mean of the per-path values Y is controlled by X = e^{-R(0,t*)}
-    S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t), and by the kernel at the
+    S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t), by the kernel at the
     twin's state and final-block variance, whose mean is the kernel at
-    e^{-R(0,t)} S(t) and the twin's variance over [t, T]: the estimate is
+    e^{-R(0,t)} S(t) and the twin's variance over [t, T], and by the
+    twin's state X~ = e^{-R(0,t*)} S~(t*), whose mean is mu: the estimate is
     Ybar - sum_j beta_j (Xbar_j - mu_j), with the betas fitted on the same
     paths as in :func:`parallel.accumulate_controlled_pair`.  With two
     paths or fewer it is the plain mean of Y.  Estimating the betas adds
@@ -226,10 +228,9 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
         y = bs_call(x, strike, R_T, *bs_betas(log_ratio(x, strike), R_T, v))
         if twin_mean is None:
             return [(y, x)]
-        with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
-            x_twin = np.exp(w)
-            x_twin *= state.s_t * disc_to_star
-        return [(y, x, bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1])))]
+        x_twin = twin_price(state.s_t * disc_to_star, w)
+        twin = bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1]))
+        return [(y, x, twin, x_twin)]
 
     (mean, se, _), _ = accumulate_controlled_pair(
         chunk, state.s_t / grow_t, n_paths, workers, twin_mean=twin_mean
@@ -257,7 +258,8 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     Y = rho_T payoff and X = rho_T S(T), whose P-mean is e^{R(t,T)} S(t).
     The twin's call payoff (S~(T) - K)^+, unweighted and also for puts, so
     that put-call parity holds exactly at a shared seed, is a second
-    control; :func:`twin_call` gives its mean.  The price is disc times
+    control; :func:`twin_call` gives its mean.  The twin's price, as X
+    without rho_T, is a third, of X's mean.  The price is disc times
     the controlled mean of :func:`parallel.accumulate_controlled_pair`.
     Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
     so the two still check each other.  Returns the price and the plain
@@ -276,11 +278,12 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
             density=under_p, twin=twin_v,
         )
         s_T = s_T[:, 0]
+        s_twin = twin_price(state.s_t, w)
         if under_p:
-            y, x = rho[0] * option.payoff(s_T), rho[0] * s_T
+            y, x, x_twin = rho[0] * option.payoff(s_T), rho[0] * s_T, s_twin
         else:
-            y, x = option.payoff(s_T), disc * s_T
-        twin = () if twin_mean is None else (twin_call_payoff(state.s_t, w, option.strike),)
+            y, x, x_twin = option.payoff(s_T), disc * s_T, disc * s_twin
+        twin = () if twin_mean is None else (np.maximum(s_twin - option.strike, 0.0), x_twin)
         return [(y, x, *twin), *((r,) for r in rho)]
 
     control_mean = state.s_t / disc if under_p else state.s_t
@@ -303,13 +306,12 @@ def twin_call(market, state, strike):
     return twin_v, call / discount_factor(market.rate, state.t, market.T)
 
 
-def twin_call_payoff(s_t, log_growth, strike):
-    """(S~(T) - K)^+ per path for the twin s_t * exp(log_growth)."""
+def twin_price(s_t, log_growth):
+    """The twin's price S~ = s_t * exp(log_growth) per path."""
     with np.errstate(over="ignore"):  # an overflow fails the finite check, as a price does
         out = np.exp(log_growth)
         out *= s_t
-    out -= strike
-    return np.maximum(out, 0.0, out=out)
+    return out
 
 
 def price_classical(s, strike, rate_integral, total_variance):

@@ -281,7 +281,8 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 
 # `check` stdout, the cross-estimator rows as the prices controlled by the
-# discounted price and the Black-Scholes twin give them.
+# discounted price, the Black-Scholes twin and the twin's discounted price
+# give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -289,18 +290,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
-     "semi_vs_mc,2.5723160710811044e-05,3.280356619515679e-05,pass\n"
-     "importance_vs_mc,-0.0045749312900795758,0.0060255846956203604,pass\n"
-     "put_parity,5.2483269549874478e-05,3.7677963949982714e-05,pass\n"),
+     "semi_vs_mc,1.8296581417942548e-05,1.9645976283035889e-05,pass\n"
+     "importance_vs_mc,-0.0048670090638527341,0.0051046751682443095,pass\n"
+     "put_parity,3.1725536501880924e-05,2.3448557848181168e-05,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
-     "semi_vs_mc,1.085025441049936e-05,2.2521771883274508e-05,pass\n"
-     "importance_vs_mc,-0.0057438564838889761,0.0041326561054110438,pass\n"
-     "put_parity,2.9365800822134247e-06,2.5852066980293608e-05,pass\n"),
+     "semi_vs_mc,3.7570761488581184e-06,1.3453266440240638e-05,pass\n"
+     "importance_vs_mc,-0.0061700143693332876,0.0034347421403552463,pass\n"
+     "put_parity,-3.0094426195503843e-06,1.6120204285136938e-05,pass\n"),
 ]
 
 
@@ -330,6 +331,71 @@ def test_check_samples_the_p_paths_once(capsys, monkeypatch):
     assert len(densities) == 4  # and Q for the call, semi and the put
 
 
+# The density's second normal (substream 1) is drawn only where a lane
+# keeps residual variance: on the shipped market theta is proportional to
+# g within every block, so no lane does; with an f that reads t every
+# block needs it.  The P paths keep the bits they had when every block
+# drew it (three streams at the importance price's seed).
+_DENSITY_NORMALS = [
+    (None, 0, [0.9007347591568108, 0.9158500486633779, 1.096118200174898],
+     [119.56463088827482, 116.95859859534914, 92.25295452331243]),
+    ("0.08 + 0.1*t", 4, [0.7598998531271837, 0.7276394375363652, 0.9532556361927329],
+     [124.50655523110613, 121.79434983898093, 96.06696085549912]),
+]
+
+
+@pytest.mark.parametrize("f_expr, draws, rho, s_T", _DENSITY_NORMALS, ids=["shipped", "f_of_t"])
+def test_check_draws_the_density_normal_only_where_a_lane_needs_it(
+    capsys, monkeypatch, tmp_path, f_expr, draws, rho, s_T
+):
+    config = STATE if f_expr is None else _config(tmp_path, base=STATE, f_expr=f_expr)
+    market = market_from_config(load_config(config))
+    normals, substeps = rng.normals, []
+
+    def counting(seed, k, substep, lo, hi):
+        substeps.append(substep)
+        return normals(seed, k, substep, lo, hi)
+
+    monkeypatch.setattr(rng, "normals", counting)
+    code, _ = _run(capsys, ["check", "--config", config, "--paths", str(parallel.CHUNK_SIZE),
+                            "--seed", "364835417"])
+    assert code == cli.EXIT_OK
+    assert substeps.count(1) == draws  # one chunk, four blocks
+    got_s, got_rho = paths.exact_values_vec(
+        market, "P", 364835419, 0, 3, 0.0, market.s0, market.s0, [market.T], density=True
+    )
+    assert (got_rho.tolist(), got_s[:, 0].tolist()) == (rho, s_T)
+
+
+# Where g does not read s the twin is the price path, so Y is linear in
+# the controls on every path: exact, with SE 0.  The twin's price equals
+# X up to rounding and never enters, so these keep the bytes they had
+# with two controls.  Two chunks, the last one partial.
+_CONSTANT_GOLDEN = [
+    ("mc", "80", "0", "mc,24.588835443927749,0,70000"),
+    ("mc", "80", "0.3", "mc,23.141328401098885,0,70000"),
+    ("mc", "100", "0", "mc,10.45058357218555,0,70000"),
+    ("mc", "100", "0.3", "mc,8.4153405380348332,0,70000"),
+    ("mc", "120", "0", "mc,3.2474774165608085,0,70000"),
+    ("mc", "120", "0.3", "mc,1.8708641948995637,0,70000"),
+    ("semi", "80", "0", "semi,24.588835443927749,0,70000"),
+    ("semi", "80", "0.3", "semi,23.141328401098871,0,70000"),
+    ("semi", "100", "0", "semi,10.450583572185574,0,70000"),
+    ("semi", "100", "0.3", "semi,8.415340538034819,0,70000"),
+    ("semi", "120", "0", "semi,3.2474774165608205,0,70000"),
+    ("semi", "120", "0.3", "semi,1.8708641948995692,0,70000"),
+]
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("method, strike, t, row", _CONSTANT_GOLDEN)
+def test_constant_market_prices_keep_their_bytes(capsys, method, strike, t, row, workers):
+    code, out = _run(capsys, ["price", "--config", CONSTANT, "--method", method, "--strike",
+                              strike, "--t", t, "--paths", "70000", "--seed", "3",
+                              "--workers", workers])
+    assert (code, out) == (cli.EXIT_OK, f"method,value,std_error,n_paths\n{row}\n")
+
+
 @pytest.mark.parametrize("workers", ["1", "2", "3"])
 def test_semi_output_independent_of_worker_count(capsys, workers):
     # three chunks, the last one partial: the co-moments merge in chunk order
@@ -337,7 +403,7 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7626111314757367,1.3058413364373224e-05,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7626138277879075,7.1498068492017602e-06,140000\n",
     )
 
 
@@ -360,7 +426,7 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.7626053556165147,1.845516672112529e-05,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7626071707354587,1.1405699444017143e-05,140000\n",
     )
 
 

@@ -61,7 +61,10 @@ def test_joint_increments_perfect_correlation():
     theta_sq = np.full(4, 0.0225)
     f_minus_lam = np.sqrt(g2 * theta_sq)  # correlation +1
     z1 = np.array([0.3, -1.2, 0.0, 2.0])
-    z2 = np.array([5.0, 5.0, 5.0, 5.0])  # must be ignored
+
+    def z2():
+        raise AssertionError("no lane has residual variance: z2 must not be drawn")
+
     i1, i2 = _joint_increments(g2, f_minus_lam, 0.0, theta_sq, z1, z2)
     assert np.allclose(i2, np.sqrt(theta_sq) * z1, rtol=1e-12)
 
@@ -70,7 +73,7 @@ def test_joint_increments_rejects_inconsistent_covariance():
     with pytest.raises(Exception, match="covariance"):
         _joint_increments(
             np.array([0.01]), np.array([0.5]), 0.0, np.array([0.0225]),
-            np.array([0.0]), np.array([0.0]),
+            np.array([0.0]), lambda: np.array([0.0]),
         )
 
 
@@ -81,10 +84,9 @@ def test_exponential_martingale_single_block(state_market):
     )
     n = 1_000_000
     z1 = normals(99, 0, 0, 0, n)
-    z2 = normals(99, 0, 1, 0, n)
     _, i2 = _joint_increments(
         np.full(n, float(g2[0])), np.full(n, float(f_int[0])), lam,
-        np.full(n, float(th2[0])), z1, z2,
+        np.full(n, float(th2[0])), z1, lambda: normals(99, 0, 1, 0, n),
     )
     rho = np.exp(-i2 - 0.5 * float(th2[0]))
     se = rho.std() / math.sqrt(n)
@@ -100,7 +102,7 @@ def test_density_chain_telescopes(state_market):
     for k, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
         g2, f_int, lam, th2 = block_integrals_vec(state_market, s, a, b, with_theta=True)
         i1, i2 = _joint_increments(
-            g2, f_int, lam, th2, normals(21, k, 0, 5, 6), normals(21, k, 1, 5, 6)
+            g2, f_int, lam, th2, normals(21, k, 0, 5, 6), lambda: normals(21, k, 1, 5, 6)
         )
         increments.append(float(-i2[0] - 0.5 * th2[0]))
         s = s * np.exp(f_int - 0.5 * g2 + i1)

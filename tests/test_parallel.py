@@ -234,6 +234,60 @@ def test_a_twin_without_residual_spread_enters_at_coefficient_one(small_chunks, 
     assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0
 
 
+# --- the twin's price, a third control of X's mean --------------------------------
+
+
+def _quadruple(lo, hi):
+    ids = np.arange(lo, hi, dtype=float)
+    y, x, twin = _triple(lo, hi)
+    x_twin = x + 0.3 * np.cos(7.0 * ids)
+    return y - 1.5 * x_twin, x, twin, x_twin
+
+
+def test_three_controls_match_the_regression_estimator(small_chunks):
+    n, mu, twin_mu = 5000, 0.01, -0.02
+    got = accumulate_controlled_pair(_controlled(_quadruple), mu, n, twin_mean=twin_mu)[0]
+    y, *controls = _quadruple(0, n)
+    design = np.column_stack([np.ones(n), *controls])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    devs = [c.mean() - m for c, m in zip(controls, [mu, twin_mu, mu])]
+    assert got[0] == pytest.approx(y.mean() - coef[1:] @ devs, rel=1e-12)
+    assert got[1] == pytest.approx(np.sqrt(resid @ resid / (n - 4) / n), rel=1e-9)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_y_linear_in_three_controls_is_exact(small_chunks, workers):
+    def linear(lo, hi):
+        _, x, twin, x_twin = _quadruple(lo, hi)
+        return 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin, x, twin, x_twin
+
+    mean, se, _ = accumulate_controlled_pair(
+        _controlled(linear), 0.25, 5000, workers, twin_mean=-0.5
+    )[0]
+    assert mean == pytest.approx(4.0 + 2.0 * 0.25 - 0.5 * -0.5 + 3.0 * 0.25, rel=1e-12)
+    assert se == 0.0
+
+
+@pytest.mark.parametrize("twin", ["spread", "flat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_a_third_control_never_enters_at_four_paths_or_fewer(n, twin):
+    # with two controls entered a third would leave no residual degree of
+    # freedom; a flat twin enters at coefficient 1, and still X~ stays out
+    def fn(lo, hi):
+        y, x, t, x_twin = _quadruple(lo, hi)
+        return y, x, t if twin == "spread" else np.full(hi - lo, 0.5), x_twin
+
+    two = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:3]], 5.0, n, twin_mean=7.0)
+    assert accumulate_controlled_pair(_controlled(fn), 5.0, n, twin_mean=7.0) == two
+
+
+def test_a_third_control_enters_at_five_paths():
+    two = accumulate_controlled_pair(lambda lo, hi: [_quadruple(lo, hi)[:3]], 5.0, 5,
+                                     twin_mean=7.0)
+    assert accumulate_controlled_pair(_controlled(_quadruple), 5.0, 5, twin_mean=7.0) != two
+
+
 @pytest.mark.parametrize("workers, n, size", [(10**9, 3 * 512, 3), (2, 5 * 512, 2), (4, 513, 2)])
 def test_the_pool_has_no_more_threads_than_chunks(monkeypatch, workers, n, size):
     sizes = []

@@ -36,7 +36,7 @@ from delaybs.pricing import (
     log_ratio,
     price_classical,
     twin_call,
-    twin_call_payoff,
+    twin_price,
 )
 from delaybs.quadrature import block_integrals_vec, integrate
 
@@ -205,7 +205,10 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
         market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
         density=measure == "P", twin=twin_v,
     )
-    assert abs(_se_units(twin_call_payoff(s_t, w, strike), mu)) <= 3.0
+    s_twin = twin_price(s_t, w)
+    assert abs(_se_units(np.maximum(s_twin - strike, 0.0), mu)) <= 3.0
+    # the third control: under either measure the twin grows at the riskless rate
+    assert abs(_se_units(s_twin, s_t * math.exp(R))) <= 3.0
 
 
 @pytest.mark.parametrize("case", ["steep_g", "inside_a_block"])

@@ -12,6 +12,7 @@ from delaybs.quadrature import (
     block_integrals_vec,
     block_moments,
     integrate,
+    integrate_squares,
     simpson_weights,
 )
 
@@ -58,6 +59,29 @@ def test_error_carries_abscissa():
 
     with pytest.raises(ValueError, match="while integrating at t="):
         integrate(bad, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("source", ["0.2", "0.1 + 0.1*s/(1+s)", "0.2 + 0.1*t*t",
+                                    "0.05 + 20/s + exp(-t)*s/1000", "min(0.3, 0.1 + t)"])
+@pytest.mark.parametrize("s, a, b", [(100.0, 0.0, 0.25), (3.5, 0.38932436043347796, 0.9),
+                                     (177.3, 0.5, 0.5)])
+def test_squares_have_the_bits_of_the_scalar_rule(source, s, a, b):
+    g = CoefficientExpr.parse(source)
+    assert integrate_squares(g, s, a, b) == integrate(lambda u: g(u, s) ** 2, a, b)
+
+
+@pytest.mark.parametrize("source, s, a, b", [
+    ("0.2 + log(s - 0.5)", 0.3, 0.0, 1.0),  # every node faults
+    ("0.2 + 1/(t - 0.5) + sqrt(0.75 - t)", 1.0, 0.0, 1.0),  # a middle node first
+    ("0.2", 1.0, 1.0, 0.5),  # a reversed interval
+])
+def test_squares_raise_as_the_scalar_rule(source, s, a, b):
+    g = CoefficientExpr.parse(source)
+    with pytest.raises(Exception) as scalar:
+        integrate(lambda u: g(u, s) ** 2, a, b)
+    with pytest.raises(type(scalar.value)) as vector:
+        integrate_squares(g, s, a, b)
+    assert str(vector.value) == str(scalar.value)
 
 
 def test_block_moments_is_the_one_path_block_integral(state_market):
