@@ -370,6 +370,9 @@ def _keep_heap():
 def main(argv=None):
     _keep_heap()
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in parser.subcommands:
+        argv = argv[1:]  # "--" ends the options of a top level that has none
     try:
         args = _parse_args(parser, argv)
     except SystemExit as exc:

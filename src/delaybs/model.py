@@ -338,6 +338,8 @@ class Violation:
 VALIDATION_T_POINTS = 129
 VALIDATION_S_POINTS = 65
 
+G_SQUARE_LIMIT = math.sqrt(np.finfo(float).max)  # the largest |g| whose square is finite
+
 
 def validation_grid(market):
     """The (times, prices) validation grid of ``market``, as read-only arrays.
@@ -363,7 +365,7 @@ def validate_market(market):
     """Evaluate f and g over the validation grid; return all violations.
 
     An empty list means the market is valid: both coefficients evaluate
-    without a fault, are finite everywhere on the grid and |g| >= g_min.
+    without a fault, are finite everywhere on the grid, g_min <= |g| and g*g is finite.
     Each coefficient is evaluated once, in checked mode, on the part of
     the grid where it can vary: every grid point if it uses both ``t``
     and ``s``, every price if it uses only ``s``, every time if it uses
@@ -381,9 +383,11 @@ def validate_market(market):
         bad = np.zeros((len(t), len(s)), bool)
         for mask, _, _ in faults:
             bad |= mask
-        bad |= ~np.isfinite(value)
-        if name == "g":
-            bad |= np.abs(value) < market.g_min
+        if name == "g":  # |g| <= G_SQUARE_LIMIT is also false where g is NaN or infinite
+            size = np.abs(value)
+            bad |= ~(size <= G_SQUARE_LIMIT) | (size < market.g_min)
+        else:
+            bad |= ~np.isfinite(value)
         problems = {}
         if bad.any():
             value, first = np.broadcast_to(value, bad.shape), np.full(bad.shape, -1)
@@ -396,6 +400,8 @@ def validate_market(market):
                     problems[i, j] = math.nan, f"{name} failed to evaluate: {fault}"
                 elif not math.isfinite(v):
                     problems[i, j] = v, f"{name} is non-finite"
+                elif abs(v) > G_SQUARE_LIMIT:
+                    problems[i, j] = v, "g squared is non-finite"
                 else:
                     problems[i, j] = v, f"|g| below g_min={market.g_min}"
         found.append((uses, problems))

@@ -46,7 +46,7 @@ def accumulate_moments(fn, n, workers):
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
+def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, digital_mean=None):
     """Mean and standard error of Y with controls of known mean, and the
     plain estimates of the other statistics, from one reduction.
 
@@ -54,14 +54,17 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     takes them.  The first is the per-path values (y, x) of Y and of a
     control X whose exact mean is ``control_mean``, or (y, x, twin) with
     a ``twin_mean``, the twin being a second control that approximates Y,
-    or (y, x, twin, x_twin), x_twin being a third control with X's mean.
-    Each further statistic is a 1-tuple (z,), reduced on its own.
+    or (y, x, twin, x_twin), x_twin being a third control with X's mean,
+    or (y, x, twin, x_twin, d) with a ``digital_mean``, d being the twin's
+    digital.  Each further statistic is a 1-tuple (z,), reduced on its own.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
     :func:`reduce_moments` merges, in that order.  The j-th control enters
     only if it leaves a residual degree of freedom with all before it in
-    (n >= j + 2: the third never at n <= 4) and its residual spread after
-    the earlier controls exceeds 1e-12 of its own; the variance is Y's
+    (n >= j + 2: the third never at n <= 4, the fourth never at n <= 5)
+    and its residual spread after the earlier controls exceeds 1e-12 of
+    its own; the fourth, which could only fit rounding, also stays out
+    once Y's residual sum is at rounding.  The variance is Y's
     residual sum over n - 1 - (controls entered), over n.  With none
     entered the result has the bits :func:`accumulate_moments` gives for
     y.  A residual sum below 1e-12 * S_yy is rounding and counts as 0: a
@@ -79,7 +82,8 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     """
     [(_, sums, flat), *further] = reduce_moments(fn, n, workers, CHUNK_SIZE)
     m = len(sums)
-    controls = [(control_mean, 0.0), (twin_mean, 1.0), (control_mean, 0.0)][: m - 1]
+    controls = [(control_mean, 0.0), (twin_mean, 1.0), (control_mean, 0.0), (digital_mean, 0.0)]
+    controls = controls[: m - 1]
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
     for value, (i, j) in zip(flat, _pairs(m)):
         s[i][j] = s[j][i] = value
@@ -87,6 +91,8 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None):
     entered = 0
     for j, (_, fallback) in enumerate(controls, 1):
         if n < j + 2:  # with every earlier control in, it would leave no residual dof
+            break
+        if j == 4 and s[0][0] <= 1e-12 * flat[0]:  # Y is exact already: D would fit rounding
             break
         own = flat[j]
         if s[j][j] > 1e-12 * own:

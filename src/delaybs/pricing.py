@@ -16,10 +16,11 @@ Four routes:
   an independent code path used as an oracle.
 
 Both Monte Carlo routes also control with the Black-Scholes twin of
-their paths (:func:`delaybs.paths.exact_steps`): with its option value,
-known in closed form, and with its discounted price, a Q-martingale like
-the price's own.  Where g does not read s the twin is the price path
-itself, so their prices there are exact.
+their paths (:func:`delaybs.paths.exact_steps`): with its option value
+and, under Q, its digital, both known in closed form, and with its
+discounted price, a Q-martingale like the price's own.  Where g does not
+read s the twin is the price path itself, so their prices there are
+exact.
 """
 
 from __future__ import annotations
@@ -127,10 +128,14 @@ def bs_betas(log_m, rate_integral, v):
     return beta_plus, beta_minus
 
 
-def bs_call(x, strike, rate_integral, beta_plus, beta_minus):
+def bs_call(x, strike, rate_integral, beta_plus, beta_minus, digital=False):
     """The Black-Scholes call x N(beta_plus) - strike e^{-R} N(beta_minus),
-    for the arguments :func:`bs_betas` forms from log(x / strike)."""
-    return x * ndtr(beta_plus) - strike * ndtr(beta_minus) * math.exp(-rate_integral)
+    for the arguments :func:`bs_betas` forms from log(x / strike).  With
+    ``digital``, the pair (call, N(beta_minus)): the chance, under Q, that
+    the call ends in the money."""
+    in_the_money = ndtr(beta_minus)
+    call = x * ndtr(beta_plus) - strike * in_the_money * math.exp(-rate_integral)
+    return (call, in_the_money) if digital else call
 
 
 def beta_pm(market, option, state):
@@ -173,8 +178,10 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     The mean of the per-path values Y is controlled by X = e^{-R(0,t*)}
     S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t), by the kernel at the
     twin's state and final-block variance, whose mean is the kernel at
-    e^{-R(0,t)} S(t) and the twin's variance over [t, T], and by the
-    twin's state X~ = e^{-R(0,t*)} S~(t*), whose mean is mu: the estimate is
+    e^{-R(0,t)} S(t) and the twin's variance over [t, T], by the twin's
+    state X~ = e^{-R(0,t*)} S~(t*), whose mean is mu, and by the twin's
+    digital, the kernel's N(beta_minus), whose mean is N(beta_minus) at
+    the twin mean's arguments, from the same call.  The estimate is
     Ybar - sum_j beta_j (Xbar_j - mu_j), with the betas fitted on the same
     paths as in :func:`parallel.accumulate_controlled_pair`.  With two
     paths or fewer it is the plain mean of Y.  Estimating the betas adds
@@ -208,11 +215,11 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     strike = option.strike
     # The twin's final-block variance, and its total over [t, T]
     twin_v = twin_variances(market, state.t, state.s_block, [t_star, market.T])
-    twin_mean = None
+    twin_mean = digital_mean = None
     if twin_v[-1] > 0.0:
         x_t = state.s_t / grow_t
         bp, bm = bs_betas(log_ratio(x_t, strike), R_T, sum(twin_v))
-        twin_mean = float(bs_call(x_t, strike, R_T, bp, bm))
+        twin_mean, digital_mean = map(float, bs_call(x_t, strike, R_T, bp, bm, digital=True))
     log_x0k = log_ratio(state.s_t, strike) - market.rate.integral(0.0, t_star)
 
     def chunk(lo, hi):
@@ -229,11 +236,12 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
         if twin_mean is None:
             return [(y, x)]
         x_twin = twin_price(state.s_t * disc_to_star, w)
-        twin = bs_call(x_twin, strike, R_T, *bs_betas(log_x0k + w, R_T, twin_v[-1]))
-        return [(y, x, twin, x_twin)]
+        betas = bs_betas(log_x0k + w, R_T, twin_v[-1])
+        twin, digital = bs_call(x_twin, strike, R_T, *betas, digital=True)
+        return [(y, x, twin, x_twin, digital)]
 
     (mean, se, _), _ = accumulate_controlled_pair(
-        chunk, state.s_t / grow_t, n_paths, workers, twin_mean=twin_mean
+        chunk, state.s_t / grow_t, n_paths, workers, twin_mean, digital_mean
     )
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
@@ -259,7 +267,9 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     The twin's call payoff (S~(T) - K)^+, unweighted and also for puts, so
     that put-call parity holds exactly at a shared seed, is a second
     control; :func:`twin_call` gives its mean.  The twin's price, as X
-    without rho_T, is a third, of X's mean.  The price is disc times
+    without rho_T, is a third, of X's mean.  Under Q the twin's digital
+    1{S~(T) > K}, a bool array, is a fourth, of :func:`twin_call`'s mean
+    N(beta_minus); the P case keeps three.  The price is disc times
     the controlled mean of :func:`parallel.accumulate_controlled_pair`.
     Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
     so the two still check each other.  Returns the price and the plain
@@ -269,7 +279,7 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
-    twin_v, twin_mean = twin_call(market, state, option.strike)
+    twin_v, twin_mean, digital_mean = twin_call(market, state, option.strike)
     under_p = measure == "P"
 
     def chunk(lo, hi):
@@ -284,26 +294,30 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
         else:
             y, x, x_twin = option.payoff(s_T), disc * s_T, disc * s_twin
         twin = () if twin_mean is None else (np.maximum(s_twin - option.strike, 0.0), x_twin)
-        return [(y, x, *twin), *((r,) for r in rho)]
+        digital = (s_twin > option.strike,) if twin and not under_p else ()
+        return [(y, x, *twin, *digital), *((r,) for r in rho)]
 
     control_mean = state.s_t / disc if under_p else state.s_t
     (mean, se, _), *plain = accumulate_controlled_pair(
-        chunk, control_mean, n_paths, workers, twin_mean=twin_mean
+        chunk, control_mean, n_paths, workers, twin_mean, digital_mean
     )
     method = "importance" if under_p else "mc"
     return PricingResult(disc * mean, disc * se, n_paths, method), plain[-1]
 
 
 def twin_call(market, state, strike):
-    """The Black-Scholes twin's knot variances from ``state`` to T, and
-    its undiscounted call value E(S~(T) - K)^+, or None when the twin
-    has no variance over [t, T]."""
+    """The Black-Scholes twin's knot variances from ``state`` to T, its
+    undiscounted call value E(S~(T) - K)^+ and its digital Q(S~(T) > K) =
+    N(beta_minus), or None for both when the twin has no variance over
+    [t, T]."""
     twin_v = twin_variances(market, state.t, state.s_block, [market.T])
     if not sum(twin_v) > 0.0:
-        return twin_v, None
+        return twin_v, None, None
     rate_integral = market.rate.integral(state.t, market.T)
     call = price_classical(state.s_t, strike, rate_integral, sum(twin_v))
-    return twin_v, call / discount_factor(market.rate, state.t, market.T)
+    _, beta_minus = bs_betas(log_ratio(state.s_t, strike), rate_integral, sum(twin_v))
+    digital = norm_cdf(beta_minus)
+    return twin_v, call / discount_factor(market.rate, state.t, market.T), digital
 
 
 def twin_price(s_t, log_growth):

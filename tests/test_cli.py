@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from delaybs import cli, parallel, paths, rng
+from delaybs import cli, parallel, paths, pricing, rng
 from delaybs.model import (
     block_schedule,
     load_config,
@@ -281,8 +281,8 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 
 # `check` stdout, the cross-estimator rows as the prices controlled by the
-# discounted price, the Black-Scholes twin and the twin's discounted price
-# give them.
+# discounted price, the Black-Scholes twin, the twin's discounted price and,
+# under Q, the twin's digital give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -290,18 +290,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
-     "semi_vs_mc,1.8296581417942548e-05,1.9645976283035889e-05,pass\n"
-     "importance_vs_mc,-0.0048670090638527341,0.0051046751682443095,pass\n"
-     "put_parity,3.1725536501880924e-05,2.3448557848181168e-05,pass\n"),
+     "semi_vs_mc,5.3700902817865881e-06,1.4003445213038707e-05,pass\n"
+     "importance_vs_mc,-0.0048820187207443411,0.0051046612454996847,pass\n"
+     "put_parity,4.6830922606488912e-06,1.6361839779025644e-05,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
-     "semi_vs_mc,3.7570761488581184e-06,1.3453266440240638e-05,pass\n"
-     "importance_vs_mc,-0.0061700143693332876,0.0034347421403552463,pass\n"
-     "put_parity,-3.0094426195503843e-06,1.6120204285136938e-05,pass\n"),
+     "semi_vs_mc,1.027989529767126e-05,9.5696745089354838e-06,pass\n"
+     "importance_vs_mc,-0.0061646044567549296,0.0034347324305407391,pass\n"
+     "put_parity,7.2077633115341655e-06,1.1228398873867563e-05,pass\n"),
 ]
 
 
@@ -403,7 +403,7 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7626138277879075,7.1498068492017602e-06,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7626131145027024,5.3381605019471537e-06,140000\n",
     )
 
 
@@ -426,8 +426,35 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.7626071707354587,1.1405699444017143e-05,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7626017608228803,7.9616993137490226e-06,140000\n",
     )
+
+
+def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, digital_mean=None):
+    """``accumulate_controlled_pair`` without the digital, the fourth control."""
+    def first_four(lo, hi):
+        first, *further = fn(lo, hi)
+        return [first[:4], *further]
+
+    return parallel.accumulate_controlled_pair(first_four, control_mean, n, workers, twin_mean)
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+@pytest.mark.parametrize("n", ["5", "6", "7", "1000", "70000"])
+@pytest.mark.parametrize("method", ["mc", "semi"])
+def test_constant_market_prices_ignore_the_digital(capsys, monkeypatch, method, n, workers):
+    # Y is exact once the first controls are in, so the digital, which
+    # could only fit the rounding left over, never enters: every call and
+    # put keeps the bytes, and the SE of 0, that three controls give it
+    argvs = [
+        ["price", "--config", CONSTANT, "--method", method, "--strike", strike, "--t", t,
+         "--kind", kind, "--paths", n, "--seed", "3", "--workers", workers]
+        for strike in ("80", "100", "120") for t in ("0", "0.3") for kind in ("call", "put")
+    ]
+    four = [_run(capsys, argv) for argv in argvs]
+    monkeypatch.setattr(pricing, "accumulate_controlled_pair", _three_controls)
+    assert four == [_run(capsys, argv) for argv in argvs]
+    assert all(code == cli.EXIT_OK and out.split(",")[-2] == "0" for code, out in four)
 
 
 @pytest.mark.parametrize("paths, row", [
@@ -925,6 +952,20 @@ def test_parse_matches_the_top_level_parser(argv):
     assert len(expected) == 2 or expected[0] in (0, 2)
 
 
+@pytest.mark.parametrize("argv", [
+    ["price", *_QUOTE, "--t", "0.8"],
+    ["simulate", "--config", FIXED, "--scheme", "em", "--dt", "0.25", "--paths", "2"],
+    ["hedge", "--config", STATE, "--strike", "100", "--ladder", "4", "--paths", "3"],
+    ["check", "--config", STATE, "--paths", "3"],
+    ["convergence", "--config", FIXED, "--steps", "8,16", "--paths", "3"],
+    ["price", "--config", STATE, "--method", "closed"],  # a usage error all the same
+], ids=lambda argv: argv[0])
+def test_a_leading_double_dash_before_a_subcommand_is_dropped(argv):
+    # "--" ends the top level's options, and it has none: `delaybs -- price
+    # ...` is `delaybs price ...`
+    assert _call(["--", *argv]) == _call(argv)
+
+
 # --- the model cache -----------------------------------------------------------
 
 
@@ -1419,6 +1460,14 @@ _CONFIG_REPROS = [
 def test_config_numbers_are_checked_at_the_boundary(tmp_path, capsys, base, wild, command):
     config = _write_config(tmp_path, base, wild)
     _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+
+
+@pytest.mark.parametrize("command", _MARKET_COMMANDS, ids=lambda c: " ".join(c[:2]))
+def test_a_g_whose_square_overflows_fails_at_the_boundary(tmp_path, capsys, command):
+    # g is finite, so only its square, which every route takes, shows the fault
+    config = _write_config(tmp_path, "state", {"g_expr": "1e200"})
+    line = _fails_with_one_error_line(capsys, [command[0], f"--config={config}", *command[1:]])
+    assert "g squared is non-finite at (t=0, s=1): value 1e+200" in line
 
 
 @pytest.mark.parametrize("command", [_EM, _CONVERGENCE], ids=lambda c: c[0])

@@ -8,6 +8,7 @@ from delaybs import CoefficientExpr, RateCurve, VariableDelayMarket, coeffexpr
 from delaybs.coeffexpr import EvalError
 from delaybs.errors import ConfigError, DomainError
 from delaybs.model import (
+    G_SQUARE_LIMIT,
     block_schedule,
     discount_factor,
     floor_block,
@@ -168,6 +169,8 @@ def _validate_full_grid(market):
                     continue
                 if not math.isfinite(value):
                     out.append(((t, s), repr(value), f"{name} is non-finite"))
+                elif name == "g" and math.isinf(value * value):
+                    out.append(((t, s), repr(value), "g squared is non-finite"))
                 elif name == "g" and abs(value) < market.g_min:
                     out.append(((t, s), repr(value), f"|g| below g_min={market.g_min}"))
     return out
@@ -253,6 +256,15 @@ def test_validate_matches_full_grid_reference(f_expr, g_expr, g_min):
 def test_validate_matches_full_grid_reference_examples(f_expr, g_expr):
     market = _market(g_expr, f_expr=f_expr, g_min=0.1)
     assert _as_rows(validate_market(market)) == _validate_full_grid(market)
+
+
+def test_the_square_limit_is_the_largest_g_with_a_finite_square():
+    above = math.nextafter(G_SQUARE_LIMIT, math.inf)
+    assert math.isfinite(G_SQUARE_LIMIT * G_SQUARE_LIMIT) and math.isinf(above * above)
+    assert validate_market(_market(repr(G_SQUARE_LIMIT))) == []
+    assert validate_market(_market(f"-{G_SQUARE_LIMIT!r}")) == []
+    [first, *_] = validate_market(_market(repr(above)))
+    assert (first.value, first.message) == (above, "g squared is non-finite")
 
 
 @pytest.mark.parametrize(

@@ -288,6 +288,71 @@ def test_a_third_control_enters_at_five_paths():
     assert accumulate_controlled_pair(_controlled(_quadruple), 5.0, 5, twin_mean=7.0) != two
 
 
+# --- the twin's digital, a fourth control --------------------------------------
+
+
+def _quintuple(lo, hi):
+    ids = np.arange(lo, hi, dtype=float)
+    y, x, twin, x_twin = _quadruple(lo, hi)
+    digital = np.sin(11.0 * ids) > 0.2  # a bool array, as price_mc_joint passes it
+    return y + 0.7 * digital, x, twin, x_twin, digital
+
+
+def test_four_controls_match_the_regression_estimator(small_chunks):
+    n, mu, twin_mu, digital_mu = 5000, 0.01, -0.02, 0.4
+    got = accumulate_controlled_pair(_controlled(_quintuple), mu, n, 1, twin_mu, digital_mu)[0]
+    y, *controls = _quintuple(0, n)
+    design = np.column_stack([np.ones(n), *controls])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    devs = [c.mean() - m for c, m in zip(controls, [mu, twin_mu, mu, digital_mu])]
+    assert got[0] == pytest.approx(y.mean() - coef[1:] @ devs, rel=1e-12)
+    assert got[1] == pytest.approx(np.sqrt(resid @ resid / (n - 5) / n), rel=1e-9)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_y_linear_in_four_controls_is_exact(small_chunks, workers):
+    def linear(lo, hi):
+        _, x, twin, x_twin, digital = _quintuple(lo, hi)
+        return 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin - 1.5 * digital, x, twin, x_twin, digital
+
+    mean, se, _ = accumulate_controlled_pair(_controlled(linear), 0.25, 5000, workers, -0.5, 0.4)[0]
+    assert mean == pytest.approx(4.0 + 2.0 * 0.25 - 0.5 * -0.5 + 3.0 * 0.25 - 1.5 * 0.4, rel=1e-12)
+    assert se == 0.0
+
+
+@pytest.mark.parametrize("twin", ["spread", "flat"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_a_fourth_control_never_enters_at_five_paths_or_fewer(n, twin):
+    # with three controls entered the digital would leave no residual degree of freedom
+    def fn(lo, hi):
+        y, x, t, x_twin, digital = _quintuple(lo, hi)
+        return y, x, t if twin == "spread" else np.full(hi - lo, 0.5), x_twin, digital
+
+    three = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:4]], 5.0, n, 1, 7.0)
+    assert accumulate_controlled_pair(_controlled(fn), 5.0, n, 1, 7.0, 0.3) == three
+
+
+def test_a_fourth_control_enters_at_six_paths():
+    three = accumulate_controlled_pair(lambda lo, hi: [_quintuple(lo, hi)[:4]], 5.0, 6, 1, 7.0)
+    assert accumulate_controlled_pair(_controlled(_quintuple), 5.0, 6, 1, 7.0, 0.3) != three
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_a_fourth_control_never_enters_once_y_is_exact(small_chunks, workers):
+    # Y is linear in the first three controls but for a term whose residual
+    # sum is 1e-16 of S_yy, below the 1e-12 that counts as rounding: Y is
+    # exact, and the digital, though it would fit that term, stays out
+    def fn(lo, hi):
+        _, x, twin, x_twin, digital = _quintuple(lo, hi)
+        y = 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin + 1e-8 * digital
+        return y, x, twin, x_twin, digital
+
+    three = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:4]], 0.25, 5000, workers, -0.5)
+    got = accumulate_controlled_pair(_controlled(fn), 0.25, 5000, workers, -0.5, 0.4)
+    assert got == three and got[0][1] == 0.0
+
+
 @pytest.mark.parametrize("workers, n, size", [(10**9, 3 * 512, 3), (2, 5 * 512, 2), (4, 513, 2)])
 def test_the_pool_has_no_more_threads_than_chunks(monkeypatch, workers, n, size):
     sizes = []

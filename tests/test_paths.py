@@ -34,6 +34,7 @@ from delaybs.pricing import (
     bs_call,
     final_block_start,
     log_ratio,
+    norm_cdf,
     price_classical,
     twin_call,
     twin_price,
@@ -198,7 +199,7 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     strike, R = 100.0, market.rate.integral(t, market.T)
     v = _twin_variance(market, s_block, t, market.T)
     mu = price_classical(s_t, strike, R, v) * math.exp(R)
-    twin_v, twin_mean = twin_call(market, MarketState(t, s_t, s_block), strike)
+    twin_v, twin_mean, _ = twin_call(market, MarketState(t, s_t, s_block), strike)
     assert twin_mean == pytest.approx(mu, rel=1e-9)
     # the importance price reads the P twin beside the density, unweighted
     *_, w = exact_values_vec(
@@ -209,6 +210,26 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     assert abs(_se_units(np.maximum(s_twin - strike, 0.0), mu)) <= 3.0
     # the third control: under either measure the twin grows at the riskless rate
     assert abs(_se_units(s_twin, s_t * math.exp(R))) <= 3.0
+
+
+@pytest.mark.parametrize("case", [*_TWIN_CASES, "time_market"])
+def test_twin_digital_has_its_closed_form_mean(case, time_market):
+    # the fourth control, 1{S~(T) > K}: its mean is N(d2) of the twin's call
+    market, measure, t, s_t, s_block, seed = (
+        (time_market, "Q", 0.0, 100.0, 100.0, 9) if case == "time_market" else _TWIN_CASES[case]
+    )
+    strike, R = 100.0, market.rate.integral(t, market.T)
+    sigma = math.sqrt(_twin_variance(market, s_block, t, market.T))
+    d1 = (log_ratio(s_t, strike) + R) / sigma + 0.5 * sigma  # as price_classical forms them
+    d2 = d1 - sigma
+    twin_v, _, digital = twin_call(market, MarketState(t, s_t, s_block), strike)
+    assert digital == pytest.approx(norm_cdf(d2), rel=1e-9)
+    *_, w = exact_values_vec(
+        market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
+        density=measure == "P", twin=twin_v,
+    )
+    in_the_money = twin_price(s_t, w) > strike
+    assert in_the_money.dtype == bool and abs(_se_units(in_the_money, digital)) <= 3.0
 
 
 @pytest.mark.parametrize("case", ["steep_g", "inside_a_block"])

@@ -379,6 +379,21 @@ def test_mc_put_call_parity_is_exact_at_a_shared_seed(strike, n):
     assert put_mc.std_error == pytest.approx(call_mc.std_error, rel=1e-12, abs=1e-12 * state.s_t)
 
 
+@pytest.mark.parametrize("n", [5, 6, 7, 70_000])
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+def test_mc_put_call_parity_is_exact_with_the_digital(strike, n):
+    # the call and the put share the twin's digital, as they share the
+    # twin's call payoff: from six paths on it enters both, and parity holds
+    market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
+    state = MarketState(0.0, 100.0)
+    put = OptionSpec(strike, "put")
+    call_mc = price_mc(market, OptionSpec(strike), state, n, 19)
+    put_mc = price_mc(market, put, state, n, 19)
+    parity = put_price(call_mc.value, state, put, market)
+    assert abs(put_mc.value - parity) <= 1e-12 * state.s_t
+    assert put_mc.std_error == pytest.approx(call_mc.std_error, rel=1e-12, abs=1e-12 * state.s_t)
+
+
 def test_mc_agrees_with_closed_in_final_block():
     market = _market()
     state = MarketState(0.8, 100.0)
