@@ -46,7 +46,7 @@ def accumulate_moments(fn, n, workers):
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, digital_mean=None):
+def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
     """Mean and standard error of Y with controls of known mean, and the
     plain estimates of the other statistics, from one reduction.
 
@@ -55,16 +55,18 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, d
     control X whose exact mean is ``control_mean``, or (y, x, twin) with
     a ``twin_mean``, the twin being a second control that approximates Y,
     or (y, x, twin, x_twin), x_twin being a third control with X's mean,
-    or (y, x, twin, x_twin, d) with a ``digital_mean``, d being the twin's
-    digital.  Each further statistic is a 1-tuple (z,), reduced on its own.
+    then any later controls, of ``later_means`` in the same order (the
+    twin's digital and Ito term in :func:`pricing.price_semi`, the Ito
+    term alone in :func:`pricing.price_mc_joint`).  Each further statistic
+    is a 1-tuple (z,), reduced on its own.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
     :func:`reduce_moments` merges, in that order.  The j-th control enters
     only if it leaves a residual degree of freedom with all before it in
-    (n >= j + 2: the third never at n <= 4, the fourth never at n <= 5)
+    (n >= j + 2: the third never at n <= 4, the fifth never at n <= 6)
     and its residual spread after the earlier controls exceeds 1e-12 of
-    its own; the fourth, which could only fit rounding, also stays out
-    once Y's residual sum is at rounding.  The variance is Y's
+    its own; a control after the third, which could only fit rounding,
+    also stays out once Y's residual sum is at rounding.  The variance is Y's
     residual sum over n - 1 - (controls entered), over n.  With none
     entered the result has the bits :func:`accumulate_moments` gives for
     y.  A residual sum below 1e-12 * S_yy is rounding and counts as 0: a
@@ -82,17 +84,16 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, d
     """
     [(_, sums, flat), *further] = reduce_moments(fn, n, workers, CHUNK_SIZE)
     m = len(sums)
-    controls = [(control_mean, 0.0), (twin_mean, 1.0), (control_mean, 0.0), (digital_mean, 0.0)]
-    controls = controls[: m - 1]
+    means = [control_mean, twin_mean, control_mean, *later_means][: m - 1]
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
     for value, (i, j) in zip(flat, _pairs(m)):
         s[i][j] = s[j][i] = value
-    dev = [sums[0] / n] + [sums[j] / n - mu for j, (mu, _) in enumerate(controls, 1)]
+    dev = [sums[0] / n] + [sums[j] / n - mu for j, mu in enumerate(means, 1)]
     entered = 0
-    for j, (_, fallback) in enumerate(controls, 1):
+    for j in range(1, len(dev)):
         if n < j + 2:  # with every earlier control in, it would leave no residual dof
             break
-        if j == 4 and s[0][0] <= 1e-12 * flat[0]:  # Y is exact already: D would fit rounding
+        if j > 3 and s[0][0] <= 1e-12 * flat[0]:  # Y is exact already: it would fit rounding
             break
         own = flat[j]
         if s[j][j] > 1e-12 * own:
@@ -103,8 +104,8 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, d
                 dev[i] -= beta * dev[j]
                 for k in later:
                     s[i][k] -= beta * s[j][k]
-        elif fallback and math.isfinite(own):
-            dev[0] -= fallback * dev[j]
+        elif j == 2 and math.isfinite(own):  # the twin, at coefficient 1
+            dev[0] -= dev[j]
     # Rounding leaves about eps * S_yy in the residual sum, of either
     # sign: below 1e-12 * S_yy Y is linear in the controls on every path.
     residual = s[0][0]

@@ -200,7 +200,9 @@ def exact_steps(
     each yield the log-growth log(S~/s_start) of the Black-Scholes twin:
     the same normals z with g frozen once at ``s_block``, so each knot
     adds sqrt(v~) z to W~ and S~ = s_start exp(Lambda - V~/2 + W~), Lambda
-    being the riskless rate integral under either measure.
+    being the riskless rate integral under either measure.  Then comes the
+    twin's discrete Ito sum I = sum_k W~_{k-1} sqrt(v~_k) z_k, W~ taken
+    before the knot's own increment and without the drift.
     """
     if density and measure != "P":
         raise ContractError(f"the density is sampled under P, not {measure}")
@@ -208,7 +210,7 @@ def exact_steps(
     log_rho = 0.0
     if twin is not None:
         twin_v = iter(twin)
-        w, twin_drift = 0.0, 0.0
+        w, ito, twin_drift = 0.0, 0.0, 0.0
     prev = t_start
     k = block_index(t_start, market.h)
     substep = 0
@@ -222,7 +224,9 @@ def exact_steps(
         z = rng.normals(seed, k, substep, lo, hi)
         if twin is not None:
             v = next(twin_v)
-            w += math.sqrt(v) * z
+            dw = math.sqrt(v) * z
+            ito = ito + w * dw  # W~ before this knot's increment
+            w += dw
             twin_drift += lam_int - 0.5 * v
         if density:
             z, i2 = _joint_increments(
@@ -242,7 +246,8 @@ def exact_steps(
         else:
             substep += 1
         if wanted:
-            extras = ([log_rho] if density else []) + ([] if twin is None else [w + twin_drift])
+            extras = [log_rho] if density else []
+            extras += [] if twin is None else [w + twin_drift, ito]
             yield (s, *extras) if extras else s
         prev = t
 
@@ -264,8 +269,8 @@ def exact_values_vec(
     column per sample time, from :func:`exact_steps`.
 
     With ``density`` or a ``twin`` the result is a tuple of the values and
-    rho, the Girsanov density dQ/dP, or the twin's log-growth, or both,
-    at the last sample time.
+    rho, the Girsanov density dQ/dP, or the twin's log-growth and Ito sum,
+    or all three, at the last sample time.
     """
     out = np.empty((hi - lo, len(sample_times)))
     steps = exact_steps(

@@ -17,10 +17,10 @@ Four routes:
 
 Both Monte Carlo routes also control with the Black-Scholes twin of
 their paths (:func:`delaybs.paths.exact_steps`): with its option value
-and, under Q, its digital, both known in closed form, and with its
-discounted price, a Q-martingale like the price's own.  Where g does not
-read s the twin is the price path itself, so their prices there are
-exact.
+and, under Q, its Ito term (and in ``price_semi`` its digital), all
+known in closed form, and with its discounted price, a Q-martingale like
+the price's own.  Where g does not read s the twin is the price path
+itself, so their prices there are exact.
 """
 
 from __future__ import annotations
@@ -128,14 +128,15 @@ def bs_betas(log_m, rate_integral, v):
     return beta_plus, beta_minus
 
 
-def bs_call(x, strike, rate_integral, beta_plus, beta_minus, digital=False):
+def bs_call(x, strike, rate_integral, beta_plus, beta_minus, legs=False):
     """The Black-Scholes call x N(beta_plus) - strike e^{-R} N(beta_minus),
     for the arguments :func:`bs_betas` forms from log(x / strike).  With
-    ``digital``, the pair (call, N(beta_minus)): the chance, under Q, that
-    the call ends in the money."""
+    ``legs``, the triple (call, N(beta_minus), x N(beta_plus)): the chance,
+    under Q, that the call ends in the money, and its asset leg."""
     in_the_money = ndtr(beta_minus)
-    call = x * ndtr(beta_plus) - strike * in_the_money * math.exp(-rate_integral)
-    return (call, in_the_money) if digital else call
+    asset = x * ndtr(beta_plus)
+    call = asset - strike * in_the_money * math.exp(-rate_integral)
+    return (call, in_the_money, asset) if legs else call
 
 
 def beta_pm(market, option, state):
@@ -179,9 +180,11 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     S(t*), whose Q-mean is mu = e^{-R(0,t)} S(t), by the kernel at the
     twin's state and final-block variance, whose mean is the kernel at
     e^{-R(0,t)} S(t) and the twin's variance over [t, T], by the twin's
-    state X~ = e^{-R(0,t*)} S~(t*), whose mean is mu, and by the twin's
+    state X~ = e^{-R(0,t*)} S~(t*), whose mean is mu, by the twin's
     digital, the kernel's N(beta_minus), whose mean is N(beta_minus) at
-    the twin mean's arguments, from the same call.  The estimate is
+    the twin mean's arguments, from the same call, and by the Ito term
+    I X~ N(beta~_plus), I being the twin's Ito sum to t*, whose mean is
+    :func:`twin_ito_mean`'s.  The estimate is
     Ybar - sum_j beta_j (Xbar_j - mu_j), with the betas fitted on the same
     paths as in :func:`parallel.accumulate_controlled_pair`.  With two
     paths or fewer it is the plain mean of Y.  Estimating the betas adds
@@ -215,15 +218,16 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     strike = option.strike
     # The twin's final-block variance, and its total over [t, T]
     twin_v = twin_variances(market, state.t, state.s_block, [t_star, market.T])
-    twin_mean = digital_mean = None
+    twin_mean = digital_mean = ito_mean = None
     if twin_v[-1] > 0.0:
         x_t = state.s_t / grow_t
         bp, bm = bs_betas(log_ratio(x_t, strike), R_T, sum(twin_v))
-        twin_mean, digital_mean = map(float, bs_call(x_t, strike, R_T, bp, bm, digital=True))
+        twin_mean, digital_mean, _ = map(float, bs_call(x_t, strike, R_T, bp, bm, legs=True))
+        ito_mean = twin_ito_mean(twin_v[:-1], sum(twin_v), x_t, bp)
     log_x0k = log_ratio(state.s_t, strike) - market.rate.integral(0.0, t_star)
 
     def chunk(lo, hi):
-        s_star, w = exact_values_vec(
+        s_star, w, ito = exact_values_vec(
             market, "Q", seed, lo, hi, state.t, state.s_t, state.s_block, [t_star],
             twin=twin_v[:-1],
         )
@@ -237,11 +241,11 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
             return [(y, x)]
         x_twin = twin_price(state.s_t * disc_to_star, w)
         betas = bs_betas(log_x0k + w, R_T, twin_v[-1])
-        twin, digital = bs_call(x_twin, strike, R_T, *betas, digital=True)
-        return [(y, x, twin, x_twin, digital)]
+        twin, digital, asset = bs_call(x_twin, strike, R_T, *betas, legs=True)
+        return [(y, x, twin, x_twin, digital, ito * asset)]
 
     (mean, se, _), _ = accumulate_controlled_pair(
-        chunk, state.s_t / grow_t, n_paths, workers, twin_mean, digital_mean
+        chunk, state.s_t / grow_t, n_paths, workers, twin_mean, digital_mean, ito_mean
     )
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
@@ -267,9 +271,10 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     The twin's call payoff (S~(T) - K)^+, unweighted and also for puts, so
     that put-call parity holds exactly at a shared seed, is a second
     control; :func:`twin_call` gives its mean.  The twin's price, as X
-    without rho_T, is a third, of X's mean.  Under Q the twin's digital
-    1{S~(T) > K}, a bool array, is a fourth, of :func:`twin_call`'s mean
-    N(beta_minus); the P case keeps three.  The price is disc times
+    without rho_T, is a third, of X's mean.  Under Q the Ito term
+    I X~ 1{S~(T) > K}, I being the twin's Ito sum and X~ its discounted
+    price, is a fourth, of :func:`twin_call`'s mean; it too is call-side
+    for puts.  The P case keeps three.  The price is disc times
     the controlled mean of :func:`parallel.accumulate_controlled_pair`.
     Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
     so the two still check each other.  Returns the price and the plain
@@ -279,11 +284,11 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     if state.t >= market.T:
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
-    twin_v, twin_mean, digital_mean = twin_call(market, state, option.strike)
+    twin_v, twin_mean, ito_mean = twin_call(market, state, option.strike)
     under_p = measure == "P"
 
     def chunk(lo, hi):
-        s_T, *rho, w = exact_values_vec(
+        s_T, *rho, w, ito = exact_values_vec(
             market, measure, seed, lo, hi, state.t, state.s_t, state.s_block, [market.T],
             density=under_p, twin=twin_v,
         )
@@ -294,12 +299,13 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
         else:
             y, x, x_twin = option.payoff(s_T), disc * s_T, disc * s_twin
         twin = () if twin_mean is None else (np.maximum(s_twin - option.strike, 0.0), x_twin)
-        digital = (s_twin > option.strike,) if twin and not under_p else ()
-        return [(y, x, *twin, *digital), *((r,) for r in rho)]
+        if twin and not under_p:
+            twin += (ito * np.where(s_twin > option.strike, x_twin, 0.0),)
+        return [(y, x, *twin), *((r,) for r in rho)]
 
     control_mean = state.s_t / disc if under_p else state.s_t
     (mean, se, _), *plain = accumulate_controlled_pair(
-        chunk, control_mean, n_paths, workers, twin_mean, digital_mean
+        chunk, control_mean, n_paths, workers, twin_mean, ito_mean
     )
     method = "importance" if under_p else "mc"
     return PricingResult(disc * mean, disc * se, n_paths, method), plain[-1]
@@ -307,17 +313,30 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
 
 def twin_call(market, state, strike):
     """The Black-Scholes twin's knot variances from ``state`` to T, its
-    undiscounted call value E(S~(T) - K)^+ and its digital Q(S~(T) > K) =
-    N(beta_minus), or None for both when the twin has no variance over
-    [t, T]."""
+    undiscounted call value E(S~(T) - K)^+ and the Q-mean of the Ito term
+    I X~ 1{S~(T) > K}, X~ = e^{-R(t,T)} S~(T) (:func:`twin_ito_mean`), or
+    None for both when the twin has no variance over [t, T]."""
     twin_v = twin_variances(market, state.t, state.s_block, [market.T])
     if not sum(twin_v) > 0.0:
         return twin_v, None, None
     rate_integral = market.rate.integral(state.t, market.T)
     call = price_classical(state.s_t, strike, rate_integral, sum(twin_v))
-    _, beta_minus = bs_betas(log_ratio(state.s_t, strike), rate_integral, sum(twin_v))
-    digital = norm_cdf(beta_minus)
-    return twin_v, call / discount_factor(market.rate, state.t, market.T), digital
+    beta_plus, _ = bs_betas(log_ratio(state.s_t, strike), rate_integral, sum(twin_v))
+    ito_mean = twin_ito_mean(twin_v, sum(twin_v), state.s_t, beta_plus)
+    return twin_v, call / discount_factor(market.rate, state.t, market.T), ito_mean
+
+
+def twin_ito_mean(knot_v, total_v, x0, beta_plus):
+    """The Q-mean of the twin's Ito term I A: I = sum_k W~_{k-1} dW~_k over
+    knots of variances ``knot_v`` (sum V, sum of squares Q), A = X~ 1{S~(T)
+    > K} or its mean given W~, X~ of mean x0 and total variance ``total_v``
+    to T, and beta_plus that of the twin's call mean.  W~^2 = 2 I + sum_k
+    dW~_k^2 gives E[I | W~] = (1 - Q/V^2)(W~^2 - V)/2, and Gaussian
+    integration by parts E[(W~^2 - V) A] = V^2 E[A''(W~)]; one knot gives 0."""
+    v, q, b = sum(knot_v), sum(u * u for u in knot_v), float(beta_plus)
+    spread = (v * v - q) / total_v  # at most V, so it cannot overflow
+    density = math.exp(-0.5 * b * b) / math.sqrt(2.0 * math.pi)
+    return 0.5 * x0 * spread * (total_v * norm_cdf(b) + density * (2.0 * math.sqrt(total_v) - b))
 
 
 def twin_price(s_t, log_growth):

@@ -282,7 +282,7 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 # `check` stdout, the cross-estimator rows as the prices controlled by the
 # discounted price, the Black-Scholes twin, the twin's discounted price and,
-# under Q, the twin's digital give them.
+# under Q, the twin's Ito term (and in semi its digital) give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -290,18 +290,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
-     "semi_vs_mc,5.3700902817865881e-06,1.4003445213038707e-05,pass\n"
-     "importance_vs_mc,-0.0048820187207443411,0.0051046612454996847,pass\n"
-     "put_parity,4.6830922606488912e-06,1.6361839779025644e-05,pass\n"),
+     "semi_vs_mc,-4.2793642052174619e-06,5.2491129375415328e-06,pass\n"
+     "importance_vs_mc,-0.0048921968728770082,0.0051046498690310504,pass\n"
+     "put_parity,7.391312459859023e-07,6.1984592399030804e-06,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
-     "semi_vs_mc,1.027989529767126e-05,9.5696745089354838e-06,pass\n"
-     "importance_vs_mc,-0.0061646044567549296,0.0034347324305407391,pass\n"
-     "put_parity,7.2077633115341655e-06,1.1228398873867563e-05,pass\n"),
+     "semi_vs_mc,2.0230440753721268e-06,3.6078461106477788e-06,pass\n"
+     "importance_vs_mc,-0.0061719814545622143,0.0034347245255358272,pass\n"
+     "put_parity,-3.4053896289520935e-06,4.234321336587556e-06,pass\n"),
 ]
 
 
@@ -403,7 +403,7 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7626131145027024,5.3381605019471537e-06,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7626099939079989,1.9955216780189505e-06,140000\n",
     )
 
 
@@ -426,12 +426,12 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.7626017608228803,7.9616993137490226e-06,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7626091378206876,3.0142270954337889e-06,140000\n",
     )
 
 
-def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, digital_mean=None):
-    """``accumulate_controlled_pair`` without the digital, the fourth control."""
+def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+    """``accumulate_controlled_pair`` without any control after the third."""
     def first_four(lo, hi):
         first, *further = fn(lo, hi)
         return [first[:4], *further]
@@ -443,9 +443,9 @@ def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, digital_mean
 @pytest.mark.parametrize("n", ["5", "6", "7", "1000", "70000"])
 @pytest.mark.parametrize("method", ["mc", "semi"])
 def test_constant_market_prices_ignore_the_digital(capsys, monkeypatch, method, n, workers):
-    # Y is exact once the first controls are in, so the digital, which
-    # could only fit the rounding left over, never enters: every call and
-    # put keeps the bytes, and the SE of 0, that three controls give it
+    # Y is exact once the first controls are in, so the digital and the Ito
+    # term, which could only fit the rounding left over, never enter: every
+    # call and put keeps the bytes, and the SE of 0, that three controls give it
     argvs = [
         ["price", "--config", CONSTANT, "--method", method, "--strike", strike, "--t", t,
          "--kind", kind, "--paths", n, "--seed", "3", "--workers", workers]
@@ -469,6 +469,18 @@ def test_mc_on_the_fewest_paths(capsys, paths, row):
     code, out = _run(capsys, ["price", "--config", STATE, "--method", "mc", "--strike", "100",
                               "--paths", paths])
     assert (code, out) == (cli.EXIT_OK, f"method,value,std_error,n_paths\n{row}\n")
+
+
+@pytest.mark.parametrize("workers", ["1", "3"])
+def test_a_small_mc_sample_reports_its_spread(capsys, workers):
+    # one of the 12 paths ends below the strike; with the twin's digital as
+    # a control that path was singled out and the price read SE 0
+    code, out = _run(capsys, ["price", "--config", STATE, "--method", "mc", "--strike", "80",
+                              "--paths", "12", "--seed", "11", "--workers", workers])
+    assert (code, out) == (
+        cli.EXIT_OK,
+        "method,value,std_error,n_paths\nmc,24.095863474639824,0.0001928680093230099,12\n",
+    )
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "3"])

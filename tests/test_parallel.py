@@ -353,6 +353,35 @@ def test_a_fourth_control_never_enters_once_y_is_exact(small_chunks, workers):
     assert got == three and got[0][1] == 0.0
 
 
+# --- a fifth control, semi's Ito term after its digital ----------------------
+
+
+def _sextuple(lo, hi):
+    ids = np.arange(lo, hi, dtype=float)
+    y, *controls = _quintuple(lo, hi)
+    ito = np.cos(5.0 * ids) * controls[0]  # a float product, as the Ito term is
+    return y + 0.3 * ito, *controls, ito
+
+
+def test_five_controls_match_the_regression_estimator(small_chunks):
+    n, mu, twin_mu, later = 5000, 0.01, -0.02, (0.4, 0.05)
+    got = accumulate_controlled_pair(_controlled(_sextuple), mu, n, 1, twin_mu, *later)[0]
+    y, *controls = _sextuple(0, n)
+    design = np.column_stack([np.ones(n), *controls])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
+    resid = y - design @ coef
+    devs = [c.mean() - m for c, m in zip(controls, [mu, twin_mu, mu, *later])]
+    assert got[0] == pytest.approx(y.mean() - coef[1:] @ devs, rel=1e-12)
+    assert got[1] == pytest.approx(np.sqrt(resid @ resid / (n - 6) / n), rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_a_fifth_control_enters_from_seven_paths(n):
+    four = accumulate_controlled_pair(lambda lo, hi: [_sextuple(lo, hi)[:5]], 5.0, n, 1, 7.0, 0.3)
+    got = accumulate_controlled_pair(_controlled(_sextuple), 5.0, n, 1, 7.0, 0.3, 0.2)
+    assert (got == four) == (n == 6)
+
+
 @pytest.mark.parametrize("workers, n, size", [(10**9, 3 * 512, 3), (2, 5 * 512, 2), (4, 513, 2)])
 def test_the_pool_has_no_more_threads_than_chunks(monkeypatch, workers, n, size):
     sizes = []

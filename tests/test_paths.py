@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from hypothesis import given, settings, strategies as st
 
 from delaybs import (
@@ -37,6 +38,7 @@ from delaybs.pricing import (
     norm_cdf,
     price_classical,
     twin_call,
+    twin_ito_mean,
     twin_price,
 )
 from delaybs.quadrature import block_integrals_vec, integrate
@@ -202,7 +204,7 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     twin_v, twin_mean, _ = twin_call(market, MarketState(t, s_t, s_block), strike)
     assert twin_mean == pytest.approx(mu, rel=1e-9)
     # the importance price reads the P twin beside the density, unweighted
-    *_, w = exact_values_vec(
+    *_, w, _ = exact_values_vec(
         market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
         density=measure == "P", twin=twin_v,
     )
@@ -212,24 +214,62 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     assert abs(_se_units(s_twin, s_t * math.exp(R))) <= 3.0
 
 
-@pytest.mark.parametrize("case", [*_TWIN_CASES, "time_market"])
-def test_twin_digital_has_its_closed_form_mean(case, time_market):
-    # the fourth control, 1{S~(T) > K}: its mean is N(d2) of the twin's call
-    market, measure, t, s_t, s_block, seed = (
+def _ito_mean_by_quadrature(knot_v, total_v, x0, beta_minus):
+    """E[I A] as one integral over W~ ~ N(0, V), V = sum(knot_v): the Ito
+    sum's mean given W~, (1 - Q/V^2)(W~^2 - V)/2, times A(W~) = x0
+    e^{W~ - V/2} times the chance, given W~, that the twin ends in the
+    money, its total variance being ``total_v``.  Unlike twin_ito_mean it
+    takes no derivative of A."""
+    v, q = sum(knot_v), sum(u * u for u in knot_v)
+    rest, sd = total_v - v, math.sqrt(v)
+    c = -beta_minus * math.sqrt(total_v)  # in the money when the twin's total W~ exceeds c
+
+    def integrand(w):
+        itm = float(w > c) if rest == 0.0 else norm_cdf((w - c + rest) / math.sqrt(rest))
+        weight = math.exp(-0.5 * w * w / v) / math.sqrt(2.0 * math.pi * v)
+        return 0.5 * (1.0 - q / v**2) * (w * w - v) * x0 * math.exp(w - 0.5 * v) * itm * weight
+
+    lo = max(c, -12.0 * sd) if rest == 0.0 else -12.0 * sd
+    return quad(integrand, lo, 12.0 * sd, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+
+
+@pytest.mark.parametrize("case", ["shipped_g", "steep_g", "inside_a_block", "time_market"])
+def test_twin_ito_term_has_its_closed_form_mean(case, time_market):
+    # the Ito control E = I A: in mc, I to T and A = X~ 1{S~(T) > K}; in
+    # semi, I to t* and A = X~ N(beta~_plus), the kernel's asset leg, whose
+    # digital N(beta~_minus), semi's fourth control, is checked beside it
+    market, _, t, s_t, s_block, seed = (
         (time_market, "Q", 0.0, 100.0, 100.0, 9) if case == "time_market" else _TWIN_CASES[case]
     )
     strike, R = 100.0, market.rate.integral(t, market.T)
-    sigma = math.sqrt(_twin_variance(market, s_block, t, market.T))
-    d1 = (log_ratio(s_t, strike) + R) / sigma + 0.5 * sigma  # as price_classical forms them
-    d2 = d1 - sigma
-    twin_v, _, digital = twin_call(market, MarketState(t, s_t, s_block), strike)
-    assert digital == pytest.approx(norm_cdf(d2), rel=1e-9)
-    *_, w = exact_values_vec(
-        market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
-        density=measure == "P", twin=twin_v,
+    twin_v, _, mc_mean = twin_call(market, MarketState(t, s_t, s_block), strike)
+    _, beta_minus = bs_betas(log_ratio(s_t, strike), R, sum(twin_v))
+    assert mc_mean == pytest.approx(_ito_mean_by_quadrature(twin_v, sum(twin_v), s_t, beta_minus),
+                                    rel=1e-9)
+    _, w, ito = exact_values_vec(
+        market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [market.T], twin=twin_v
     )
-    in_the_money = twin_price(s_t, w) > strike
-    assert in_the_money.dtype == bool and abs(_se_units(in_the_money, digital)) <= 3.0
+    s_twin = twin_price(s_t, w)
+    values = ito * np.where(s_twin > strike, math.exp(-R) * s_twin, 0.0)
+    assert abs(_se_units(values, mc_mean)) <= 3.0
+
+    t_star = final_block_start(market)
+    semi_v = twin_variances(market, t, s_block, [t_star, market.T])
+    R_star, R_T = market.rate.integral(0.0, t_star), market.rate.integral(0.0, market.T)
+    x_t = s_t * math.exp(-market.rate.integral(0.0, t))
+    beta_plus, beta_minus = bs_betas(log_ratio(x_t, strike), R_T, sum(semi_v))
+    semi_mean = twin_ito_mean(semi_v[:-1], sum(semi_v), x_t, beta_plus)
+    assert semi_mean == pytest.approx(
+        _ito_mean_by_quadrature(semi_v[:-1], sum(semi_v), x_t, beta_minus), rel=1e-9
+    )
+    _, w, ito = exact_values_vec(
+        market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [t_star], twin=semi_v[:-1]
+    )
+    x = s_t * math.exp(-R_star) * np.exp(w)
+    betas = bs_betas(log_ratio(x, strike), R_T, semi_v[-1])
+    _, digital, asset = bs_call(x, strike, R_T, *betas, legs=True)
+    assert abs(_se_units(ito * asset, semi_mean)) <= 3.0
+    assert abs(_se_units(digital, norm_cdf(beta_minus))) <= 3.0
 
 
 @pytest.mark.parametrize("case", ["steep_g", "inside_a_block"])
@@ -238,7 +278,7 @@ def test_twin_kernel_value_has_its_closed_form_mean(case):
     market, _, t, s_t, s_block, seed = _TWIN_CASES[case]
     t_star, strike = final_block_start(market), 100.0
     twin_v = twin_variances(market, t, s_block, [t_star, market.T])
-    *_, w = exact_values_vec(
+    _, w, _ = exact_values_vec(
         market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [t_star], twin=twin_v[:-1]
     )
     R, R_T = market.rate.integral(0.0, t_star), market.rate.integral(0.0, market.T)
@@ -257,7 +297,9 @@ def test_twin_is_the_price_when_g_ignores_s(time_market):
         g=CoefficientExpr.parse("0.2 * (1 + 0.5*t)"), rate=time_market.rate, g_min=0.05,
     )
     twin_v = twin_variances(market, 0.3, 90.0, [0.6, 0.9])
-    values, w = exact_values_vec(market, "Q", 7, 0, 1000, 0.3, 100.0, 90.0, [0.6, 0.9], twin=twin_v)
+    values, w, _ = exact_values_vec(
+        market, "Q", 7, 0, 1000, 0.3, 100.0, 90.0, [0.6, 0.9], twin=twin_v
+    )
     assert values[:, -1] == pytest.approx(100.0 * np.exp(w), rel=1e-13)
 
 

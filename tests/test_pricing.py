@@ -7,9 +7,12 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from delaybs import CoefficientExpr, OptionSpec, RateCurve, VariableDelayMarket
+from delaybs import pricing
 from delaybs.errors import ContractError, DomainError
 from delaybs.measure import importance_price
 from delaybs.model import discount_factor
+from delaybs.parallel import accumulate_controlled_pair
+from delaybs.paths import exact_values_vec, twin_variances
 from delaybs.pricing import (
     MarketState,
     beta_pm,
@@ -25,6 +28,7 @@ from delaybs.pricing import (
     price_semi,
     put_price,
     twin_call,
+    twin_ito_mean,
     _final_block_variance,
 )
 
@@ -382,8 +386,9 @@ def test_mc_put_call_parity_is_exact_at_a_shared_seed(strike, n):
 @pytest.mark.parametrize("n", [5, 6, 7, 70_000])
 @pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
 def test_mc_put_call_parity_is_exact_with_the_digital(strike, n):
-    # the call and the put share the twin's digital, as they share the
-    # twin's call payoff: from six paths on it enters both, and parity holds
+    # the call and the put share the twin's Ito term I X~ 1{S~(T) > K}, the
+    # fourth control that replaced the digital, as they share the twin's
+    # call payoff: from six paths on it enters both, and parity holds
     market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
     state = MarketState(0.0, 100.0)
     put = OptionSpec(strike, "put")
@@ -392,6 +397,39 @@ def test_mc_put_call_parity_is_exact_with_the_digital(strike, n):
     parity = put_price(call_mc.value, state, put, market)
     assert abs(put_mc.value - parity) <= 1e-12 * state.s_t
     assert put_mc.std_error == pytest.approx(call_mc.std_error, rel=1e-12, abs=1e-12 * state.s_t)
+
+
+def _without_the_ito_term(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+    """``accumulate_controlled_pair`` without the last control, the Ito term."""
+    def strip(lo, hi):
+        first, *further = fn(lo, hi)
+        return [first[:-1], *further]
+
+    *kept, _ = later_means
+    return accumulate_controlled_pair(strip, control_mean, n, workers, twin_mean, *kept)
+
+
+@pytest.mark.parametrize("n", [7, 8, 1000])
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+def test_the_ito_term_is_zero_and_stays_out_with_one_knot(monkeypatch, strike, n):
+    # from inside the final block (mc) or the block before it (semi) the
+    # twin has one knot to go: its Ito sum is 0 on every path, its mean is
+    # 0 and the prices keep the bits they have without it
+    market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
+    mc_state, semi_state = MarketState(0.8, 104.0, 97.0), MarketState(0.55, 104.0, 97.0)
+    twin_v, _, ito_mean = twin_call(market, mc_state, strike)
+    assert len(twin_v) == 1 and ito_mean == 0.0
+    for state, t_end in ((mc_state, market.T), (semi_state, final_block_start(market))):
+        knot_v = twin_variances(market, state.t, state.s_block, [t_end])
+        *_, ito = exact_values_vec(market, "Q", 3, 0, n, state.t, state.s_t, state.s_block,
+                                   [t_end], twin=knot_v)
+        assert len(knot_v) == 1 and not ito.any()
+    assert twin_ito_mean(knot_v, 2.0 * knot_v[0], 100.0, 0.3) == 0.0
+    option = OptionSpec(strike)
+    prices = [price_mc(market, option, mc_state, n, 5), price_semi(market, option, semi_state, n, 5)]
+    monkeypatch.setattr(pricing, "accumulate_controlled_pair", _without_the_ito_term)
+    assert prices == [price_mc(market, option, mc_state, n, 5),
+                      price_semi(market, option, semi_state, n, 5)]
 
 
 def test_mc_agrees_with_closed_in_final_block():
