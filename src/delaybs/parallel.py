@@ -56,9 +56,9 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *
     a ``twin_mean``, the twin being a second control that approximates Y,
     or (y, x, twin, x_twin), x_twin being a third control with X's mean,
     then any later controls, of ``later_means`` in the same order (the
-    twin's digital and Ito term in :func:`pricing.price_semi`, the Ito
-    term alone in :func:`pricing.price_mc_joint`).  Each further statistic
-    is a 1-tuple (z,), reduced on its own.
+    twin's digital and first-order term in :func:`pricing.price_semi`,
+    that term alone in :func:`pricing.price_mc_joint`).  Each further
+    statistic is a 1-tuple (z,), reduced on its own.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
     :func:`reduce_moments` merges, in that order.  The j-th control enters

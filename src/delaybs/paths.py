@@ -201,8 +201,11 @@ def exact_steps(
     the same normals z with g frozen once at ``s_block``, so each knot
     adds sqrt(v~) z to W~ and S~ = s_start exp(Lambda - V~/2 + W~), Lambda
     being the riskless rate integral under either measure.  Then comes the
-    twin's discrete Ito sum I = sum_k W~_{k-1} sqrt(v~_k) z_k, W~ taken
-    before the knot's own increment and without the drift.
+    twin's tangent sum T = sum_k W~_{k-1} (dW~_k - v~_k), dW~_k = sqrt(v~_k)
+    z_k, W~ taken before the knot's own increment and without the drift:
+    to first order in g's slope the log-gap between price and twin is
+    proportional to T, dW~_k from the volatility's change and -v~_k from
+    the drift's, -(g^2 - g~^2)/2.
     """
     if density and measure != "P":
         raise ContractError(f"the density is sampled under P, not {measure}")
@@ -210,7 +213,7 @@ def exact_steps(
     log_rho = 0.0
     if twin is not None:
         twin_v = iter(twin)
-        w, ito, twin_drift = 0.0, 0.0, 0.0
+        w, tangent, twin_drift = 0.0, 0.0, 0.0
     prev = t_start
     k = block_index(t_start, market.h)
     substep = 0
@@ -225,7 +228,7 @@ def exact_steps(
         if twin is not None:
             v = next(twin_v)
             dw = math.sqrt(v) * z
-            ito = ito + w * dw  # W~ before this knot's increment
+            tangent = tangent + w * (dw - v)  # W~ before this knot's increment
             w += dw
             twin_drift += lam_int - 0.5 * v
         if density:
@@ -247,7 +250,7 @@ def exact_steps(
             substep += 1
         if wanted:
             extras = [log_rho] if density else []
-            extras += [] if twin is None else [w + twin_drift, ito]
+            extras += [] if twin is None else [w + twin_drift, tangent]
             yield (s, *extras) if extras else s
         prev = t
 
@@ -269,8 +272,8 @@ def exact_values_vec(
     column per sample time, from :func:`exact_steps`.
 
     With ``density`` or a ``twin`` the result is a tuple of the values and
-    rho, the Girsanov density dQ/dP, or the twin's log-growth and Ito sum,
-    or all three, at the last sample time.
+    rho, the Girsanov density dQ/dP, or the twin's log-growth and tangent
+    sum, or all three, at the last sample time.
     """
     out = np.empty((hi - lo, len(sample_times)))
     steps = exact_steps(

@@ -282,7 +282,7 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 # `check` stdout, the cross-estimator rows as the prices controlled by the
 # discounted price, the Black-Scholes twin, the twin's discounted price and,
-# under Q, the twin's Ito term (and in semi its digital) give them.
+# under Q, the twin's first-order term (and in semi its digital) give them.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -290,18 +290,18 @@ _CHECK_GOLDEN = [
      "market_validation,0,0,pass\n"
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
-     "semi_vs_mc,-4.2793642052174619e-06,5.2491129375415328e-06,pass\n"
-     "importance_vs_mc,-0.0048921968728770082,0.0051046498690310504,pass\n"
-     "put_parity,7.391312459859023e-07,6.1984592399030804e-06,pass\n"),
+     "semi_vs_mc,-2.1680542676705272e-06,3.1610093439731443e-06,pass\n"
+     "importance_vs_mc,-0.0048928220226809316,0.0051046487053763735,pass\n"
+     "put_parity,4.8001860175617139e-07,3.8158485521760379e-06,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
      "check,estimate,std_error,status\n"
      "market_validation,0,0,pass\n"
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
-     "semi_vs_mc,2.0230440753721268e-06,3.6078461106477788e-06,pass\n"
-     "importance_vs_mc,-0.0061719814545622143,0.0034347245255358272,pass\n"
-     "put_parity,-3.4053896289520935e-06,4.234321336587556e-06,pass\n"),
+     "semi_vs_mc,8.545135052884234e-07,2.1827946008130923e-06,pass\n"
+     "importance_vs_mc,-0.0061729926563334203,0.0034347237109022847,pass\n"
+     "put_parity,-4.9642629207369282e-07,2.5947693215656021e-06,pass\n"),
 ]
 
 
@@ -403,7 +403,7 @@ def test_semi_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nsemi,9.7626099939079989,1.9955216780189505e-06,140000\n",
+        "method,value,std_error,n_paths\nsemi,9.7626103871975758,1.1490751552292526e-06,140000\n",
     )
 
 
@@ -426,7 +426,7 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
                               "--paths", "140000", "--seed", "5", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,9.7626091378206876,3.0142270954337889e-06,140000\n",
+        "method,value,std_error,n_paths\nmc,9.7626101490224588,1.8680155327664938e-06,140000\n",
     )
 
 
@@ -443,9 +443,10 @@ def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, *later_means
 @pytest.mark.parametrize("n", ["5", "6", "7", "1000", "70000"])
 @pytest.mark.parametrize("method", ["mc", "semi"])
 def test_constant_market_prices_ignore_the_digital(capsys, monkeypatch, method, n, workers):
-    # Y is exact once the first controls are in, so the digital and the Ito
-    # term, which could only fit the rounding left over, never enter: every
-    # call and put keeps the bytes, and the SE of 0, that three controls give it
+    # Y is exact once the first controls are in, so the digital and the
+    # first-order term, which could only fit the rounding left over, never
+    # enter: every call and put keeps the bytes, and the SE of 0, that three
+    # controls give it
     argvs = [
         ["price", "--config", CONSTANT, "--method", method, "--strike", strike, "--t", t,
          "--kind", kind, "--paths", n, "--seed", "3", "--workers", workers]
@@ -479,7 +480,7 @@ def test_a_small_mc_sample_reports_its_spread(capsys, workers):
                               "--paths", "12", "--seed", "11", "--workers", workers])
     assert (code, out) == (
         cli.EXIT_OK,
-        "method,value,std_error,n_paths\nmc,24.095863474639824,0.0001928680093230099,12\n",
+        "method,value,std_error,n_paths\nmc,24.096052155267259,9.7627834110234813e-05,12\n",
     )
 
 

@@ -353,14 +353,14 @@ def test_a_fourth_control_never_enters_once_y_is_exact(small_chunks, workers):
     assert got == three and got[0][1] == 0.0
 
 
-# --- a fifth control, semi's Ito term after its digital ----------------------
+# --- a fifth control, semi's first-order term after its digital -------------
 
 
 def _sextuple(lo, hi):
     ids = np.arange(lo, hi, dtype=float)
     y, *controls = _quintuple(lo, hi)
-    ito = np.cos(5.0 * ids) * controls[0]  # a float product, as the Ito term is
-    return y + 0.3 * ito, *controls, ito
+    term = np.cos(5.0 * ids) * controls[0]  # a float product, as the first-order term is
+    return y + 0.3 * term, *controls, term
 
 
 def test_five_controls_match_the_regression_estimator(small_chunks):

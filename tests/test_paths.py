@@ -38,7 +38,7 @@ from delaybs.pricing import (
     norm_cdf,
     price_classical,
     twin_call,
-    twin_ito_mean,
+    twin_tangent_mean,
     twin_price,
 )
 from delaybs.quadrature import block_integrals_vec, integrate
@@ -214,43 +214,52 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     assert abs(_se_units(s_twin, s_t * math.exp(R))) <= 3.0
 
 
-def _ito_mean_by_quadrature(knot_v, total_v, x0, beta_minus):
-    """E[I A] as one integral over W~ ~ N(0, V), V = sum(knot_v): the Ito
-    sum's mean given W~, (1 - Q/V^2)(W~^2 - V)/2, times A(W~) = x0
-    e^{W~ - V/2} times the chance, given W~, that the twin ends in the
-    money, its total variance being ``total_v``.  Unlike twin_ito_mean it
-    takes no derivative of A."""
+def _tangent_mean_by_quadrature(knot_v, total_v, x0, beta_minus):
+    """E[F] as one integral over W~ ~ N(0, V), V = sum(knot_v), the knots
+    to T (mc) or to t* (semi): the tangent sum's mean given W~,
+    (1 - Q/V^2)(W~^2 - V - V W~)/2, times A(W~) = x0 e^{W~ - V/2} times
+    the chance, given W~, that the twin ends in the money, its total
+    variance being ``total_v``; with a final block of variance v~_f to go,
+    plus semi's vega term W~ x0 e^{W~ - V/2} phi(beta~_plus) sqrt(v~_f).
+    Unlike twin_tangent_mean it takes no derivative of A."""
     v, q = sum(knot_v), sum(u * u for u in knot_v)
     rest, sd = total_v - v, math.sqrt(v)
     c = -beta_minus * math.sqrt(total_v)  # in the money when the twin's total W~ exceeds c
 
     def integrand(w):
-        itm = float(w > c) if rest == 0.0 else norm_cdf((w - c + rest) / math.sqrt(rest))
+        x = x0 * math.exp(w - 0.5 * v)
         weight = math.exp(-0.5 * w * w / v) / math.sqrt(2.0 * math.pi * v)
-        return 0.5 * (1.0 - q / v**2) * (w * w - v) * x0 * math.exp(w - 0.5 * v) * itm * weight
+        if rest == 0.0:
+            return 0.5 * (1.0 - q / v**2) * (w * w - v - v * w) * x * float(w > c) * weight
+        beta_plus = (w - c + rest) / math.sqrt(rest)
+        vega = w * x * math.exp(-0.5 * beta_plus**2) * math.sqrt(rest / (2.0 * math.pi))
+        tangent = 0.5 * (1.0 - q / v**2) * (w * w - v - v * w) * x * norm_cdf(beta_plus)
+        return (tangent + vega) * weight
 
     lo = max(c, -12.0 * sd) if rest == 0.0 else -12.0 * sd
     return quad(integrand, lo, 12.0 * sd, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
 @pytest.mark.parametrize("case", ["shipped_g", "steep_g", "inside_a_block", "time_market"])
-def test_twin_ito_term_has_its_closed_form_mean(case, time_market):
-    # the Ito control E = I A: in mc, I to T and A = X~ 1{S~(T) > K}; in
-    # semi, I to t* and A = X~ N(beta~_plus), the kernel's asset leg, whose
-    # digital N(beta~_minus), semi's fourth control, is checked beside it
+def test_twin_first_order_term_has_its_closed_form_mean(case, time_market):
+    # the first-order control F: in mc, T A, T the tangent sum to T and A =
+    # X~ 1{S~(T) > K}; in semi, T A + W~ X~ phi(beta~_plus) sqrt(v~_f), T to
+    # t* and A = X~ N(beta~_plus), the kernel's asset leg, whose digital
+    # N(beta~_minus), semi's fourth control, is checked beside it
     market, _, t, s_t, s_block, seed = (
         (time_market, "Q", 0.0, 100.0, 100.0, 9) if case == "time_market" else _TWIN_CASES[case]
     )
     strike, R = 100.0, market.rate.integral(t, market.T)
     twin_v, _, mc_mean = twin_call(market, MarketState(t, s_t, s_block), strike)
     _, beta_minus = bs_betas(log_ratio(s_t, strike), R, sum(twin_v))
-    assert mc_mean == pytest.approx(_ito_mean_by_quadrature(twin_v, sum(twin_v), s_t, beta_minus),
-                                    rel=1e-9)
-    _, w, ito = exact_values_vec(
+    assert mc_mean == pytest.approx(
+        _tangent_mean_by_quadrature(twin_v, sum(twin_v), s_t, beta_minus), rel=1e-9
+    )
+    _, w, tangent = exact_values_vec(
         market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [market.T], twin=twin_v
     )
     s_twin = twin_price(s_t, w)
-    values = ito * np.where(s_twin > strike, math.exp(-R) * s_twin, 0.0)
+    values = tangent * np.where(s_twin > strike, math.exp(-R) * s_twin, 0.0)
     assert abs(_se_units(values, mc_mean)) <= 3.0
 
     t_star = final_block_start(market)
@@ -258,17 +267,19 @@ def test_twin_ito_term_has_its_closed_form_mean(case, time_market):
     R_star, R_T = market.rate.integral(0.0, t_star), market.rate.integral(0.0, market.T)
     x_t = s_t * math.exp(-market.rate.integral(0.0, t))
     beta_plus, beta_minus = bs_betas(log_ratio(x_t, strike), R_T, sum(semi_v))
-    semi_mean = twin_ito_mean(semi_v[:-1], sum(semi_v), x_t, beta_plus)
+    semi_mean = twin_tangent_mean(semi_v, x_t, beta_plus)
     assert semi_mean == pytest.approx(
-        _ito_mean_by_quadrature(semi_v[:-1], sum(semi_v), x_t, beta_minus), rel=1e-9
+        _tangent_mean_by_quadrature(semi_v[:-1], sum(semi_v), x_t, beta_minus), rel=1e-9
     )
-    _, w, ito = exact_values_vec(
+    _, w, tangent = exact_values_vec(
         market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [t_star], twin=semi_v[:-1]
     )
     x = s_t * math.exp(-R_star) * np.exp(w)
     betas = bs_betas(log_ratio(x, strike), R_T, semi_v[-1])
     _, digital, asset = bs_call(x, strike, R_T, *betas, legs=True)
-    assert abs(_se_units(ito * asset, semi_mean)) <= 3.0
+    brownian = w - market.rate.integral(t, t_star) + 0.5 * sum(semi_v[:-1])
+    vega = brownian * x * np.exp(-0.5 * betas[0] ** 2) * math.sqrt(semi_v[-1] / (2.0 * math.pi))
+    assert abs(_se_units(tangent * asset + vega, semi_mean)) <= 3.0
     assert abs(_se_units(digital, norm_cdf(beta_minus))) <= 3.0
 
 

@@ -28,7 +28,7 @@ from delaybs.pricing import (
     price_semi,
     put_price,
     twin_call,
-    twin_ito_mean,
+    twin_tangent_mean,
     _final_block_variance,
 )
 
@@ -386,9 +386,10 @@ def test_mc_put_call_parity_is_exact_at_a_shared_seed(strike, n):
 @pytest.mark.parametrize("n", [5, 6, 7, 70_000])
 @pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
 def test_mc_put_call_parity_is_exact_with_the_digital(strike, n):
-    # the call and the put share the twin's Ito term I X~ 1{S~(T) > K}, the
-    # fourth control that replaced the digital, as they share the twin's
-    # call payoff: from six paths on it enters both, and parity holds
+    # the call and the put share the twin's first-order term
+    # T X~ 1{S~(T) > K}, the fourth control that replaced the digital, as
+    # they share the twin's call payoff: from six paths on it enters both,
+    # and parity holds
     market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
     state = MarketState(0.0, 100.0)
     put = OptionSpec(strike, "put")
@@ -399,8 +400,8 @@ def test_mc_put_call_parity_is_exact_with_the_digital(strike, n):
     assert put_mc.std_error == pytest.approx(call_mc.std_error, rel=1e-12, abs=1e-12 * state.s_t)
 
 
-def _without_the_ito_term(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
-    """``accumulate_controlled_pair`` without the last control, the Ito term."""
+def _without_the_last_control(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+    """``accumulate_controlled_pair`` without the last control, the first-order term."""
     def strip(lo, hi):
         first, *further = fn(lo, hi)
         return [first[:-1], *further]
@@ -409,27 +410,50 @@ def _without_the_ito_term(fn, control_mean, n, workers=1, twin_mean=None, *later
     return accumulate_controlled_pair(strip, control_mean, n, workers, twin_mean, *kept)
 
 
-@pytest.mark.parametrize("n", [7, 8, 1000])
+@pytest.mark.parametrize("n", [6, 7, 8, 1000])
 @pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
-def test_the_ito_term_is_zero_and_stays_out_with_one_knot(monkeypatch, strike, n):
+def test_one_knot_zeroes_the_tangent_sum_but_not_semis_vega_term(monkeypatch, strike, n):
     # from inside the final block (mc) or the block before it (semi) the
-    # twin has one knot to go: its Ito sum is 0 on every path, its mean is
-    # 0 and the prices keep the bits they have without it
+    # twin has one knot to go, and its tangent sum is 0 on every path.  So
+    # mc's first-order term and its mean are 0, and mc keeps the bits it
+    # has without the term; semi's term is the final block's vega term
+    # alone, of nonzero mean, and as the fifth control it enters from n = 7
     market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
     mc_state, semi_state = MarketState(0.8, 104.0, 97.0), MarketState(0.55, 104.0, 97.0)
-    twin_v, _, ito_mean = twin_call(market, mc_state, strike)
-    assert len(twin_v) == 1 and ito_mean == 0.0
-    for state, t_end in ((mc_state, market.T), (semi_state, final_block_start(market))):
+    twin_v, _, mc_mean = twin_call(market, mc_state, strike)
+    assert len(twin_v) == 1 and mc_mean == 0.0
+    t_star = final_block_start(market)
+    for state, t_end in ((mc_state, market.T), (semi_state, t_star)):
         knot_v = twin_variances(market, state.t, state.s_block, [t_end])
-        *_, ito = exact_values_vec(market, "Q", 3, 0, n, state.t, state.s_t, state.s_block,
-                                   [t_end], twin=knot_v)
-        assert len(knot_v) == 1 and not ito.any()
-    assert twin_ito_mean(knot_v, 2.0 * knot_v[0], 100.0, 0.3) == 0.0
+        *_, tangent = exact_values_vec(market, "Q", 3, 0, n, state.t, state.s_t, state.s_block,
+                                       [t_end], twin=knot_v)
+        assert len(knot_v) == 1 and not tangent.any()
+    semi_v = twin_variances(market, semi_state.t, semi_state.s_block, [t_star, market.T])
+    assert len(semi_v) == 2 and twin_tangent_mean(semi_v, 100.0, 0.3) != 0.0
     option = OptionSpec(strike)
-    prices = [price_mc(market, option, mc_state, n, 5), price_semi(market, option, semi_state, n, 5)]
-    monkeypatch.setattr(pricing, "accumulate_controlled_pair", _without_the_ito_term)
-    assert prices == [price_mc(market, option, mc_state, n, 5),
-                      price_semi(market, option, semi_state, n, 5)]
+    mc = price_mc(market, option, mc_state, n, 5)
+    semi = price_semi(market, option, semi_state, n, 5)
+    monkeypatch.setattr(pricing, "accumulate_controlled_pair", _without_the_last_control)
+    assert mc == price_mc(market, option, mc_state, n, 5)
+    assert (semi == price_semi(market, option, semi_state, n, 5)) == (n < 7)
+
+
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+def test_semis_first_order_mean_is_mcs_at_the_block_start(monkeypatch, strike):
+    # semi's term is the mean of mc's given the state at t*, so at t = 0
+    # with s_block = s_t, where both twins start alike, the means agree
+    market = _market(g="0.05 + 20/s", h=0.25, T=0.9)
+    state = MarketState(0.0, 100.0)
+    _, _, mc_mean = twin_call(market, state, strike)
+    means = []
+
+    def recording(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+        means.append(later_means[-1])
+        return accumulate_controlled_pair(fn, control_mean, n, workers, twin_mean, *later_means)
+
+    monkeypatch.setattr(pricing, "accumulate_controlled_pair", recording)
+    price_semi(market, OptionSpec(strike), state, 8, 5)
+    assert mc_mean != 0.0 and means == [pytest.approx(mc_mean, rel=1e-12)]
 
 
 def test_mc_agrees_with_closed_in_final_block():
