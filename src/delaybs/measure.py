@@ -32,9 +32,9 @@ def importance_price(market, option, n_paths, seed, workers=1):
     and rho_T's plain (mean, standard_error, n) from the same paths.
 
     This is :func:`delaybs.pricing.price_mc_joint` under P from time 0:
-    discount * E_P[rho_T * payoff(S(T))], controlled by rho_T * S(T) and
-    by the Black-Scholes twin's call payoff.  It agrees with the direct Q
-    estimator within combined Monte Carlo error, and equals it when f
-    coincides with the riskless rate (rho_T = 1).
+    discount * E_P[rho_T * payoff(S(T))], controlled by the direct Q
+    estimator's controls weighted by rho_T, which keeps their Q-means.  It
+    agrees with the direct Q estimator within combined Monte Carlo error,
+    and equals it when f coincides with the riskless rate (rho_T = 1).
     """
     return price_mc_joint(market, "P", option, MarketState(0.0, market.s0), n_paths, seed, workers)

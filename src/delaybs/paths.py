@@ -198,11 +198,12 @@ def exact_steps(
 
     ``twin``, the knot variances from :func:`twin_variances`, appends to
     each yield the log-growth log(S~/s_start) of the Black-Scholes twin:
-    the same normals z with g frozen once at ``s_block``, so each knot
+    the price's Q-normals z (with ``density``, z + c / sqrt(g2), c = f -
+    lambda over the block) with g frozen once at ``s_block``, so each knot
     adds sqrt(v~) z to W~ and S~ = s_start exp(Lambda - V~/2 + W~), Lambda
-    being the riskless rate integral under either measure.  Then comes the
-    twin's tangent sum T = sum_k W~_{k-1} (dW~_k - v~_k), dW~_k = sqrt(v~_k)
-    z_k, W~ taken before the knot's own increment and without the drift:
+    the riskless rate integral: under either measure S~ is the Q-twin.
+    Then comes its tangent sum T = sum_k W~_{k-1} (dW~_k - v~_k), dW~_k =
+    sqrt(v~_k) z_k, W~ taken before the knot's own increment, no drift:
     to first order in g's slope the log-gap between price and twin is
     proportional to T, dW~_k from the volatility's change and -v~_k from
     the drift's, -(g^2 - g~^2)/2.
@@ -227,7 +228,10 @@ def exact_steps(
         z = rng.normals(seed, k, substep, lo, hi)
         if twin is not None:
             v = next(twin_v)
-            dw = math.sqrt(v) * z
+            z_q = z  # the price's normal under Q; with the density z + c / sqrt(g2)
+            if density:
+                z_q = z + np.divide(f_int - lam_int, np.sqrt(g2), out=np.zeros_like(g2), where=g2 > 0)
+            dw = math.sqrt(v) * z_q
             tangent = tangent + w * (dw - v)  # W~ before this knot's increment
             w += dw
             twin_drift += lam_int - 0.5 * v

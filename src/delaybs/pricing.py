@@ -17,10 +17,11 @@ Four routes:
 
 Both Monte Carlo routes also control with the Black-Scholes twin of
 their paths (:func:`delaybs.paths.exact_steps`): with its option value
-and, under Q, its first-order term (and in ``price_semi`` its digital), all
-known in closed form, and with its discounted price, a Q-martingale like
-the price's own.  Where g does not read s the twin is the price path
-itself, so their prices there are exact.
+and its first-order term (and in ``price_semi`` its digital), all known
+in closed form, and with its discounted price, a Q-martingale like the
+price's own.  Where g does not read s the twin is the price path itself,
+so their prices there are exact.  The importance price is ``price_mc``'s
+estimate on P-paths, each statistic weighted by rho_T = dQ/dP.
 """
 
 from __future__ import annotations
@@ -271,19 +272,18 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     plain mean of the statistic that checks that measure, from one
     simulation of the terminal prices S(T).
 
-    Under Q (:func:`price_mc`) Y is the payoff and X = e^{-R(t,T)} S(T),
-    whose Q-mean is S(t) exactly: the discounted price is a Q-martingale
-    and the exact sampler draws S(T) without bias.  Under P (the
-    importance price) the paths carry the Girsanov density rho_T = dQ/dP,
-    Y = rho_T payoff and X = rho_T S(T), whose P-mean is e^{R(t,T)} S(t).
-    The twin's call payoff (S~(T) - K)^+, unweighted and also for puts, so
-    that put-call parity holds exactly at a shared seed, is a second
-    control; :func:`twin_call` gives its mean.  The twin's price, as X
-    without rho_T, is a third, of X's mean.  Under Q the first-order term
-    F = T X~ 1{S~(T) > K}, T being the twin's tangent sum and X~ its
-    discounted price, is a fourth, of :func:`twin_call`'s mean; it too is
-    call-side for puts.  The P case keeps three.  The price is disc times
-    the controlled mean of :func:`parallel.accumulate_controlled_pair`.
+    Y is the payoff and X = e^{-R(t,T)} S(T), whose Q-mean is S(t)
+    exactly: the discounted price is a Q-martingale and the exact sampler
+    draws S(T) without bias.  The twin's call payoff (S~(T) - K)^+, also
+    for puts, so that put-call parity holds exactly at a shared seed, is a
+    second control, of :func:`twin_call`'s mean, its discounted price X~ a
+    third, of X's mean, and its first-order term F = T X~ 1{S~(T) > K}, T
+    being its tangent sum, a fourth, of :func:`twin_call`'s mean, also
+    call-side for puts.  Under P (the importance price) the paths carry
+    the Girsanov density rho_T = dQ/dP and the twin reads the price's
+    Q-normals, so each statistic weighted by rho_T keeps its Q-mean,
+    E_P[rho_T Z] = E_Q[Z].  The price is disc times the controlled mean
+    of :func:`parallel.accumulate_controlled_pair`.
     Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
     so the two still check each other.  Returns the price and the plain
     (mean, standard_error, n) of X under Q and of rho_T under P, not
@@ -293,29 +293,25 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
     twin_v, twin_mean, tangent_mean = twin_call(market, state, option.strike)
-    under_p = measure == "P"
 
     def chunk(lo, hi):
         s_T, *rho, w, tangent = exact_values_vec(
             market, measure, seed, lo, hi, state.t, state.s_t, state.s_block, [market.T],
-            density=under_p, twin=twin_v,
+            density=measure == "P", twin=twin_v,
         )
         s_T = s_T[:, 0]
         s_twin = twin_price(state.s_t, w)
-        if under_p:
-            y, x, x_twin = rho[0] * option.payoff(s_T), rho[0] * s_T, s_twin
-        else:
-            y, x, x_twin = option.payoff(s_T), disc * s_T, disc * s_twin
-        twin = () if twin_mean is None else (np.maximum(s_twin - option.strike, 0.0), x_twin)
-        if twin and not under_p:
-            twin += (tangent * np.where(s_twin > option.strike, x_twin, 0.0),)
-        return [(y, x, *twin), *((r,) for r in rho)]
+        x_twin = disc * s_twin
+        stats = (option.payoff(s_T), disc * s_T)
+        if twin_mean is not None:
+            above = np.where(s_twin > option.strike, x_twin, 0.0)
+            stats += (np.maximum(s_twin - option.strike, 0.0), x_twin, tangent * above)
+        return [tuple(rho[0] * z for z in stats) if rho else stats, *((r,) for r in rho)]
 
-    control_mean = state.s_t / disc if under_p else state.s_t
     (mean, se, _), *plain = accumulate_controlled_pair(
-        chunk, control_mean, n_paths, workers, twin_mean, tangent_mean
+        chunk, state.s_t, n_paths, workers, twin_mean, tangent_mean
     )
-    method = "importance" if under_p else "mc"
+    method = "importance" if measure == "P" else "mc"
     return PricingResult(disc * mean, disc * se, n_paths, method), plain[-1]
 
 

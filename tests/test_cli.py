@@ -281,8 +281,9 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 
 
 # `check` stdout, the cross-estimator rows as the prices controlled by the
-# discounted price, the Black-Scholes twin, the twin's discounted price and,
-# under Q, the twin's first-order term (and in semi its digital) give them.
+# discounted price, the Black-Scholes twin, the twin's discounted price and
+# the twin's first-order term (and in semi its digital) give them, weighted
+# by the density under P.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -291,7 +292,7 @@ _CHECK_GOLDEN = [
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
      "semi_vs_mc,-2.1680542676705272e-06,3.1610093439731443e-06,pass\n"
-     "importance_vs_mc,-0.0048928220226809316,0.0051046487053763735,pass\n"
+     "importance_vs_mc,-1.6701882135095047e-06,3.6057623624183749e-06,pass\n"
      "put_parity,4.8001860175617139e-07,3.8158485521760379e-06,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
@@ -300,7 +301,7 @@ _CHECK_GOLDEN = [
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
      "semi_vs_mc,8.545135052884234e-07,2.1827946008130923e-06,pass\n"
-     "importance_vs_mc,-0.0061729926563334203,0.0034347237109022847,pass\n"
+     "importance_vs_mc,7.2866045464081708e-07,2.5368506767428403e-06,pass\n"
      "put_parity,-4.9642629207369282e-07,2.5947693215656021e-06,pass\n"),
 ]
 

@@ -120,6 +120,7 @@ CASES = [
     (_mc, "call", 2702),
     (_importance, "call", 2703),
     (_mc, "put", 2704),
+    (_importance, "put", 2705),
 ]
 
 

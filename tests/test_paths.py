@@ -203,15 +203,17 @@ def test_twin_call_payoff_has_its_closed_form_mean(case, time_market):
     mu = price_classical(s_t, strike, R, v) * math.exp(R)
     twin_v, twin_mean, _ = twin_call(market, MarketState(t, s_t, s_block), strike)
     assert twin_mean == pytest.approx(mu, rel=1e-9)
-    # the importance price reads the P twin beside the density, unweighted
-    *_, w, _ = exact_values_vec(
+    # under P the twin reads the Q-normals beside the density, so that its
+    # rho-weighted statistics have their Q-means: E_P[rho Z] = E_Q[Z]
+    _, *rho, w, _ = exact_values_vec(
         market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
         density=measure == "P", twin=twin_v,
     )
+    weight = rho[0] if rho else 1.0
     s_twin = twin_price(s_t, w)
-    assert abs(_se_units(np.maximum(s_twin - strike, 0.0), mu)) <= 3.0
-    # the third control: under either measure the twin grows at the riskless rate
-    assert abs(_se_units(s_twin, s_t * math.exp(R))) <= 3.0
+    assert abs(_se_units(weight * np.maximum(s_twin - strike, 0.0), mu)) <= 3.0
+    # the third control: under Q the twin grows at the riskless rate
+    assert abs(_se_units(weight * s_twin, s_t * math.exp(R))) <= 3.0
 
 
 def _tangent_mean_by_quadrature(knot_v, total_v, x0, beta_minus):
@@ -240,13 +242,14 @@ def _tangent_mean_by_quadrature(knot_v, total_v, x0, beta_minus):
     return quad(integrand, lo, 12.0 * sd, epsabs=0.0, epsrel=1e-12, limit=200)[0]
 
 
-@pytest.mark.parametrize("case", ["shipped_g", "steep_g", "inside_a_block", "time_market"])
+@pytest.mark.parametrize("case", [*_TWIN_CASES, "time_market"])
 def test_twin_first_order_term_has_its_closed_form_mean(case, time_market):
     # the first-order control F: in mc, T A, T the tangent sum to T and A =
-    # X~ 1{S~(T) > K}; in semi, T A + W~ X~ phi(beta~_plus) sqrt(v~_f), T to
-    # t* and A = X~ N(beta~_plus), the kernel's asset leg, whose digital
-    # N(beta~_minus), semi's fourth control, is checked beside it
-    market, _, t, s_t, s_block, seed = (
+    # X~ 1{S~(T) > K}, weighted by rho under P; in semi, T A + W~ X~
+    # phi(beta~_plus) sqrt(v~_f), T to t* and A = X~ N(beta~_plus), the
+    # kernel's asset leg, whose digital N(beta~_minus), semi's fourth
+    # control, is checked beside it
+    market, measure, t, s_t, s_block, seed = (
         (time_market, "Q", 0.0, 100.0, 100.0, 9) if case == "time_market" else _TWIN_CASES[case]
     )
     strike, R = 100.0, market.rate.integral(t, market.T)
@@ -255,12 +258,15 @@ def test_twin_first_order_term_has_its_closed_form_mean(case, time_market):
     assert mc_mean == pytest.approx(
         _tangent_mean_by_quadrature(twin_v, sum(twin_v), s_t, beta_minus), rel=1e-9
     )
-    _, w, tangent = exact_values_vec(
-        market, "Q", seed, 0, 1 << 16, t, s_t, s_block, [market.T], twin=twin_v
+    _, *rho, w, tangent = exact_values_vec(
+        market, measure, seed, 0, 1 << 16, t, s_t, s_block, [market.T],
+        density=measure == "P", twin=twin_v,
     )
     s_twin = twin_price(s_t, w)
     values = tangent * np.where(s_twin > strike, math.exp(-R) * s_twin, 0.0)
-    assert abs(_se_units(values, mc_mean)) <= 3.0
+    assert abs(_se_units(values * (rho[0] if rho else 1.0), mc_mean)) <= 3.0
+    if measure == "P":  # semi simulates under Q only
+        return
 
     t_star = final_block_start(market)
     semi_v = twin_variances(market, t, s_block, [t_star, market.T])
