@@ -4,7 +4,7 @@ Both read full P-paths and their Girsanov density rho_T = dQ/dP from
 the exact block sampler, :func:`delaybs.paths.exact_values_vec` with
 ``density=True``; :func:`delaybs.paths.exact_steps` documents how the
 two are sampled jointly.  One simulation gives the importance price and
-the plain mean of rho_T.
+the plain mean of rho_T, its last control.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ def importance_price(market, option, n_paths, seed, workers=1):
 
     This is :func:`delaybs.pricing.price_mc_joint` under P from time 0:
     discount * E_P[rho_T * payoff(S(T))], controlled by the direct Q
-    estimator's controls weighted by rho_T, which keeps their Q-means.  It
-    agrees with the direct Q estimator within combined Monte Carlo error,
-    and equals it when f coincides with the riskless rate (rho_T = 1).
+    estimator's controls weighted by rho_T, which keeps their Q-means, and
+    by rho_T, of mean 1, so that put-call parity holds at a shared seed.
+    It agrees with the direct Q estimator within combined Monte Carlo
+    error, and equals it when f coincides with the riskless rate
+    (rho_T = 1).
     """
     return price_mc_joint(market, "P", option, MarketState(0.0, market.s0), n_paths, seed, workers)

@@ -46,19 +46,15 @@ def accumulate_moments(fn, n, workers):
     return finite(_estimate(total / n, m2, n - 1, n))
 
 
-def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+def accumulate_controlled_pair(fn, means, n, workers=1):
     """Mean and standard error of Y with controls of known mean, and the
-    plain estimates of the other statistics, from one reduction.
+    plain estimate of each control, from one reduction.
 
-    fn(lo, hi) returns the chunk's statistics as :func:`reduce_moments`
-    takes them.  The first is the per-path values (y, x) of Y and of a
-    control X whose exact mean is ``control_mean``, or (y, x, twin) with
-    a ``twin_mean``, the twin being a second control that approximates Y,
-    or (y, x, twin, x_twin), x_twin being a third control with X's mean,
-    then any later controls, of ``later_means`` in the same order (the
-    twin's digital and first-order term in :func:`pricing.price_semi`,
-    that term alone in :func:`pricing.price_mc_joint`).  Each further
-    statistic is a 1-tuple (z,), reduced on its own.
+    fn(lo, hi) returns the chunk's per-path values (y, *controls), 1-d
+    arrays, of Y and of each control, whose exact means are ``means``, in
+    order.  Control 2, when a control follows it, is the twin, which
+    approximates Y; :func:`pricing.price_semi` and
+    :func:`pricing.price_mc_joint` list theirs.
     The estimate is Ybar - sum_j beta_j (Xbar_j - mu_j) (Glasserman 2004,
     section 4.1), the betas swept from the co-moments
     :func:`reduce_moments` merges, in that order.  The j-th control enters
@@ -71,26 +67,25 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *
     entered the result has the bits :func:`accumulate_moments` gives for
     y.  A residual sum below 1e-12 * S_yy is rounding and counts as 0: a
     Y linear in the controls is exact, with standard error 0.  A twin
-    that the sample cannot tell from X (every path on one side of the
-    strike, say) enters at coefficient 1 instead, as the difference
-    estimator mean(Y - twin) + twin_mean, so a Y equal to its twin on
+    that the sample cannot tell from control 1 (every path on one side of
+    the strike, say) enters at coefficient 1 instead, as the difference
+    estimator mean(Y - twin) + twin's mean, so a Y equal to its twin on
     every path is exact at any strike.
 
     Returns (mean, standard_error, n) for the controlled estimate of Y's
-    mean, checked by :func:`finite`, then for the sample mean of X and of
-    each further statistic, with the bits :func:`accumulate_moments`
-    gives for it alone, unchecked, so that a statistic whose spread
-    overflows fails only a caller that reads it.
+    mean, checked by :func:`finite`, then for the sample mean of each
+    control, with the bits :func:`accumulate_moments` gives for it alone,
+    unchecked, so that a statistic whose spread overflows fails only a
+    caller that reads it.
     """
-    [(_, sums, flat), *further] = reduce_moments(fn, n, workers, CHUNK_SIZE)
+    [(_, sums, flat)] = reduce_moments(lambda lo, hi: (fn(lo, hi),), n, workers, CHUNK_SIZE)
     m = len(sums)
-    means = [control_mean, twin_mean, control_mean, *later_means][: m - 1]
     s = [[0.0] * m for _ in range(m)]  # the co-moments, swept in place
     for value, (i, j) in zip(flat, _pairs(m)):
         s[i][j] = s[j][i] = value
     dev = [sums[0] / n] + [sums[j] / n - mu for j, mu in enumerate(means, 1)]
     entered = 0
-    for j in range(1, len(dev)):
+    for j in range(1, m):
         if n < j + 2:  # with every earlier control in, it would leave no residual dof
             break
         if j > 3 and s[0][0] <= 1e-12 * flat[0]:  # Y is exact already: it would fit rounding
@@ -104,7 +99,7 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *
                 dev[i] -= beta * dev[j]
                 for k in later:
                     s[i][k] -= beta * s[j][k]
-        elif j == 2 and math.isfinite(own):  # the twin, at coefficient 1
+        elif j == 2 < m - 1 and math.isfinite(own):  # the twin, at coefficient 1
             dev[0] -= dev[j]
     # Rounding leaves about eps * S_yy in the residual sum, of either
     # sign: below 1e-12 * S_yy Y is linear in the controls on every path.
@@ -112,8 +107,7 @@ def accumulate_controlled_pair(fn, control_mean, n, workers=1, twin_mean=None, *
     if entered and residual <= 1e-12 * flat[0]:
         residual = 0.0
     controlled = _estimate(dev[0], residual, n - 1 - entered, n)
-    plain = [(sums[1], flat[1])] + [(total, m2) for _, (total,), (m2,) in further]
-    return finite(controlled), *(_estimate(total / n, m2, n - 1, n) for total, m2 in plain)
+    return finite(controlled), *(_estimate(sums[j] / n, flat[j], n - 1, n) for j in range(1, m))
 
 
 def _estimate(mean, ss, dof, n):

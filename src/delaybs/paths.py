@@ -82,7 +82,8 @@ DEGENERATE_TOL = 1e-12
 
 def _joint_increments(g2, f_int, lam_int, theta_sq, z1, draw_z2):
     """Correlated (I1, I2) from independent standard normals z1 and
-    z2 = draw_z2().
+    z2 = draw_z2(), and c / sqrt(g2), c = f_int - lam_int, the shift that
+    makes z1 + c / sqrt(g2) the price's normal under Q (0 where g2 = 0).
 
     I1 ~ N(0, g2), I2 ~ N(0, theta_sq), Cov(I1, I2) = f_int - lam_int.
     Degenerate residual variance collapses to perfect correlation, which
@@ -112,10 +113,11 @@ def _joint_increments(g2, f_int, lam_int, theta_sq, z1, draw_z2):
         )
     resid = np.maximum(theta_sq - cross, 0.0)
     resid = np.where(resid <= DEGENERATE_TOL * theta_sq, 0.0, resid)
-    i2 = c / np.sqrt(g2) * z1
+    shift = c / np.sqrt(g2)
+    i2 = shift * z1
     if resid.any():
         i2 += np.sqrt(resid) * draw_z2()
-    return i1, np.where(zero, 0.0, i2)
+    return i1, np.where(zero, 0.0, i2), shift
 
 
 def _knots(market, t_start, sample_times):
@@ -226,22 +228,19 @@ def exact_steps(
         )
         # z becomes I1, then the growth factor exp(drift - g2/2 + I1)
         z = rng.normals(seed, k, substep, lo, hi)
+        if density:
+            i1, i2, shift = _joint_increments(
+                g2, f_int, lam_int, theta_sq[0], z, lambda: rng.normals(seed, k, 1, lo, hi)
+            )
+            log_rho = log_rho - i2 - 0.5 * theta_sq[0]
         if twin is not None:
             v = next(twin_v)
-            z_q = z  # the price's normal under Q; with the density z + c / sqrt(g2)
-            if density:
-                z_q = z + np.divide(f_int - lam_int, np.sqrt(g2), out=np.zeros_like(g2), where=g2 > 0)
+            z_q = z + shift if density else z  # the price's normal under Q
             dw = math.sqrt(v) * z_q
             tangent = tangent + w * (dw - v)  # W~ before this knot's increment
             w += dw
             twin_drift += lam_int - 0.5 * v
-        if density:
-            z, i2 = _joint_increments(
-                g2, f_int, lam_int, theta_sq[0], z, lambda: rng.normals(seed, k, 1, lo, hi)
-            )
-            log_rho = log_rho - i2 - 0.5 * theta_sq[0]
-        else:
-            z *= np.sqrt(g2)
+        z = i1 if density else np.multiply(z, np.sqrt(g2), out=z)
         z += (lam_int if measure == "Q" else f_int) - 0.5 * g2
         # a price that overflows fails its caller's finite check
         with np.errstate(over="ignore"):

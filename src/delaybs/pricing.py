@@ -21,7 +21,8 @@ and its first-order term (and in ``price_semi`` its digital), all known
 in closed form, and with its discounted price, a Q-martingale like the
 price's own.  Where g does not read s the twin is the price path itself,
 so their prices there are exact.  The importance price is ``price_mc``'s
-estimate on P-paths, each statistic weighted by rho_T = dQ/dP.
+estimate on P-paths, each statistic weighted by rho_T = dQ/dP, with
+rho_T itself as a last control.
 """
 
 from __future__ import annotations
@@ -222,12 +223,13 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
     strike = option.strike
     # The twin's final-block variance, and its total over [t, T]
     twin_v = twin_variances(market, state.t, state.s_block, [t_star, market.T])
-    twin_mean = digital_mean = tangent_mean = None
+    x_t = state.s_t / grow_t
+    means = (x_t,)
     if twin_v[-1] > 0.0:
-        x_t = state.s_t / grow_t
         bp, bm = bs_betas(log_ratio(x_t, strike), R_T, sum(twin_v))
         twin_mean, digital_mean, _ = map(float, bs_call(x_t, strike, R_T, bp, bm, legs=True))
         tangent_mean = twin_tangent_mean(twin_v, x_t, bp)
+        means = (x_t, twin_mean, x_t, digital_mean, tangent_mean)
     log_x0k = log_ratio(state.s_t, strike) - market.rate.integral(0.0, t_star)
     # the twin's log-growth to t* less its drift is its Brownian part W~
     twin_drift = market.rate.integral(state.t, t_star) - 0.5 * sum(twin_v[:-1])
@@ -243,19 +245,17 @@ def price_semi(market, option, state, n_paths, seed, workers=1):
             raise DomainError("final-block variance must be positive")
         x = s_star * disc_to_star
         y = bs_call(x, strike, R_T, *bs_betas(log_ratio(x, strike), R_T, v))
-        if twin_mean is None:
-            return [(y, x)]
+        if len(means) == 1:
+            return y, x
         x_twin = twin_price(state.s_t * disc_to_star, w)
         betas = bs_betas(log_x0k + w, R_T, twin_v[-1])
         twin, digital, asset = bs_call(x_twin, strike, R_T, *betas, legs=True)
         with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the finite check
             vega = (w - twin_drift) * x_twin * np.exp(-0.5 * betas[0] ** 2)
             first_order = tangent * asset + vega * math.sqrt(twin_v[-1] / (2.0 * math.pi))
-        return [(y, x, twin, x_twin, digital, first_order)]
+        return y, x, twin, x_twin, digital, first_order
 
-    (mean, se, _), _ = accumulate_controlled_pair(
-        chunk, state.s_t / grow_t, n_paths, workers, twin_mean, digital_mean, tangent_mean
-    )
+    (mean, se, _), *_ = accumulate_controlled_pair(chunk, means, n_paths, workers)
     return PricingResult(
         value=grow_t * mean, std_error=grow_t * se, n_paths=n_paths, method="semi"
     )
@@ -282,8 +282,10 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
     call-side for puts.  Under P (the importance price) the paths carry
     the Girsanov density rho_T = dQ/dP and the twin reads the price's
     Q-normals, so each statistic weighted by rho_T keeps its Q-mean,
-    E_P[rho_T Z] = E_Q[Z].  The price is disc times the controlled mean
-    of :func:`parallel.accumulate_controlled_pair`.
+    E_P[rho_T Z] = E_Q[Z], and rho_T, of mean 1, is the last control: it
+    holds rho_T K, which a put's payoff adds to the call's.  The price is
+    disc times the controlled mean of
+    :func:`parallel.accumulate_controlled_pair`.
     Neither Y nor its mean shares code with :func:`price_semi`'s kernel,
     so the two still check each other.  Returns the price and the plain
     (mean, standard_error, n) of X under Q and of rho_T under P, not
@@ -293,6 +295,9 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
         raise ContractError("valuation time must be before maturity")
     disc = discount_factor(market.rate, state.t, market.T)
     twin_v, twin_mean, tangent_mean = twin_call(market, state, option.strike)
+    means = (state.s_t,) if twin_mean is None else (state.s_t, twin_mean, state.s_t, tangent_mean)
+    if measure == "P":
+        means += (1.0,)
 
     def chunk(lo, hi):
         s_T, *rho, w, tangent = exact_values_vec(
@@ -306,13 +311,11 @@ def price_mc_joint(market, measure, option, state, n_paths, seed, workers=1):
         if twin_mean is not None:
             above = np.where(s_twin > option.strike, x_twin, 0.0)
             stats += (np.maximum(s_twin - option.strike, 0.0), x_twin, tangent * above)
-        return [tuple(rho[0] * z for z in stats) if rho else stats, *((r,) for r in rho)]
+        return (*(rho[0] * z for z in stats), *rho) if rho else stats
 
-    (mean, se, _), *plain = accumulate_controlled_pair(
-        chunk, state.s_t, n_paths, workers, twin_mean, tangent_mean
-    )
-    method = "importance" if measure == "P" else "mc"
-    return PricingResult(disc * mean, disc * se, n_paths, method), plain[-1]
+    (mean, se, _), *plain = accumulate_controlled_pair(chunk, means, n_paths, workers)
+    method, read = ("importance", -1) if measure == "P" else ("mc", 0)  # rho_T's or X's
+    return PricingResult(disc * mean, disc * se, n_paths, method), plain[read]
 
 
 def twin_call(market, state, strike):

@@ -283,7 +283,7 @@ def test_hedge_output_is_unchanged(capsys, argv, expected, workers):
 # `check` stdout, the cross-estimator rows as the prices controlled by the
 # discounted price, the Black-Scholes twin, the twin's discounted price and
 # the twin's first-order term (and in semi its digital) give them, weighted
-# by the density under P.
+# by the density under P, where the density is the last control.
 _CHECK_GOLDEN = [
     # the block_mc benchmark's check at workload seed 11
     (["--paths", "65536", "--seed", "364835417"],
@@ -292,7 +292,7 @@ _CHECK_GOLDEN = [
      "density_mean,1.0016106019004951,0.00056582493625290337,pass\n"
      "martingale_mean,99.984910328791557,0.074195289974620174,pass\n"
      "semi_vs_mc,-2.1680542676705272e-06,3.1610093439731443e-06,pass\n"
-     "importance_vs_mc,-1.6701882135095047e-06,3.6057623624183749e-06,pass\n"
+     "importance_vs_mc,-4.1148480178776481e-08,3.4419576838039153e-06,pass\n"
      "put_parity,4.8001860175617139e-07,3.8158485521760379e-06,pass\n"),
     # three chunks, the last one partial
     (["--paths", "140000", "--seed", "5"],
@@ -301,7 +301,7 @@ _CHECK_GOLDEN = [
      "density_mean,1.0000840868583691,0.00038294935708667186,pass\n"
      "martingale_mean,100.03234077613104,0.051059101750041518,pass\n"
      "semi_vs_mc,8.545135052884234e-07,2.1827946008130923e-06,pass\n"
-     "importance_vs_mc,7.2866045464081708e-07,2.5368506767428403e-06,pass\n"
+     "importance_vs_mc,8.8980506518510083e-08,2.4140956193984873e-06,pass\n"
      "put_parity,-4.9642629207369282e-07,2.5947693215656021e-06,pass\n"),
 ]
 
@@ -431,13 +431,9 @@ def test_mc_output_independent_of_worker_count(capsys, workers):
     )
 
 
-def _three_controls(fn, control_mean, n, workers=1, twin_mean=None, *later_means):
+def _three_controls(fn, means, n, workers=1):
     """``accumulate_controlled_pair`` without any control after the third."""
-    def first_four(lo, hi):
-        first, *further = fn(lo, hi)
-        return [first[:4], *further]
-
-    return parallel.accumulate_controlled_pair(first_four, control_mean, n, workers, twin_mean)
+    return parallel.accumulate_controlled_pair(lambda lo, hi: fn(lo, hi)[:4], means[:3], n, workers)
 
 
 @pytest.mark.parametrize("workers", ["1", "3"])

@@ -65,7 +65,7 @@ def test_joint_increments_perfect_correlation():
     def z2():
         raise AssertionError("no lane has residual variance: z2 must not be drawn")
 
-    i1, i2 = _joint_increments(g2, f_minus_lam, 0.0, theta_sq, z1, z2)
+    i1, i2, _ = _joint_increments(g2, f_minus_lam, 0.0, theta_sq, z1, z2)
     assert np.allclose(i2, np.sqrt(theta_sq) * z1, rtol=1e-12)
 
 
@@ -84,7 +84,7 @@ def test_exponential_martingale_single_block(state_market):
     )
     n = 1_000_000
     z1 = normals(99, 0, 0, 0, n)
-    _, i2 = _joint_increments(
+    _, i2, _ = _joint_increments(
         np.full(n, float(g2[0])), np.full(n, float(f_int[0])), lam,
         np.full(n, float(th2[0])), z1, lambda: normals(99, 0, 1, 0, n),
     )
@@ -101,7 +101,7 @@ def test_density_chain_telescopes(state_market):
     knots = block_schedule(state_market.T, state_market.h)
     for k, (a, b) in enumerate(zip(knots[:-1], knots[1:])):
         g2, f_int, lam, th2 = block_integrals_vec(state_market, s, a, b, with_theta=True)
-        i1, i2 = _joint_increments(
+        i1, i2, _ = _joint_increments(
             g2, f_int, lam, th2, normals(21, k, 0, 5, 6), lambda: normals(21, k, 1, 5, 6)
         )
         increments.append(float(-i2[0] - 0.5 * th2[0]))

@@ -44,7 +44,7 @@ def test_accumulators_chunk_at_chunk_size_read_when_called(small_chunks):
         return _pair(lo, hi)
 
     accumulate_moments(lambda lo, hi: recording(lo, hi)[0], 5000, 1)
-    accumulate_controlled_pair(_controlled(recording), 0.0, 5000)
+    accumulate_controlled_pair(recording, (0.0,), 5000)
     assert seen == 2 * parallel.chunk_ranges(5000, 512)
 
 
@@ -63,11 +63,6 @@ def test_no_paths_is_a_contract_error():
 
 
 # --- co-moments and the control variate ---------------------------------------
-
-
-def _controlled(fn):
-    """fn's statistic as the one statistic of a chunk, the controlled one."""
-    return lambda lo, hi: [fn(lo, hi)]
 
 
 def _pair(lo, hi):
@@ -126,13 +121,13 @@ def test_pair_keeps_the_bits_of_each_statistic():
 def test_co_moment_merge_is_identical_across_worker_counts(small_chunks):
     results = {_co_moments(_pair_large_mean, 5000, w) for w in (1, 2, 4)}
     assert len(results) == 1
-    controlled = {accumulate_controlled_pair(_controlled(_pair), 0.0, 5000, w)[0] for w in (1, 2, 4)}
+    controlled = {accumulate_controlled_pair(_pair, (0.0,), 5000, w)[0] for w in (1, 2, 4)}
     assert len(controlled) == 1
 
 
 def test_control_matches_the_regression_estimator(small_chunks):
     n, mu = 5000, 0.01
-    mean, se, count = accumulate_controlled_pair(_controlled(_pair), mu, n)[0]
+    mean, se, count = accumulate_controlled_pair(_pair, (mu,), n)[0]
     y, x = _pair(0, n)
     dy, dx = y - y.mean(), x - x.mean()
     beta = (dy @ dx) / (dx @ dx)
@@ -145,7 +140,7 @@ def test_control_matches_the_regression_estimator(small_chunks):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_control_needs_a_residual_degree_of_freedom(n):
-    controlled = accumulate_controlled_pair(_controlled(_pair), 5.0, n)[0]
+    controlled = accumulate_controlled_pair(_pair, (5.0,), n)[0]
     if n <= 2:  # a line fits n <= 2 points exactly: no control, no false 0
         assert controlled == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], n, 1)
     else:
@@ -160,7 +155,7 @@ def test_control_without_spread_is_the_plain_mean(small_chunks):
         y, _ = _pair(lo, hi)
         return y, np.full(hi - lo, 3.0)
 
-    got = accumulate_controlled_pair(_controlled(flat), 2.0, 5000)[0]
+    got = accumulate_controlled_pair(flat, (2.0,), 5000)[0]
     assert got == accumulate_moments(lambda lo, hi: _pair(lo, hi)[0], 5000, 1)
 
 
@@ -169,14 +164,14 @@ def test_control_reports_non_finite_results():
         return np.full(hi - lo, 1e308), _pair(lo, hi)[1]
 
     with pytest.raises(NumericalError):
-        accumulate_controlled_pair(_controlled(overflowing), 0.0, 100)[0]
+        accumulate_controlled_pair(overflowing, (0.0,), 100)[0]
 
 
 def test_an_overflowing_control_fails_only_its_reader(small_chunks):
     def flat_payoff(lo, hi):  # S_xx overflows, Y has no spread at all
         return np.zeros(hi - lo), 1e200 * (2.0 + _pair(lo, hi)[1])
 
-    controlled, plain = accumulate_controlled_pair(_controlled(flat_payoff), 2e200, 5000)
+    controlled, plain = accumulate_controlled_pair(flat_payoff, (2e200,), 5000)
     assert controlled == (0.0, 0.0, 5000)
     assert plain[1] == np.inf
     with pytest.raises(NumericalError):
@@ -184,14 +179,26 @@ def test_an_overflowing_control_fails_only_its_reader(small_chunks):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_a_further_statistic_has_the_bits_of_its_plain_mean(small_chunks, workers):
+def test_each_control_has_the_bits_of_its_plain_mean(small_chunks, workers):
     def with_payoff(lo, hi):
-        return [_pair(lo, hi), (_payoff(lo, hi),)]
+        return (*_pair(lo, hi), _payoff(lo, hi))
 
-    alone = accumulate_controlled_pair(_controlled(_pair), 0.01, 5000, workers)
-    *pair, payoff = accumulate_controlled_pair(with_payoff, 0.01, 5000, workers)
-    assert tuple(pair) == alone
+    _, x, payoff = accumulate_controlled_pair(with_payoff, (0.01, 1e8), 5000, workers)
+    assert x == accumulate_moments(lambda lo, hi: _pair(lo, hi)[1], 5000, workers)
     assert payoff == accumulate_moments(_payoff, 5000, workers)
+
+
+@pytest.mark.parametrize("rho", ["flat", "collinear"])
+def test_a_last_control_without_residual_spread_leaves_the_estimate(small_chunks, rho):
+    # (y, x, rho), as the importance price passes it without a twin: a rho
+    # that adds nothing to x stays out, and control 2 takes the twin's
+    # coefficient-1 rule only when a control follows it
+    def fn(lo, hi):
+        y, x = _pair(lo, hi)
+        return y, x, np.full(hi - lo, 0.5) if rho == "flat" else 0.5 + 0.25 * x
+
+    got = accumulate_controlled_pair(fn, (0.01, 1.0), 5000)
+    assert got[:2] == accumulate_controlled_pair(_pair, (0.01,), 5000)
 
 
 # --- the twin, a second control ------------------------------------------------
@@ -205,7 +212,7 @@ def _triple(lo, hi):
 
 def test_two_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu = 5000, 0.01, -0.02
-    mean, se, _ = accumulate_controlled_pair(_controlled(_triple), mu, n, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(_triple, (mu, twin_mu), n)[0]
     y, x, twin = _triple(0, n)
     design = np.column_stack([np.ones(n), x, twin])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -217,20 +224,22 @@ def test_two_controls_match_the_regression_estimator(small_chunks):
 
 def test_twin_needs_a_residual_degree_of_freedom():
     # at three paths only the first control enters, as without the twin
-    one = accumulate_controlled_pair(lambda lo, hi: [_triple(lo, hi)[:2]], 5.0, 3)
-    assert accumulate_controlled_pair(_controlled(_triple), 5.0, 3, twin_mean=7.0) == one
+    one = accumulate_controlled_pair(lambda lo, hi: _triple(lo, hi)[:2], (5.0,), 3)
+    assert accumulate_controlled_pair(_triple, (5.0, 7.0), 3)[:2] == one
 
 
 @pytest.mark.parametrize("twin", ["flat", "collinear"])
 def test_a_twin_without_residual_spread_enters_at_coefficient_one(small_chunks, twin):
-    # the sample cannot fit the twin's coefficient; Y = twin + 3x is exact
+    # the sample cannot fit the twin's coefficient; Y = twin + 3x is exact.
+    # The twin's discounted price follows it, here X itself, as where g
+    # does not read s
     def fn(lo, hi):
         _, x, _ = _triple(lo, hi)
         t = np.full(hi - lo, 0.5) if twin == "flat" else 4.0 * x - 1.0
-        return t + 3.0 * x, x, t
+        return t + 3.0 * x, x, t, x
 
     twin_mu = 0.75  # the twin's true mean, which the sample does not show
-    mean, se, _ = accumulate_controlled_pair(_controlled(fn), 0.0, 5000, twin_mean=twin_mu)[0]
+    mean, se, _ = accumulate_controlled_pair(fn, (0.0, twin_mu, 0.0), 5000)[0]
     assert mean == pytest.approx(twin_mu, abs=1e-12) and se == 0.0
 
 
@@ -246,7 +255,7 @@ def _quadruple(lo, hi):
 
 def test_three_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu = 5000, 0.01, -0.02
-    got = accumulate_controlled_pair(_controlled(_quadruple), mu, n, twin_mean=twin_mu)[0]
+    got = accumulate_controlled_pair(_quadruple, (mu, twin_mu, mu), n)[0]
     y, *controls = _quadruple(0, n)
     design = np.column_stack([np.ones(n), *controls])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -262,9 +271,7 @@ def test_a_y_linear_in_three_controls_is_exact(small_chunks, workers):
         _, x, twin, x_twin = _quadruple(lo, hi)
         return 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin, x, twin, x_twin
 
-    mean, se, _ = accumulate_controlled_pair(
-        _controlled(linear), 0.25, 5000, workers, twin_mean=-0.5
-    )[0]
+    mean, se, _ = accumulate_controlled_pair(linear, (0.25, -0.5, 0.25), 5000, workers)[0]
     assert mean == pytest.approx(4.0 + 2.0 * 0.25 - 0.5 * -0.5 + 3.0 * 0.25, rel=1e-12)
     assert se == 0.0
 
@@ -273,19 +280,19 @@ def test_a_y_linear_in_three_controls_is_exact(small_chunks, workers):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_a_third_control_never_enters_at_four_paths_or_fewer(n, twin):
     # with two controls entered a third would leave no residual degree of
-    # freedom; a flat twin enters at coefficient 1, and still X~ stays out
+    # freedom; a flat twin enters at coefficient 1, and still X~ stays out,
+    # so its mean moves nothing
     def fn(lo, hi):
         y, x, t, x_twin = _quadruple(lo, hi)
         return y, x, t if twin == "spread" else np.full(hi - lo, 0.5), x_twin
 
-    two = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:3]], 5.0, n, twin_mean=7.0)
-    assert accumulate_controlled_pair(_controlled(fn), 5.0, n, twin_mean=7.0) == two
+    got = accumulate_controlled_pair(fn, (5.0, 7.0, 5.0), n)
+    assert accumulate_controlled_pair(fn, (5.0, 7.0, -5.0), n) == got
 
 
 def test_a_third_control_enters_at_five_paths():
-    two = accumulate_controlled_pair(lambda lo, hi: [_quadruple(lo, hi)[:3]], 5.0, 5,
-                                     twin_mean=7.0)
-    assert accumulate_controlled_pair(_controlled(_quadruple), 5.0, 5, twin_mean=7.0) != two
+    two = accumulate_controlled_pair(lambda lo, hi: _quadruple(lo, hi)[:3], (5.0, 7.0), 5)
+    assert accumulate_controlled_pair(_quadruple, (5.0, 7.0, 5.0), 5)[0] != two[0]
 
 
 # --- the twin's digital, a fourth control --------------------------------------
@@ -300,7 +307,7 @@ def _quintuple(lo, hi):
 
 def test_four_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu, digital_mu = 5000, 0.01, -0.02, 0.4
-    got = accumulate_controlled_pair(_controlled(_quintuple), mu, n, 1, twin_mu, digital_mu)[0]
+    got = accumulate_controlled_pair(_quintuple, (mu, twin_mu, mu, digital_mu), n)[0]
     y, *controls = _quintuple(0, n)
     design = np.column_stack([np.ones(n), *controls])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -316,7 +323,8 @@ def test_a_y_linear_in_four_controls_is_exact(small_chunks, workers):
         _, x, twin, x_twin, digital = _quintuple(lo, hi)
         return 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin - 1.5 * digital, x, twin, x_twin, digital
 
-    mean, se, _ = accumulate_controlled_pair(_controlled(linear), 0.25, 5000, workers, -0.5, 0.4)[0]
+    means = (0.25, -0.5, 0.25, 0.4)
+    mean, se, _ = accumulate_controlled_pair(linear, means, 5000, workers)[0]
     assert mean == pytest.approx(4.0 + 2.0 * 0.25 - 0.5 * -0.5 + 3.0 * 0.25 - 1.5 * 0.4, rel=1e-12)
     assert se == 0.0
 
@@ -329,13 +337,13 @@ def test_a_fourth_control_never_enters_at_five_paths_or_fewer(n, twin):
         y, x, t, x_twin, digital = _quintuple(lo, hi)
         return y, x, t if twin == "spread" else np.full(hi - lo, 0.5), x_twin, digital
 
-    three = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:4]], 5.0, n, 1, 7.0)
-    assert accumulate_controlled_pair(_controlled(fn), 5.0, n, 1, 7.0, 0.3) == three
+    three = accumulate_controlled_pair(lambda lo, hi: fn(lo, hi)[:4], (5.0, 7.0, 5.0), n)
+    assert accumulate_controlled_pair(fn, (5.0, 7.0, 5.0, 0.3), n)[:4] == three
 
 
 def test_a_fourth_control_enters_at_six_paths():
-    three = accumulate_controlled_pair(lambda lo, hi: [_quintuple(lo, hi)[:4]], 5.0, 6, 1, 7.0)
-    assert accumulate_controlled_pair(_controlled(_quintuple), 5.0, 6, 1, 7.0, 0.3) != three
+    three = accumulate_controlled_pair(lambda lo, hi: _quintuple(lo, hi)[:4], (5.0, 7.0, 5.0), 6)
+    assert accumulate_controlled_pair(_quintuple, (5.0, 7.0, 5.0, 0.3), 6)[0] != three[0]
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -348,9 +356,10 @@ def test_a_fourth_control_never_enters_once_y_is_exact(small_chunks, workers):
         y = 4.0 + 2.0 * x - 0.5 * twin + 3.0 * x_twin + 1e-8 * digital
         return y, x, twin, x_twin, digital
 
-    three = accumulate_controlled_pair(lambda lo, hi: [fn(lo, hi)[:4]], 0.25, 5000, workers, -0.5)
-    got = accumulate_controlled_pair(_controlled(fn), 0.25, 5000, workers, -0.5, 0.4)
-    assert got == three and got[0][1] == 0.0
+    means = (0.25, -0.5, 0.25, 0.4)
+    three = accumulate_controlled_pair(lambda lo, hi: fn(lo, hi)[:4], means[:3], 5000, workers)
+    got = accumulate_controlled_pair(fn, means, 5000, workers)
+    assert got[:4] == three and got[0][1] == 0.0
 
 
 # --- a fifth control, semi's first-order term after its digital -------------
@@ -365,7 +374,7 @@ def _sextuple(lo, hi):
 
 def test_five_controls_match_the_regression_estimator(small_chunks):
     n, mu, twin_mu, later = 5000, 0.01, -0.02, (0.4, 0.05)
-    got = accumulate_controlled_pair(_controlled(_sextuple), mu, n, 1, twin_mu, *later)[0]
+    got = accumulate_controlled_pair(_sextuple, (mu, twin_mu, mu, *later), n)[0]
     y, *controls = _sextuple(0, n)
     design = np.column_stack([np.ones(n), *controls])
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
@@ -377,9 +386,10 @@ def test_five_controls_match_the_regression_estimator(small_chunks):
 
 @pytest.mark.parametrize("n", [6, 7])
 def test_a_fifth_control_enters_from_seven_paths(n):
-    four = accumulate_controlled_pair(lambda lo, hi: [_sextuple(lo, hi)[:5]], 5.0, n, 1, 7.0, 0.3)
-    got = accumulate_controlled_pair(_controlled(_sextuple), 5.0, n, 1, 7.0, 0.3, 0.2)
-    assert (got == four) == (n == 6)
+    means = (5.0, 7.0, 5.0, 0.3, 0.2)
+    four = accumulate_controlled_pair(lambda lo, hi: _sextuple(lo, hi)[:5], means[:4], n)
+    got = accumulate_controlled_pair(_sextuple, means, n)
+    assert (got[:5] == four) == (n == 6)
 
 
 @pytest.mark.parametrize("workers, n, size", [(10**9, 3 * 512, 3), (2, 5 * 512, 2), (4, 513, 2)])
